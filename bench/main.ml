@@ -1100,8 +1100,8 @@ let cmd =
   let sweep =
     let doc =
       "Core counts for the $(b,smp) scaling target, comma-separated \
-       (default 1,2,4,8,16,32,64,128). Each point runs the fork storm \
-       under sharded locks and under the legacy big kernel lock."
+       (default 1,2,4,8,16,32,64,128,256,512). Each point runs the fork \
+       storm under sharded locks and under the legacy big kernel lock."
     in
     Arg.(
       value & opt (some string) None & info [ "cores-sweep" ] ~docv:"LIST" ~doc)

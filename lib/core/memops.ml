@@ -29,14 +29,10 @@ let restore_perms (u : Uproc.t) ~vpn (pte : Pte.t) =
   pte.Pte.cap_load_fault <- false;
   pte.Pte.share <- Pte.Private
 
-(* The one physical page-duplication loop in the tree: bytes plus
-   capability granules, tags preserved. Everything that copies a page —
-   eager fork copies, CoW/CoA/CoPA resolutions, VM cloning — comes
-   through here. *)
-let copy_page_contents ~src ~dst =
-  Page.write_bytes dst ~off:0 (Page.read_bytes src ~off:0 ~len:Addr.page_size);
-  Page.iter_caps src (fun g cap ->
-      Page.store_cap dst ~off:(g * Addr.granule_size) cap)
+(* The one physical page duplication in the tree: bytes plus capability
+   granules, tags preserved. Everything that copies a page — eager fork
+   copies, CoW/CoA/CoPA resolutions, VM cloning — comes through here. *)
+let copy_page_contents ~src ~dst = Page.copy_into ~src ~dst
 
 let duplicate_frame k u frame =
   let fresh = Kernel.fresh_frame k u in

@@ -1,11 +1,23 @@
 (** A 4 KiB page of tagged memory.
 
-    Raw data lives in a [Bytes.t]; the capability tag side table is a sparse
-    map from granule index to the stored {!Ufork_cheri.Capability.t}. A
-    granule's tag is set iff the map has an entry for it — exactly CHERI's
-    model where a valid capability in DRAM is a 16-byte value plus an
-    out-of-band tag bit, and any non-capability store to the granule clears
-    the tag (§2.4).
+    Representation: the raw bytes are a [Bytes.t] allocated on the
+    page's first store (byte write, integer write or capability store);
+    until then the page owns no storage. The capability tags live in a
+    flat table of 256 slots, one per 16-byte granule, allocated on the
+    first tagged store, plus a count of set slots. A granule's tag is
+    set iff its slot holds a capability — exactly CHERI's model where a
+    valid capability in DRAM is a 16-byte value plus an out-of-band tag
+    bit, and any non-capability store to the granule clears the tag
+    (§2.4). A page whose count is zero skips every tag walk; scans visit
+    slots in ascending granule order, so no sort is needed.
+
+    Two contracts hold whatever the representation:
+    - {b an unwritten page reads as zeros}: every read of a never-written
+      page (bytes, integers, capability loads) sees zeros and clear tags,
+      and reads never allocate page storage;
+    - {b a recycled frame is indistinguishable from a fresh one}: after
+      {!clear} the page is back in the {!create} state, storage
+      included.
 
     The first 8 bytes of a capability granule mirror the capability's cursor
     so that integer reads of a stored pointer see a plausible address, as
@@ -14,21 +26,40 @@
 type t
 
 val create : unit -> t
-(** A zeroed page with all tags clear. *)
+(** A page reading as zeros with all tags clear; owns no storage. *)
 
 val clear : t -> unit
-(** Zero the bytes and clear every tag: back to the {!create} state.
-    Frame reuse from a freelist goes through this so a recycled page is
-    indistinguishable from a fresh one. *)
+(** Back to the {!create} state: the bytes read as zeros again, every
+    tag is clear and the storage is released. Frame reuse from a
+    freelist goes through this so a recycled page is indistinguishable
+    from a fresh one. *)
 
 val copy : t -> t
 (** Deep copy: bytes and all tagged capabilities. *)
 
+val copy_into : src:t -> dst:t -> unit
+(** Overwrite [dst] with [src]: one copy of the bytes and of the tag
+    table. An unwritten [src] leaves [dst] unwritten (reading zeros). *)
+
+val written : t -> bool
+(** Whether the page owns byte storage, i.e. has been stored to since it
+    was created or last {!clear}ed. Reads never make it [true]. *)
+
 (** {1 Raw data} *)
 
 val read_bytes : t -> off:int -> len:int -> bytes
+
+val read_into : t -> off:int -> len:int -> bytes -> pos:int -> unit
+(** [read_into p ~off ~len dst ~pos] blits [len] bytes of the page at
+    [off] into [dst] at [pos]: no intermediate buffer. *)
+
 val write_bytes : t -> off:int -> bytes -> unit
 (** Clears the tag of every granule the write overlaps. *)
+
+val write_from : t -> off:int -> bytes -> pos:int -> len:int -> unit
+(** [write_from p ~off src ~pos ~len] blits [len] bytes of [src] from
+    [pos] into the page at [off], clearing overlapped tags like
+    {!write_bytes}. *)
 
 val read_u8 : t -> off:int -> int
 val write_u8 : t -> off:int -> int -> unit
@@ -54,6 +85,10 @@ val clear_tag_at : t -> off:int -> unit
 (** Clear the tag of the (aligned) granule without touching its bytes —
     what capability revocation does. *)
 
+val clear_tags : t -> off:int -> len:int -> unit
+(** Clear the tag of every granule overlapping [[off, off+len)], partly
+    covered end granules included, without touching the bytes. *)
+
 val tag_at : t -> off:int -> bool
 (** Tag of the granule containing (aligned) [off]. *)
 
@@ -65,8 +100,10 @@ val tagged_count : t -> int
 val clear_all_tags : t -> unit
 
 val iter_caps : t -> (int -> Ufork_cheri.Capability.t -> unit) -> unit
-(** [iter_caps p f] applies [f granule cap] for each tagged granule. *)
+(** [iter_caps p f] applies [f granule cap] for each tagged granule, in
+    ascending granule order. [f] must not change the page's tags. *)
 
 val map_caps :
   t -> (Ufork_cheri.Capability.t -> Ufork_cheri.Capability.t) -> unit
-(** Rewrite every tagged capability in place (relocation). *)
+(** Rewrite every tagged capability in place (relocation), in ascending
+    granule order. *)

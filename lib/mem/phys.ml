@@ -32,7 +32,9 @@ type t = {
   mutable peak : int;
   mutable total : int;
   mutable next_id : int;
-  registry : (int, frame) Hashtbl.t;
+  (* Every frame ever carved, frame [fid] at index [fid - 1]: ids are
+     dense, so the registry is a growable array iterated in id order. *)
+  mutable registry : frame array;
   local_free : frame list array; (* per-core freelist caches, LIFO *)
   local_len : int array;
   mutable global_free : frame list; (* the shared pool of free frames *)
@@ -47,6 +49,11 @@ type t = {
 
 exception Out_of_memory
 
+(* Fills the registry's unused tail. A long-lived value on purpose:
+   [Array.make] with a freshly allocated filler forces a minor
+   collection when the array lands in the major heap. *)
+let vacant = { fid = 0; refcount = 0; page = Page.create () }
+
 let create ?limit_frames ?(cores = 1) () =
   let cores = max 1 cores in
   {
@@ -55,7 +62,7 @@ let create ?limit_frames ?(cores = 1) () =
     peak = 0;
     total = 0;
     next_id = 0;
-    registry = Hashtbl.create 1024;
+    registry = [||];
     local_free = Array.make cores [];
     local_len = Array.make cores 0;
     global_free = [];
@@ -122,7 +129,12 @@ let alloc t =
     | [] ->
         t.next_id <- t.next_id + 1;
         let f = { fid = t.next_id; refcount = 1; page = Page.create () } in
-        Hashtbl.replace t.registry f.fid f;
+        if f.fid > Array.length t.registry then begin
+          let grown = Array.make (max 1024 (2 * f.fid)) vacant in
+          Array.blit t.registry 0 grown 0 (Array.length t.registry);
+          t.registry <- grown
+        end;
+        t.registry.(f.fid - 1) <- f;
         f
   in
   note f.fid "Phys.alloc";
@@ -142,8 +154,9 @@ let release t f =
     (* Reclamation hygiene: a frame returning to the pool must not carry
        valid capabilities — the tag bits are invalidated with the frame
        (what CHERI hardware guarantees on reuse, and what the state
-       sanitizer's free-frame invariant checks). *)
-    Page.clear_all_tags f.page;
+       sanitizer's free-frame invariant checks). The bytes go with them,
+       so a free frame holds no page storage. *)
+    Page.clear f.page;
     let slot = core_slot t in
     t.local_free.(slot) <- f :: t.local_free.(slot);
     t.local_len.(slot) <- t.local_len.(slot) + 1;
@@ -177,8 +190,10 @@ let total_allocated t = t.total
 let reset_peak t = t.peak <- t.in_use
 
 let iter_frames t f =
-  let ids = Hashtbl.fold (fun fid _ acc -> fid :: acc) t.registry [] in
-  List.iter (fun fid -> f (Hashtbl.find t.registry fid)) (List.sort compare ids)
+  let registry = t.registry and n = t.next_id in
+  for i = 0 to n - 1 do
+    f registry.(i)
+  done
 
 let fold_frames t ~init ~f =
   let acc = ref init in

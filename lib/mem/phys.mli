@@ -53,9 +53,10 @@ val retain : t -> frame -> unit
 
 val release : t -> frame -> unit
 (** Decrement the refcount; the frame returns to the pool at zero, and
-    its page's capability tags are wiped (reclamation hygiene — CHERI
-    invalidates tags with the frame, so a later reuse can never yield a
-    stale valid capability). Raises [Invalid_argument] if already free. *)
+    its page is {!Page.clear}ed: the capability tags are wiped
+    (reclamation hygiene — CHERI invalidates tags with the frame, so a
+    later reuse can never yield a stale valid capability) and the page
+    storage is released. Raises [Invalid_argument] if already free. *)
 
 val refcount : frame -> int
 val page : frame -> Page.t

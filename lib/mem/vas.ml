@@ -77,8 +77,7 @@ let read_bytes pt ~via ~addr ~len =
     check_span pt ~addr ~len ~access:Read;
     let out = Bytes.create len in
     iter_fragments ~addr ~len (fun ~frag_addr ~off ~pos ~len ->
-        let p = page_of pt ~addr:frag_addr in
-        Bytes.blit (Page.read_bytes p ~off ~len) 0 out pos len);
+        Page.read_into (page_of pt ~addr:frag_addr) ~off ~len out ~pos);
     out
   end
 
@@ -88,8 +87,7 @@ let write_bytes pt ~via ~addr b =
   if len > 0 then begin
     check_span pt ~addr ~len ~access:Write;
     iter_fragments ~addr ~len (fun ~frag_addr ~off ~pos ~len ->
-        let p = page_of pt ~addr:frag_addr in
-        Page.write_bytes p ~off (Bytes.sub b pos len))
+        Page.write_from (page_of pt ~addr:frag_addr) ~off b ~pos ~len)
   end
 
 let read_u64 pt ~via ~addr =
@@ -139,14 +137,14 @@ let kernel_read_bytes pt ~addr ~len =
   let out = Bytes.create len in
   iter_fragments ~addr ~len (fun ~frag_addr ~off ~pos ~len ->
       let p = kernel_page pt ~vpn:(Addr.vpn_of_addr frag_addr) in
-      Bytes.blit (Page.read_bytes p ~off ~len) 0 out pos len);
+      Page.read_into p ~off ~len out ~pos);
   out
 
 let kernel_write_bytes pt ~addr b =
   let len = Bytes.length b in
   iter_fragments ~addr ~len (fun ~frag_addr ~off ~pos ~len ->
       let p = kernel_page pt ~vpn:(Addr.vpn_of_addr frag_addr) in
-      Page.write_bytes p ~off (Bytes.sub b pos len))
+      Page.write_from p ~off b ~pos ~len)
 
 let kernel_store_cap pt ~addr cap =
   require_granule_aligned addr;
@@ -162,16 +160,7 @@ let kernel_load_cap pt ~addr =
   cap
 
 let kernel_clear_tags pt ~addr ~len =
-  if len > 0 then begin
-    let g0 = Addr.align_down addr Addr.granule_size in
-    let g1 = Addr.align_down (addr + len - 1) Addr.granule_size in
-    let g = ref g0 in
-    while !g <= g1 do
-      (match Page_table.lookup pt ~vpn:(Addr.vpn_of_addr !g) with
-      | Some pte ->
-          Page.clear_tag_at (Phys.page pte.Pte.frame)
-            ~off:(Addr.page_offset !g)
-      | None -> ());
-      g := !g + Addr.granule_size
-    done
-  end
+  iter_fragments ~addr ~len (fun ~frag_addr ~off ~pos:_ ~len ->
+      match Page_table.lookup pt ~vpn:(Addr.vpn_of_addr frag_addr) with
+      | Some pte -> Page.clear_tags (Phys.page pte.Pte.frame) ~off ~len
+      | None -> ())

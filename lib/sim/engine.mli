@@ -26,7 +26,7 @@ type tid = int
 
 val create : ?cores:int -> unit -> t
 (** Default 4 cores; up to 1024 ([Invalid_argument] beyond — the SMP
-    scaling study sweeps to 128). *)
+    scaling study sweeps to 512). *)
 
 val cores : t -> int
 

@@ -40,6 +40,7 @@ let seeded =
   [
     ("fixture_d1.ml", "D1");
     ("fixture_d2.ml", "D2");
+    ("fixture_copy_d2.ml", "D2");
     ("fixture_d3.ml", "D3");
     ("fixture_d4.ml", "D4");
     ("fixture_d5.ml", "D5");
@@ -114,7 +115,8 @@ let test_clean_controls () =
       Alcotest.(check (list string)) file [] (ids (lint file)))
     [ "fixture_clean_comment.ml"; "fixture_clean_alias.ml";
       "fixture_clean_d6.ml"; "fixture_clean_d9.ml";
-      "fixture_clean_d11.ml"; "fixture_clean_d12.ml" ];
+      "fixture_clean_d2.ml"; "fixture_clean_d11.ml";
+      "fixture_clean_d12.ml" ];
   (* Ordered nesting, ascending shards and an annotation-declared custom
      pair satisfy the lock-order analysis. *)
   Alcotest.(check (list string))
@@ -136,6 +138,8 @@ let test_exemptions () =
   in
   check_clean "lib/sim/scheduler.ml" "fixture_d1.ml";
   check_clean "lib/mem/page.ml" "fixture_d2.ml";
+  check_clean "lib/mem/vas.ml" "fixture_copy_d2.ml";
+  check_clean "lib/core/memops.ml" "fixture_copy_d2.ml";
   check_clean "lib/core/fork_spine.ml" "fixture_d3.ml";
   check_clean "lib/sim/trace.ml" "fixture_d4.ml";
   check_clean "lib/sas/kernel.ml" "fixture_d9.ml";

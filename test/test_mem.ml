@@ -8,6 +8,7 @@ module Page_table = Ufork_mem.Page_table
 module Vas = Ufork_mem.Vas
 module Capability = Ufork_cheri.Capability
 module Perms = Ufork_cheri.Perms
+module Memops = Ufork_core.Memops
 
 (* --- Addr --- *)
 
@@ -128,6 +129,232 @@ let prop_page_write_preserves_other_bytes =
       && (off + String.length s >= 4096
          || Page.read_u8 p ~off:(off + String.length s) = 0)
       && Bytes.to_string (Page.read_bytes p ~off ~len:(String.length s)) = s)
+
+(* Model test: random operation sequences on a few pages, some written
+   and some never written, against a reference kept here — eager zeroed
+   bytes plus a granule -> capability map, with copies done the
+   long way (raw byte overwrite, then one capability store per tagged
+   granule). *)
+module Gmap = Map.Make (Int)
+
+type model = { mutable bytes : Bytes.t; mutable caps : Capability.t Gmap.t }
+
+let model_create () = { bytes = Bytes.make 4096 '\000'; caps = Gmap.empty }
+
+let model_clear_tags m ~off ~len =
+  if len > 0 then
+    for g = off / 16 to (off + len - 1) / 16 do
+      m.caps <- Gmap.remove g m.caps
+    done
+
+let model_write_bytes m ~off b =
+  model_clear_tags m ~off ~len:(Bytes.length b);
+  Bytes.blit b 0 m.bytes off (Bytes.length b)
+
+let model_store_cap m ~off cap =
+  Bytes.set_int64_le m.bytes off (Int64.of_int (Capability.cursor cap));
+  m.caps <-
+    (if Capability.tag cap then Gmap.add (off / 16) cap m.caps
+     else Gmap.remove (off / 16) m.caps)
+
+(* The source's map is read before the overwrite, so a page copied
+   onto itself keeps its tags. *)
+let model_copy_contents ~src ~dst =
+  let caps = src.caps in
+  model_write_bytes dst ~off:0 (Bytes.copy src.bytes);
+  Gmap.iter (fun g cap -> model_store_cap dst ~off:(g * 16) cap) caps
+
+let model_map_caps m f =
+  Gmap.iter (fun g cap -> model_store_cap m ~off:(g * 16) (f cap)) m.caps
+
+type page_op =
+  | Write_bytes of int * int * string  (* page, offset, data *)
+  | Write_u8 of int * int * int
+  | Write_u64 of int * int * int64
+  | Store_cap of int * int * int * bool  (* page, granule, base, tagged *)
+  | Clear_tag_at of int * int
+  | Clear_all_tags of int
+  | Clear of int
+  | Copy of int * int  (* src page, replaced page *)
+  | Copy_contents of int * int  (* src, dst *)
+  | Map_caps of int
+
+let show_page_op = function
+  | Write_bytes (p, off, s) ->
+      Printf.sprintf "write_bytes p%d @%d len %d" p off (String.length s)
+  | Write_u8 (p, off, v) -> Printf.sprintf "write_u8 p%d @%d %d" p off v
+  | Write_u64 (p, off, v) -> Printf.sprintf "write_u64 p%d @%d %Ld" p off v
+  | Store_cap (p, g, base, tagged) ->
+      Printf.sprintf "store_cap p%d g%d base %#x tagged %b" p g base tagged
+  | Clear_tag_at (p, g) -> Printf.sprintf "clear_tag_at p%d g%d" p g
+  | Clear_all_tags p -> Printf.sprintf "clear_all_tags p%d" p
+  | Clear p -> Printf.sprintf "clear p%d" p
+  | Copy (s, d) -> Printf.sprintf "p%d := copy p%d" d s
+  | Copy_contents (s, d) -> Printf.sprintf "copy_page_contents p%d -> p%d" s d
+  | Map_caps p -> Printf.sprintf "map_caps p%d" p
+
+let model_pages = 3
+
+let gen_page_op =
+  let open QCheck.Gen in
+  let page = int_bound (model_pages - 1) in
+  (* Offsets cluster on granule and page edges, where the tag and
+     fragment arithmetic can go wrong. *)
+  let off_upto hi =
+    oneof
+      [ int_range 0 hi;
+        map (fun o -> min hi o) (oneofl [ 0; 1; 15; 16; 17; 4080; 4095 ]) ]
+  in
+  let granule = oneof [ int_bound 255; oneofl [ 0; 1; 255 ] ] in
+  frequency
+    [
+      ( 4,
+        page >>= fun p ->
+        off_upto 4095 >>= fun off ->
+        oneof [ int_range 0 40; return (4096 - off) ] >>= fun len ->
+        string_size ~gen:char (return (min len (4096 - off))) >|= fun s ->
+        Write_bytes (p, off, s) );
+      (2, map3 (fun p off v -> Write_u8 (p, off, v)) page (off_upto 4095)
+            (int_bound 0x3ff));
+      (2, map3 (fun p off v -> Write_u64 (p, off, Int64.of_int v)) page
+            (off_upto 4088) int);
+      ( 5,
+        map3
+          (fun (p, g) base tagged -> Store_cap (p, g, base, tagged))
+          (pair page granule)
+          (map (fun k -> 0x10000 + (k * 16)) (int_bound 1000))
+          (frequency [ (4, return true); (1, return false) ]) );
+      (2, map2 (fun p g -> Clear_tag_at (p, g)) page granule);
+      (1, map (fun p -> Clear_all_tags p) page);
+      (1, map (fun p -> Clear p) page);
+      (2, map2 (fun s d -> Copy (s, d)) page page);
+      (3, map2 (fun s d -> Copy_contents (s, d)) page page);
+      (2, map (fun p -> Map_caps p) page);
+    ]
+
+(* Relocation stand-in: rebase most capabilities, untag some, so
+   map_caps both rewrites and clears slots. *)
+let remap cap =
+  if Capability.base cap / 16 mod 3 = 0 then Capability.clear_tag cap
+  else Capability.rebase cap ~delta:0x100
+
+let apply_page_op pages models = function
+  | Write_bytes (p, off, s) ->
+      Page.write_bytes pages.(p) ~off (Bytes.of_string s);
+      model_write_bytes models.(p) ~off (Bytes.of_string s)
+  | Write_u8 (p, off, v) ->
+      Page.write_u8 pages.(p) ~off v;
+      model_clear_tags models.(p) ~off ~len:1;
+      Bytes.set models.(p).bytes off (Char.chr (v land 0xff))
+  | Write_u64 (p, off, v) ->
+      Page.write_u64 pages.(p) ~off v;
+      model_clear_tags models.(p) ~off ~len:8;
+      Bytes.set_int64_le models.(p).bytes off v
+  | Store_cap (p, g, base, tagged) ->
+      let cap = mk_cap ~base ~len:32 () in
+      let cap = if tagged then cap else Capability.clear_tag cap in
+      Page.store_cap pages.(p) ~off:(g * 16) cap;
+      model_store_cap models.(p) ~off:(g * 16) cap
+  | Clear_tag_at (p, g) ->
+      Page.clear_tag_at pages.(p) ~off:(g * 16);
+      models.(p).caps <- Gmap.remove g models.(p).caps
+  | Clear_all_tags p ->
+      Page.clear_all_tags pages.(p);
+      models.(p).caps <- Gmap.empty
+  | Clear p ->
+      Page.clear pages.(p);
+      models.(p) <- model_create ()
+  | Copy (s, d) ->
+      pages.(d) <- Page.copy pages.(s);
+      models.(d) <- { bytes = Bytes.copy models.(s).bytes;
+                      caps = models.(s).caps }
+  | Copy_contents (s, d) ->
+      Memops.copy_page_contents ~src:pages.(s) ~dst:pages.(d);
+      model_copy_contents ~src:models.(s) ~dst:models.(d)
+  | Map_caps p ->
+      Page.map_caps pages.(p) remap;
+      model_map_caps models.(p) remap
+
+let same_cap a b =
+  Capability.equal a b && Capability.prov a = Capability.prov b
+
+(* Every observation the page offers, read in full; none of them may
+   allocate page storage. *)
+let page_agrees page m =
+  let written = Page.written page in
+  let whole = Bytes.make 4100 'x' in
+  Page.read_into page ~off:0 ~len:4096 whole ~pos:4;
+  let bytes_ok =
+    Bytes.equal (Page.read_bytes page ~off:0 ~len:4096) m.bytes
+    && Bytes.equal (Bytes.sub whole 4 4096) m.bytes
+    && Bytes.sub_string whole 0 4 = "xxxx"
+  in
+  let granules_ok =
+    Page.tagged_granules page = List.map fst (Gmap.bindings m.caps)
+    && Page.tagged_count page = Gmap.cardinal m.caps
+  in
+  let loads_ok =
+    List.for_all
+      (fun g ->
+        let c = Page.load_cap page ~off:(g * 16) in
+        match Gmap.find_opt g m.caps with
+        | Some mc -> same_cap c mc && Page.tag_at page ~off:(g * 16)
+        | None ->
+            (not (Capability.tag c))
+            && (not (Page.tag_at page ~off:(g * 16)))
+            && Capability.cursor c
+               = Int64.to_int (Bytes.get_int64_le m.bytes (g * 16)))
+      (List.init 256 Fun.id)
+  in
+  let seen = ref [] in
+  Page.iter_caps page (fun g c -> seen := (g, c) :: !seen);
+  let iter_ok =
+    List.length !seen = Gmap.cardinal m.caps
+    && List.for_all2
+         (fun (g, c) (mg, mc) -> g = mg && same_cap c mc)
+         (List.rev !seen) (Gmap.bindings m.caps)
+  in
+  bytes_ok && granules_ok && loads_ok && iter_ok
+  && Page.written page = written
+
+let prop_page_model =
+  QCheck.Test.make ~name:"page = bytes + granule-map model" ~count:300
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat "; " (List.map show_page_op ops))
+       QCheck.Gen.(list_size (1 -- 30) gen_page_op))
+    (fun ops ->
+      let pages = Array.init model_pages (fun _ -> Page.create ()) in
+      let models = Array.init model_pages (fun _ -> model_create ()) in
+      List.for_all
+        (fun op ->
+          apply_page_op pages models op;
+          List.for_all
+            (fun i -> page_agrees pages.(i) models.(i))
+            (List.init model_pages Fun.id))
+        ops)
+
+let test_page_unwritten () =
+  (* Reads of a never-written page see zeros and allocate nothing; a
+     copy from it leaves the destination unwritten too. *)
+  let p = Page.create () in
+  Alcotest.(check int) "u64 zero" 0 (Int64.to_int (Page.read_u64 p ~off:8));
+  Alcotest.(check int) "u8 zero" 0 (Page.read_u8 p ~off:4095);
+  Alcotest.(check bool) "cap load untagged" false
+    (Capability.tag (Page.load_cap p ~off:0));
+  Alcotest.(check bool) "reads keep it unwritten" false (Page.written p);
+  let q = Page.create () in
+  Page.write_u8 q ~off:3 9;
+  Page.store_cap q ~off:32 (mk_cap ());
+  Memops.copy_page_contents ~src:p ~dst:q;
+  Alcotest.(check bool) "copy of unwritten is unwritten" false
+    (Page.written q);
+  Alcotest.(check int) "and carries no tags" 0 (Page.tagged_count q);
+  Alcotest.(check int) "reads zero" 0 (Page.read_u8 q ~off:3);
+  (* A recycled page is back in the fresh state. *)
+  Page.store_cap p ~off:0 (mk_cap ());
+  Page.clear p;
+  Alcotest.(check bool) "clear releases storage" false (Page.written p);
+  Alcotest.(check int) "clear drops tags" 0 (Page.tagged_count p)
 
 (* --- Phys --- *)
 
@@ -462,6 +689,37 @@ let test_vas_kernel_paths () =
   Alcotest.(check bool) "kernel cap load skips CoPA bit" true
     (Capability.equal c (Vas.kernel_load_cap pt ~addr:(4 * 4096 + 32)))
 
+let test_vas_kernel_clear_tags () =
+  (* A range from inside vpn 1's granule 253 to inside vpn 3's granule 2,
+     across the unmapped vpn 2: both partly covered end granules lose
+     their tags, their neighbours keep them, and the hole is skipped. *)
+  let phys = Phys.create () in
+  let pt = Page_table.create phys in
+  List.iter (fun v -> Page_table.map pt ~vpn:v (Pte.make (Phys.alloc phys)))
+    [ 1; 3 ];
+  let fill vpn =
+    let p = Vas.kernel_page pt ~vpn in
+    for g = 0 to 255 do
+      Page.store_cap p ~off:(g * 16) (mk_cap ~base:(0x10000 + (g * 16)) ())
+    done;
+    p
+  in
+  let p1 = fill 1 and p3 = fill 3 in
+  let addr = 4096 + (253 * 16) + 5 in
+  let last = (3 * 4096) + (2 * 16) + 9 in
+  Vas.kernel_clear_tags pt ~addr ~len:(last - addr + 1);
+  let cleared p = List.filter (fun g -> not (Page.tag_at p ~off:(g * 16)))
+      (List.init 256 Fun.id) in
+  Alcotest.(check (list int)) "vpn 1: tail granules" [ 253; 254; 255 ]
+    (cleared p1);
+  Alcotest.(check (list int)) "vpn 3: head granules" [ 0; 1; 2 ] (cleared p3);
+  Alcotest.(check bool) "vpn 2 still unmapped" false
+    (Page_table.is_mapped pt ~vpn:2);
+  (* Tag clears never touch the bytes. *)
+  Alcotest.(check int64) "bytes kept"
+    (Int64.of_int (0x10000 + (254 * 16)))
+    (Page.read_u64 p1 ~off:(254 * 16))
+
 let prop_vas_roundtrip =
   QCheck.Test.make ~name:"vas write/read roundtrip" ~count:200
     QCheck.(pair (int_range 0 8100) (string_of_size Gen.(1 -- 200)))
@@ -486,6 +744,7 @@ let suite =
     ("page cap alignment", `Quick, test_page_alignment);
     ("page deep copy", `Quick, test_page_copy_deep);
     ("page iter/map caps", `Quick, test_page_iter_map_caps);
+    ("page unwritten reads and copies", `Quick, test_page_unwritten);
     ("phys refcount", `Quick, test_phys_refcount);
     ("phys limit", `Quick, test_phys_limit);
     ("phys peak", `Quick, test_phys_peak);
@@ -507,8 +766,10 @@ let suite =
     ("vas cap checks first", `Quick, test_vas_cap_checks_dominate);
     ("vas unaligned cap", `Quick, test_vas_unaligned_cap);
     ("vas kernel paths", `Quick, test_vas_kernel_paths);
+    ("vas kernel_clear_tags range", `Quick, test_vas_kernel_clear_tags);
     qt prop_align;
     qt prop_page_write_preserves_other_bytes;
+    qt prop_page_model;
     qt prop_vas_roundtrip;
     qt prop_pt_map_range_fills_holes;
     qt prop_pt_fold_range_matches_fold;

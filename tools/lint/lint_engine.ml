@@ -58,7 +58,19 @@ let string_keyed_targets =
    analyzers and front ends consume anywhere. *)
 let hb_publish_targets = [ [ "Hb"; "emit" ] ]
 
-let page_copy_targets = [ [ "Page"; "read_bytes" ]; [ "Page"; "write_bytes" ] ]
+(* Every Page entry point that moves page bytes in bulk: the whole-page
+   copies and the byte-buffer transfers, including the copy-free
+   fragment blits. *)
+let page_copy_targets =
+  [
+    [ "Page"; "read_bytes" ];
+    [ "Page"; "write_bytes" ];
+    [ "Page"; "read_into" ];
+    [ "Page"; "write_from" ];
+    [ "Page"; "copy_into" ];
+    [ "Page"; "copy" ];
+  ]
+
 let fork_dup_targets = [ [ "Fdtable"; "dup_all" ] ]
 let biglock_targets = [ [ "Kernel"; "with_biglock" ] ]
 
@@ -178,7 +190,8 @@ let check_ident ctx loc path =
      happened through their APIs (Sync, Engine, Trace spans) instead of \
      emitting directly";
   banned Lint_rules.page_copy page_copy_targets
-    "use Memops.copy_range / Memops.duplicate_frame";
+    "use Memops.copy_range / Memops.duplicate_frame / \
+     Memops.copy_page_contents";
   banned Lint_rules.fork_dup fork_dup_targets
     "fork-path duplication belongs in Fork_spine.run";
   banned Lint_rules.wall_clock wall_clock_targets
