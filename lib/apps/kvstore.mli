@@ -33,7 +33,8 @@ val open_ : Ufork_sas.Api.t -> t
     finds the (relocated) database. *)
 
 val set : t -> key:string -> value:bytes -> unit
-(** Insert or replace. Keys are at most 40 bytes. *)
+(** Insert or replace. Keys are at most 40 bytes. The value is copied
+    into the store, so the caller may reuse its buffer. *)
 
 val get : t -> key:string -> bytes option
 val delete : t -> key:string -> bool

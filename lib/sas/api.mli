@@ -74,8 +74,11 @@ type t = {
       (** [read fd n]: up to [n] bytes; empty result means EOF. Blocks on
           an empty pipe. *)
   pread : int -> off:int -> int -> bytes;
-      (** Positional read on a file descriptor (files only). *)
+      (** Positional read on a file descriptor (files only); the file
+          offset that [read] uses does not move. *)
   write : int -> bytes -> int;
+      (** [write fd b]: the kernel copies [b] before returning, so the
+          caller may reuse the buffer at once. *)
   rename : src:string -> dst:string -> unit;
   unlink : string -> unit;
   pipe : unit -> int * int;  (** (read end, write end). *)

@@ -1077,9 +1077,7 @@ and build_api t ?(reloc = fun c -> c) (u : Uproc.t) : Api.t =
         with_syscall t ~proc:u ~bytes:n "pread" (fun () ->
             match Fdesc.Fdtable.get u.Uproc.fds fd with
             | exception Not_found -> raise (Api.Sys_error "EBADF")
-            | Fdesc.Vfs_file f ->
-                Vfs.seek f off;
-                Vfs.read f n
+            | Fdesc.Vfs_file f -> Vfs.pread f ~off n
             | Fdesc.Null | Fdesc.Pipe_read _ | Fdesc.Pipe_write _ ->
                 raise (Api.Sys_error "ESPIPE")));
     write =

@@ -2,7 +2,10 @@
 
     The evaluation stores Redis dumps and Nginx document roots on a
     ram-disk "minimizing I/O latency" (§5.1); this VFS models exactly that:
-    named growable byte files, no block layer. Costs are charged by the
+    named byte files held in fixed 64 KiB host blocks. A growing file gains
+    one block at a time, so a 100 MB dump is written without regrowing or
+    re-copying what it already holds; reads and whole-file [contents]
+    assemble their result from the blocks. Costs are charged by the
     syscall layer, not here. *)
 
 type t
@@ -18,10 +21,14 @@ val open_ : t -> string -> [ `Read | `Write | `Create | `Append ] -> file
 val read : file -> int -> bytes
 (** Sequential read from the file cursor; short result at EOF. *)
 
-val write : file -> bytes -> int
-(** Sequential write at the cursor, growing the file; returns the count. *)
+val pread : file -> off:int -> int -> bytes
+(** Positional read of up to [n] bytes at [off]; short result at EOF.
+    The cursor does not move. Raises [Invalid_argument] if [off < 0]. *)
 
-val seek : file -> int -> unit
+val write : file -> bytes -> int
+(** Sequential write at the cursor, growing the file; returns the count.
+    The bytes are copied into the file before [write] returns. *)
+
 val size_of : file -> int
 val close : file -> unit
 

@@ -521,16 +521,15 @@ let redis_run system ~entries ~value_len ~db_label =
   match !result with
   | None -> failwith "redis_run: benchmark process never completed"
   | Some r ->
+      (* The exited child's pages are garbage by now; collecting them
+         before the dump is copied out keeps a 1 GB point's host memory
+         to what is live: the store, the file and its copy. *)
+      Gc.full_major ();
       let dump_ok =
         match Vfs.contents (Kernel.vfs b.kernel) "/dump.rdb" with
         | exception Not_found -> false
-        | contents -> (
-            match Rdb.verify contents with
-            | exception Failure _ -> false
-            | got ->
-                let got = List.sort compare got in
-                got
-                = Keyspace.expected_entries ~entries ~value_len ~seed:value_seed)
+        | contents ->
+            Keyspace.dump_matches ~entries ~value_len ~seed:value_seed contents
       in
       {
         system;

@@ -15,9 +15,12 @@ val value : seed:int64 -> index:int -> len:int -> bytes
 val populate :
   Ufork_apps.Kvstore.t -> entries:int -> value_len:int -> seed:int64 -> unit
 
-val expected_entries :
-  entries:int -> value_len:int -> seed:int64 -> (string * bytes) list
-(** What a dump of the populated store must contain (sorted by key). *)
+val dump_matches :
+  entries:int -> value_len:int -> seed:int64 -> string -> bool
+(** Whether a dump ({!Ufork_apps.Rdb.fold}) of the store [populate] built
+    with these parameters is intact: it parses, and holds each [key i]
+    for [i < entries] exactly once with its [value]. Checked entry by
+    entry in one pass, against values regenerated one at a time. *)
 
 val db_sizes_of_paper : (string * int * int) list
 (** Fig. 3–5 sweep: (label, entries, value_len) from 100 KB to 100 MB of

@@ -241,6 +241,14 @@ let test_rdb_detects_corruption () =
   (match Rdb.verify (Bytes.to_string b) with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "corruption not detected");
+  (* A wrong entry count: the footer is not checksummed, so only the
+     count check can see it. *)
+  let b = Bytes.of_string dump in
+  let count_at = String.length dump - 8 in
+  Bytes.set b count_at (Char.chr (Char.code (Bytes.get b count_at) + 1));
+  (match Rdb.verify (Bytes.to_string b) with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "wrong entry count not detected");
   (* Truncation must be caught too. *)
   match Rdb.verify (String.sub dump 0 (String.length dump - 3)) with
   | exception Failure _ -> ()
@@ -292,6 +300,236 @@ let test_rdb_bgsave_result () =
   Alcotest.(check bool) "latency < total" true
     (r.Rdb.fork_latency_cycles < r.Rdb.total_cycles);
   Alcotest.(check bool) "latency positive" true (r.Rdb.fork_latency_cycles > 0L)
+
+(* The dump writer as it was when it went through a [Buffer]: every byte
+   copied through the buffer and checksummed one at a time. [save_to] must
+   produce the same file through the same [compute] and [write] calls. *)
+let reference_save_to (api : Api.t) store ~path =
+  let chunk = 64 * 1024 in
+  let serialize_cost len = Int64.of_int (len + (len / 2) + (len / 20)) in
+  let put_u32 buf v =
+    Buffer.add_char buf (Char.chr (v land 0xff));
+    Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
+    Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
+    Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff))
+  in
+  let fd = api.Api.open_ (path ^ ".tmp") `Create in
+  let written = ref 0 in
+  let checksum = ref 0 in
+  let pending = Buffer.create (2 * chunk) in
+  let flush_pending ~all () =
+    while Buffer.length pending >= chunk || (all && Buffer.length pending > 0)
+    do
+      let n = min chunk (Buffer.length pending) in
+      let b = Bytes.of_string (Buffer.sub pending 0 n) in
+      let rest = Buffer.sub pending n (Buffer.length pending - n) in
+      Buffer.clear pending;
+      Buffer.add_string pending rest;
+      written := !written + api.Api.write fd b
+    done
+  in
+  let emit s =
+    String.iter (fun c -> checksum := (!checksum + Char.code c) land 0xffffffff) s;
+    Buffer.add_string pending s;
+    api.Api.compute (serialize_cost (String.length s));
+    flush_pending ~all:false ()
+  in
+  api.Api.compute 500_000L;
+  let iobuf = api.Api.malloc chunk in
+  Buffer.add_string pending Rdb.magic;
+  let entries = ref 0 in
+  Kvstore.iter store (fun ~key ~value_len:_ ~read_value ->
+      incr entries;
+      let value = read_value () in
+      let hdr = Buffer.create 16 in
+      put_u32 hdr (String.length key);
+      put_u32 hdr (Bytes.length value);
+      emit (Buffer.contents hdr);
+      emit key;
+      emit (Bytes.to_string value));
+  let footer = Buffer.create 16 in
+  put_u32 footer 0xffffffff;
+  put_u32 footer !entries;
+  put_u32 footer !checksum;
+  emit (Buffer.contents footer);
+  flush_pending ~all:true ();
+  api.Api.close fd;
+  api.Api.rename ~src:(path ^ ".tmp") ~dst:path;
+  api.Api.free iobuf;
+  !written
+
+(* [api] with its [compute] and [write] calls logged, in call order. *)
+let logging_api (api : Api.t) =
+  let log = ref [] in
+  ( {
+      api with
+      Api.compute =
+        (fun c ->
+          log := `Compute c :: !log;
+          api.Api.compute c);
+      write =
+        (fun fd b ->
+          log := `Write (Bytes.length b) :: !log;
+          api.Api.write fd b);
+    },
+    fun () -> List.rev !log )
+
+(* A value length drawn so that empty values, values of exactly one chunk
+   and values a few bytes either side of one or two chunks all occur. *)
+let value_len_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return 0);
+        (1, return (64 * 1024));
+        (2, int_range ((64 * 1024) - 8) ((64 * 1024) + 8));
+        (2, int_range ((128 * 1024) - 8) ((128 * 1024) + 8));
+        (3, int_range 1 300);
+        (3, int_range 0 (200 * 1024));
+      ])
+
+let store_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 40)
+      (triple (string_size ~gen:printable (int_range 1 40)) value_len_gen
+         (int_range 0 255)))
+
+let fill_value len seed =
+  Bytes.init len (fun i -> Char.chr ((seed + (i * 131) + (i lsr 9)) land 0xff))
+
+(* Store the (key, value length, fill seed) entries, dump them with
+   [save_to] and with the reference writer, and compare. *)
+let save_matches_reference spec =
+  run_os ~image:(Image.redis ~heap_bytes:(16 * 1024 * 1024)) (fun os api ->
+    let kv = Kvstore.create api () in
+    List.iter
+      (fun (key, len, seed) ->
+        Kvstore.set kv ~key ~value:(fill_value len seed))
+      spec;
+    let stored = ref [] in
+    Kvstore.iter kv (fun ~key ~value_len:_ ~read_value ->
+        stored := (key, read_value ()) :: !stored);
+    let api_new, log_new = logging_api api in
+    let n_new = Rdb.save_to api_new kv ~path:"/new" in
+    let api_ref, log_ref = logging_api api in
+    let n_ref = reference_save_to api_ref kv ~path:"/ref" in
+    let vfs = Kernel.vfs (Os.kernel os) in
+    let dump = Vfs.contents vfs "/new" in
+    let writes =
+      List.filter_map (function `Write n -> Some n | `Compute _ -> None)
+        (log_new ())
+    in
+    let rec chunked = function
+      | [] -> true
+      | [ last ] -> last > 0 && last <= 64 * 1024
+      | n :: rest -> n = 64 * 1024 && chunked rest
+    in
+    dump = Vfs.contents vfs "/ref"
+    && n_new = n_ref
+    && n_new = String.length dump
+    && log_new () = log_ref ()
+    && chunked writes
+    && Rdb.verify dump = List.rev !stored
+    && Rdb.load_count dump = List.length !stored)
+
+let prop_save_matches_reference =
+  QCheck.Test.make ~name:"rdb save_to = buffered reference, 64 KiB writes"
+    ~count:30
+    (QCheck.make
+       ~print:(fun l ->
+         String.concat "; "
+           (List.map (fun (k, n, _) -> Printf.sprintf "%S:%d" k n) l))
+       store_gen)
+    save_matches_reference
+
+let test_rdb_chunk_edges () =
+  (* One entry with a 1-byte key: the value ends 17 + len bytes into the
+     stream and the footer ends 12 bytes later. These lengths put a chunk
+     boundary one byte before, at and one byte after the end of the value,
+     inside the footer, and leave a last chunk of 0 and of 1 byte. *)
+  List.iter
+    (fun len ->
+      Alcotest.(check bool)
+        (Printf.sprintf "value of %d bytes" len)
+        true
+        (save_matches_reference [ ("k", len, 3) ]))
+    [ 65507; 65508; 65509; 65513; 65518; 65519; 65520 ];
+  Alcotest.(check bool) "empty store" true (save_matches_reference [])
+
+let byte_sum acc s off len =
+  let sum = ref acc in
+  for i = off to off + len - 1 do
+    sum := (!sum + Char.code s.[i]) land 0xffffffff
+  done;
+  !sum
+
+let prop_checksum_matches_byte_loop =
+  QCheck.Test.make ~name:"rdb checksum_add = byte loop" ~count:500
+    QCheck.(
+      triple (string_of_size Gen.(0 -- 3000)) (int_range 0 17)
+        (pair (int_range 0 17) (int_range 0 0xffffffff)))
+    (fun (s, off, (short, acc)) ->
+      let off = min off (String.length s) in
+      let rest = String.length s - off in
+      (* A short length (within one word) and the whole remainder. *)
+      List.for_all
+        (fun len -> Rdb.checksum_add acc s off len = byte_sum acc s off len)
+        [ min short rest; rest ])
+
+let test_checksum_lane_carry () =
+  (* All-ones bytes fill every lane fastest: 64 KiB and more must fold
+     before a lane carries into its neighbour. *)
+  List.iter
+    (fun (n, off) ->
+      let s = String.make n '\xff' in
+      Alcotest.(check int)
+        (Printf.sprintf "%d bytes at %d" (n - off) off)
+        (byte_sum 7 s off (n - off))
+        (Rdb.checksum_add 7 s off (n - off)))
+    [ (64 * 1024, 0); ((64 * 1024) + 13, 5); (1024 * 1024, 3) ]
+
+(* --- Dump check (Keyspace.dump_matches) --- *)
+
+module Keyspace = Ufork_workload.Keyspace
+
+(* A dump of the given entries, built directly from the format. *)
+let encode_dump entries =
+  let u32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff)) in
+  let body =
+    String.concat ""
+      (List.map
+         (fun (k, v) ->
+           u32 (String.length k) ^ u32 (String.length v) ^ k ^ v)
+         entries)
+  in
+  Rdb.magic ^ body ^ u32 0xffffffff
+  ^ u32 (List.length entries)
+  ^ u32 (byte_sum 0 body 0 (String.length body))
+
+let test_dump_matches () =
+  let seed = 0x5eedL and value_len = 1000 in
+  let entry i =
+    (Keyspace.key i, Bytes.to_string (Keyspace.value ~seed ~index:i ~len:value_len))
+  in
+  let check name expected entries =
+    Alcotest.(check bool) name expected
+      (Keyspace.dump_matches ~entries:3 ~value_len ~seed (encode_dump entries))
+  in
+  check "intact, any order" true [ entry 2; entry 0; entry 1 ];
+  check "an entry missing" false [ entry 0; entry 2 ];
+  check "a key repeated" false [ entry 0; entry 1; entry 1 ];
+  check "a key out of range" false [ entry 0; entry 1; entry 3 ];
+  let k, v = entry 1 in
+  let flipped = Bytes.of_string v in
+  Bytes.set flipped 500 (Char.chr (Char.code v.[500] lxor 0x40));
+  (* The checksum is recomputed, so only the value comparison can see it. *)
+  check "a value byte flipped" false [ entry 0; (k, Bytes.to_string flipped); entry 2 ];
+  check "a value cut short" false [ entry 0; (k, String.sub v 0 999); entry 2 ];
+  let dump = Bytes.of_string (encode_dump [ entry 0; entry 1; entry 2 ]) in
+  let low = Bytes.length dump - 4 in
+  Bytes.set dump low (Char.chr (Char.code (Bytes.get dump low) lxor 1));
+  Alcotest.(check bool) "bad checksum" false
+    (Keyspace.dump_matches ~entries:3 ~value_len ~seed (Bytes.to_string dump))
 
 (* --- Aof --- *)
 
@@ -641,6 +879,11 @@ let suite =
     ("rdb bad magic", `Quick, test_rdb_bad_magic);
     ("rdb snapshot consistency", `Quick, test_rdb_bgsave_snapshot_consistency);
     ("rdb bgsave result", `Quick, test_rdb_bgsave_result);
+    qt prop_save_matches_reference;
+    ("rdb chunk edges", `Quick, test_rdb_chunk_edges);
+    qt prop_checksum_matches_byte_loop;
+    ("rdb checksum lane carry", `Quick, test_checksum_lane_carry);
+    ("dump check rejects bad dumps", `Quick, test_dump_matches);
     ("aof roundtrip", `Quick, test_aof_roundtrip);
     ("aof truncated tail", `Quick, test_aof_truncated_tail);
     ("aof bgrewrite compacts", `Quick, test_aof_bgrewrite_compacts);

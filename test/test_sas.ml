@@ -255,10 +255,20 @@ let test_vfs_streaming () =
   let f = Vfs.open_ v "/f" `Create in
   ignore (Vfs.write f (Bytes.of_string "01234"));
   ignore (Vfs.write f (Bytes.of_string "56789"));
-  Vfs.seek f 3;
-  Alcotest.(check string) "seek+read" "3456" (Bytes.to_string (Vfs.read f 4));
-  Alcotest.(check string) "short at eof" "789" (Bytes.to_string (Vfs.read f 10));
+  let pread off n = Bytes.to_string (Vfs.pread f ~off n) in
+  Alcotest.(check string) "pread" "3456" (pread 3 4);
+  Alcotest.(check string) "short at eof" "789" (pread 7 10);
+  Alcotest.(check string) "past eof" "" (pread 12 4);
+  Alcotest.(check string) "cursor at end" "" (Bytes.to_string (Vfs.read f 1));
   Alcotest.(check int) "size_of" 10 (Vfs.size_of f);
+  let r = Vfs.open_ v "/f" `Read in
+  let read n = Bytes.to_string (Vfs.read r n) in
+  Alcotest.(check string) "read" "0123" (read 4);
+  Alcotest.(check string) "pread between reads" "89"
+    (Bytes.to_string (Vfs.pread r ~off:8 2));
+  Alcotest.(check string) "read resumes at its cursor" "4567" (read 4);
+  Alcotest.check_raises "negative offset" (Invalid_argument "Vfs.pread")
+    (fun () -> ignore (Vfs.pread r ~off:(-1) 1));
   Vfs.close f;
   Alcotest.check_raises "closed" (Invalid_argument "Vfs: file is closed")
     (fun () -> ignore (Vfs.read f 1))
@@ -270,11 +280,88 @@ let test_vfs_append_grows () =
   ignore (Vfs.write f (Bytes.of_string "bb"));
   Vfs.close f;
   Alcotest.(check string) "appended" "aabb" (Vfs.contents v "/log");
-  (* Large writes trigger buffer growth. *)
   let g = Vfs.open_ v "/big" `Create in
   ignore (Vfs.write g (Bytes.make 10_000 'x'));
   Vfs.close g;
   Alcotest.(check int) "grown" 10_000 (Vfs.size v "/big")
+
+(* Files span 64 KiB host blocks; these cross the block boundaries. *)
+let block = 64 * 1024
+
+let pattern n = String.init n (fun i -> Char.chr ((i * 7 + i / 251) land 0xff))
+
+let test_vfs_blocks_write_read () =
+  let v = Vfs.create () in
+  let data = pattern ((2 * block) + 100) in
+  let f = Vfs.open_ v "/f" `Create in
+  (* Three writes: up to 6 bytes short of the first boundary, one that
+     straddles it, and one that crosses the second boundary. *)
+  let cuts = [ block - 6; 20; String.length data - block - 14 ] in
+  ignore
+    (List.fold_left
+       (fun pos n ->
+         Alcotest.(check int) "count" n
+           (Vfs.write f (Bytes.of_string (String.sub data pos n)));
+         pos + n)
+       0 cuts);
+  Alcotest.(check int) "size" (String.length data) (Vfs.size v "/f");
+  Alcotest.(check bool) "contents" true (Vfs.contents v "/f" = data);
+  let pread off n = Bytes.to_string (Vfs.pread f ~off n) in
+  Alcotest.(check string) "across one boundary" (String.sub data (block - 10) 20)
+    (pread (block - 10) 20);
+  Alcotest.(check bool) "across two boundaries" true
+    (pread 5 ((2 * block) + 10) = String.sub data 5 ((2 * block) + 10));
+  Alcotest.(check bool) "short at eof" true
+    (pread (2 * block) 1000 = String.sub data (2 * block) 100);
+  (* Sequential reads in odd-sized pieces reassemble the file. *)
+  let r = Vfs.open_ v "/f" `Read in
+  let buf = Buffer.create (String.length data) in
+  let rec drain () =
+    let b = Vfs.read r 40_000 in
+    if Bytes.length b > 0 then begin
+      Buffer.add_bytes buf b;
+      drain ()
+    end
+  in
+  drain ();
+  Alcotest.(check bool) "sequential reads" true (Buffer.contents buf = data)
+
+let test_vfs_blocks_append_put () =
+  let v = Vfs.create () in
+  let big = pattern (block + 4464) in
+  Vfs.put v "/log" big;
+  Alcotest.(check bool) "put > one block" true (Vfs.contents v "/log" = big);
+  let f = Vfs.open_ v "/log" `Append in
+  ignore (Vfs.write f (Bytes.of_string "xyz"));
+  Alcotest.(check int) "appended size" (String.length big + 3) (Vfs.size v "/log");
+  Alcotest.(check bool) "appended" true (Vfs.contents v "/log" = big ^ "xyz");
+  (* Overwrite in place from offset 0 across the boundary. *)
+  let w = Vfs.open_ v "/log" `Write in
+  let head = String.make (block + 10) 'w' in
+  ignore (Vfs.write w (Bytes.of_string head));
+  Alcotest.(check bool) "overwrite keeps the tail" true
+    (Vfs.contents v "/log"
+    = head ^ String.sub (big ^ "xyz") (block + 10) (String.length big + 3 - block - 10));
+  Vfs.put v "/empty" "";
+  Alcotest.(check bool) "put empty exists" true (Vfs.exists v "/empty");
+  Alcotest.(check int) "put empty size" 0 (Vfs.size v "/empty");
+  Alcotest.(check string) "put empty contents" "" (Vfs.contents v "/empty");
+  Alcotest.(check string) "read empty" ""
+    (Bytes.to_string (Vfs.read (Vfs.open_ v "/empty" `Read) 10))
+
+let test_vfs_write_copies () =
+  let v = Vfs.create () in
+  let f = Vfs.open_ v "/f" `Create in
+  (* A whole aligned block, a write across the next boundary and a short
+     one; each buffer is overwritten as soon as [write] returns. *)
+  List.iter
+    (fun n ->
+      let b = Bytes.make n 'a' in
+      ignore (Vfs.write f b);
+      Bytes.fill b 0 n 'z')
+    [ block; block + 10; 4 ];
+  Alcotest.(check bool) "file keeps what was written" true
+    (Vfs.contents v "/f" = String.make ((2 * block) + 14) 'a')
 
 (* --- Fdtable --- *)
 
@@ -407,14 +494,21 @@ let test_file_syscalls () =
   Alcotest.(check string) "file roundtrip" "data1" contents
 
 let test_pread () =
-  let s =
+  let s, got =
     in_proc (fun api ->
-        let fd = api.Api.open_ "/p" `Create in
-        ignore (api.Api.write fd (Bytes.of_string "0123456789"));
-        let b = api.Api.pread fd ~off:4 3 in
-        Bytes.to_string b)
+        let w = api.Api.open_ "/p" `Create in
+        ignore (api.Api.write w (Bytes.of_string "0123456789"));
+        let s = Bytes.to_string (api.Api.pread w ~off:4 3) in
+        api.Api.close w;
+        (* pread leaves the offset that read continues from alone. *)
+        let fd = api.Api.open_ "/p" `Read in
+        let a = api.Api.read fd 2 in
+        let b = api.Api.pread fd ~off:6 2 in
+        let c = api.Api.read fd 2 in
+        (s, List.map Bytes.to_string [ a; b; c ]))
   in
-  Alcotest.(check string) "pread" "456" s
+  Alcotest.(check string) "pread" "456" s;
+  Alcotest.(check (list string)) "read, pread, read" [ "01"; "67"; "23" ] got
 
 let test_bad_fd () =
   let msg =
@@ -496,6 +590,9 @@ let suite =
     ("vfs crud", `Quick, test_vfs_crud);
     ("vfs streaming", `Quick, test_vfs_streaming);
     ("vfs append/grow", `Quick, test_vfs_append_grows);
+    ("vfs blocks: write/read", `Quick, test_vfs_blocks_write_read);
+    ("vfs blocks: append/put", `Quick, test_vfs_blocks_append_put);
+    ("vfs write copies", `Quick, test_vfs_write_copies);
     ("fdtable alloc order", `Quick, test_fdtable_alloc_order);
     ("fdtable dup shares", `Quick, test_fdtable_dup_shares_pipe);
     ("fdtable close_all", `Quick, test_fdtable_close_all);
