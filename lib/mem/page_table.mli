@@ -3,7 +3,14 @@
     In the single-address-space OS there is one page table for the whole
     machine; the monolithic baseline creates one per process; the VM-clone
     baseline one per VM. The table owns frame refcounts: mapping retains,
-    unmapping releases. *)
+    unmapping releases.
+
+    It is a two-level radix array, like the hardware tables it models:
+    512-slot leaves (2 MiB of address space each), allocated on the first
+    map into them, under a directory indexed by [vpn lsr 9] that grows by
+    doubling. Lookups and single-entry updates are index arithmetic, and
+    every walk visits vpns in ascending order, skipping absent leaves
+    whole. *)
 
 type t
 
@@ -17,7 +24,7 @@ val map : t -> vpn:int -> Pte.t -> unit
 (** Install an entry. The caller must have arranged the frame's refcount
     (a fresh [Phys.alloc] frame is ready to map once; use {!map_shared} to
     alias an existing frame). Raises [Invalid_argument] if [vpn] is
-    already mapped. *)
+    already mapped or negative. *)
 
 val map_shared : t -> vpn:int -> Pte.t -> unit
 (** Like {!map} but retains the frame first (the entry aliases a frame
@@ -51,9 +58,10 @@ val map_range : t -> vpn:int -> count:int -> (int -> Pte.t option) -> int
     how many entries were installed — the batch size callers charge. *)
 
 val fold_range : t -> vpn:int -> count:int -> init:'a -> f:(int -> Pte.t -> 'a -> 'a) -> 'a
-(** Fold over each mapped page in [vpn, vpn+count), ascending vpn. Unlike
-    {!fold} this never sorts the whole table: cost is proportional to the
-    range, not the table size. *)
+(** Fold over each mapped page in [vpn, vpn+count), ascending vpn: cost is
+    proportional to the range's leaves, not the table size. *)
 
 val mapped_count : t -> int
+
 val fold : t -> init:'a -> f:(int -> Pte.t -> 'a -> 'a) -> 'a
+(** Fold over every mapped page, ascending vpn. *)

@@ -9,17 +9,21 @@
     kernel lock, Nginx workers yielding during network waits) emerge
     naturally.
 
-    Scheduling is non-preemptive and deterministic, with per-core run
-    queues: a ready thread is enqueued on its affinity core when pinned,
-    otherwise on the core it last ran on (its home; initially tid mod
-    cores). Dispatch runs ready entries globally oldest first (a global
-    ready-sequence stamp preserves single-FIFO semantics across the
-    queues); the entry runs on its own queue's core when idle, else on
-    the first idle core scanning upward from it — a steal that migrates
-    and re-homes the thread. A pinned entry whose core is busy is
-    skipped, never migrated. Both choices are functions of queue
-    contents and core ids alone, so for a given seed and core count the
-    schedule (and every trace derived from it) is bit-reproducible. *)
+    Scheduling is non-preemptive and deterministic. Every ready entry
+    carries a global ready-sequence stamp; unpinned entries wait in one
+    FIFO, each remembering its home core (the core it last ran on;
+    initially tid mod cores), and pinned entries wait in a FIFO per
+    affinity core. With a count of idle cores, dispatch runs the older
+    of the unpinned head and the oldest pinned head whose core is idle,
+    so the schedule is the single FIFO's and a dispatch costs O(1) while
+    nothing is pinned, however many cores and threads there are. An
+    unpinned entry runs on its home core when idle, else on the first
+    idle core scanning upward from it — a steal that migrates and
+    re-homes the thread. A pinned entry whose core is busy waits, never
+    migrated and never shadowing a younger entry. Both choices are
+    functions of stamps and core ids alone, so for a given seed and core
+    count the schedule (and every trace derived from it) is
+    bit-reproducible. *)
 
 type t
 type tid = int
@@ -68,7 +72,8 @@ val spawn : ?name:string -> ?affinity:int -> t -> (unit -> unit) -> tid
 val run : ?until:int64 -> t -> unit
 (** Process events until none remain (system quiescent: all threads
     finished or blocked) or simulated time would exceed [until]. When
-    stopped by [until], [now] is set to [until]. *)
+    stopped by [until], [now] moves up to [until]; a deadline already
+    behind [now] leaves the clock where it is. *)
 
 val live_threads : t -> int
 (** Threads spawned and not yet finished (includes blocked ones). *)

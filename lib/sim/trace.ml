@@ -129,14 +129,11 @@ type t = {
   mutable memo_parent : int;
   mutable memo_name : string;
   mutable memo_path : int; (* -1 until the first hit *)
-  stacks : (int, frame) Hashtbl.t;
-  (* Single-slot stack-top cache. Invariant: when [cache_tid <> min_int],
-     [cache_top] is the truth for that tid and the [stacks] entry may be
-     stale; every access through another tid writes the slot back first.
-     Context switches are orders of magnitude rarer than emissions, so
-     the per-emit attribution walk almost never touches the table. *)
-  mutable cache_tid : int;
-  mutable cache_top : frame option;
+  (* Innermost open frame per thread, at [stacks.(tid + 1)]; slot 0 is
+     code outside any thread (tid -1). Engine tids are dense from 1, so
+     the array grows by doubling up to the highest tid that opened a
+     span, and reading a thread's top is one bounds check. *)
+  mutable stacks : frame option array;
   hists : (string, Histogram.t) Hashtbl.t;
   mutable sampler : (unit -> (string * int) list) option;
   mutable sample_interval : int64;
@@ -193,9 +190,7 @@ let create ~engine ~costs ?(ring_capacity = default_ring_capacity) () =
     memo_parent = -1;
     memo_name = "";
     memo_path = -1;
-    stacks = Hashtbl.create 16;
-    cache_tid = min_int;
-    cache_top = None;
+    stacks = [||];
     hists = Hashtbl.create 16;
     sampler = None;
     sample_interval = 0L;
@@ -330,21 +325,22 @@ let hist_for t name =
       Hashtbl.add t.hists name h;
       h
 
-(* Read the innermost open frame for [tid] through the single-slot cache,
-   writing the previous tid's slot back to the table first. *)
 let stack_top t tid =
-  if t.cache_tid = tid then t.cache_top
-  else begin
-    if t.cache_tid <> min_int then begin
-      match t.cache_top with
-      | Some f -> Hashtbl.replace t.stacks t.cache_tid f
-      | None -> Hashtbl.remove t.stacks t.cache_tid
-    end;
-    let top = Hashtbl.find_opt t.stacks tid in
-    t.cache_tid <- tid;
-    t.cache_top <- top;
-    top
-  end
+  let i = tid + 1 in
+  if i < Array.length t.stacks then t.stacks.(i) else None
+
+let set_stack_top t tid top =
+  let i = tid + 1 in
+  if i >= Array.length t.stacks then begin
+    let n = ref (max 16 (Array.length t.stacks)) in
+    while !n <= i do
+      n := 2 * !n
+    done;
+    let stacks = Array.make !n None in
+    Array.blit t.stacks 0 stacks 0 (Array.length t.stacks);
+    t.stacks <- stacks
+  end;
+  t.stacks.(i) <- top
 
 (* Closing pops [frame] off [tid]'s stack and folds its totals into the
    parent and the per-path aggregate. The name's histogram is resolved
@@ -352,8 +348,7 @@ let stack_top t tid =
    be interned by a span that never closes — or by the unattributed
    bucket — and must not surface an empty histogram in exports). *)
 let close_frame t tid frame =
-  if t.cache_tid <> tid then ignore (stack_top t tid);
-  t.cache_top <- frame.parent;
+  set_stack_top t tid frame.parent;
   let total = frame.self + frame.child_total in
   (match frame.parent with
   | Some p -> p.child_total <- p.child_total + total
@@ -391,7 +386,7 @@ let with_span t ~name f =
   let frame =
     { path_id; agg = t.path_aggs.(path_id); parent; self = 0; child_total = 0 }
   in
-  t.cache_top <- Some frame;
+  set_stack_top t tid (Some frame);
   (* Span boundaries feed the causal analyzer's per-thread span-path
      timeline. Free when the bus is disarmed: one bool read. *)
   let module Hb = Ufork_util.Hb in
@@ -595,9 +590,7 @@ let reset t =
   t.memo_parent <- -1;
   t.memo_name <- "";
   t.memo_path <- -1;
-  Hashtbl.reset t.stacks;
-  t.cache_tid <- min_int;
-  t.cache_top <- None;
+  Array.fill t.stacks 0 (Array.length t.stacks) None;
   Hashtbl.reset t.hists;
   t.samples_rev <- [];
   if t.sampler <> None then

@@ -592,6 +592,175 @@ let prop_pt_fold_range_matches_fold =
       in
       ranged = whole)
 
+(* --- Page_table against a model ---
+
+   Random sequences of every mutating operation, checked after each step
+   against an [Int] map from vpn to frame: lookups, the ascending order
+   of every walk, the mapped count, every frame's refcount and which
+   operations raise [Invalid_argument]. Vpns cluster at 0, at leaf edges
+   (511/512/513) and far apart, so leaves and the directory both grow. *)
+
+module Imap = Map.Make (Int)
+
+type pt_op =
+  | Pt_map of int
+  | Pt_map_shared of int * int (* vpn, vpn whose frame it aliases *)
+  | Pt_unmap of int
+  | Pt_unmap_range of int * int
+  | Pt_replace of int
+  | Pt_map_range of int * int * int (* vpn, count, skip vpns divisible by *)
+
+let show_pt_op = function
+  | Pt_map v -> Printf.sprintf "map %d" v
+  | Pt_map_shared (v, s) -> Printf.sprintf "map_shared %d (frame of %d)" v s
+  | Pt_unmap v -> Printf.sprintf "unmap %d" v
+  | Pt_unmap_range (v, c) -> Printf.sprintf "unmap_range %d+%d" v c
+  | Pt_replace v -> Printf.sprintf "replace_frame %d" v
+  | Pt_map_range (v, c, k) -> Printf.sprintf "map_range %d+%d skip %%%d" v c k
+
+let far = 1 lsl 20
+
+let pt_edge_vpns =
+  [ 0; 1; 510; 511; 512; 513; 1023; 1024; 1025; 16384; far - 1; far;
+    far + 511; far + 512; (3 * far) + 7 ]
+
+let gen_pt_op =
+  let open QCheck.Gen in
+  let vpn =
+    frequency
+      [ (3, oneofl pt_edge_vpns); (2, int_bound 1100);
+        (1, map (fun v -> far - 600 + v) (int_bound 1200)) ]
+  in
+  let count = frequency [ (4, int_bound 6); (2, oneofl [ 511; 512; 513; 600 ]) ] in
+  frequency
+    [
+      (5, map (fun v -> Pt_map v) vpn);
+      (2, map2 (fun v s -> Pt_map_shared (v, s)) vpn vpn);
+      (3, map (fun v -> Pt_unmap v) vpn);
+      (2, map2 (fun v c -> Pt_unmap_range (v, c)) vpn
+            (frequency [ (4, count); (1, return ((3 * far) + 8)) ]));
+      (2, map (fun v -> Pt_replace v) vpn);
+      (2, map3 (fun v c k -> Pt_map_range (v, c, k)) vpn count (int_range 1 4));
+    ]
+
+let raises_invalid f =
+  match f () with () -> false | exception Invalid_argument _ -> true
+
+(* Apply [op] to the table; return whether it raised exactly when the
+   model says it should (and called back exactly where it should), and
+   the next model. *)
+let apply_pt_op phys pt model op =
+  match op with
+  | Pt_map v ->
+      let f = Phys.alloc phys in
+      let err = raises_invalid (fun () -> Page_table.map pt ~vpn:v (Pte.make f)) in
+      if err then Phys.release phys f;
+      (err = Imap.mem v model, if err then model else Imap.add v f model)
+  | Pt_map_shared (v, src) -> (
+      match Imap.find_opt src model with
+      | None -> (true, model)
+      | Some f ->
+          let err =
+            raises_invalid (fun () ->
+                Page_table.map_shared pt ~vpn:v (Pte.make ~write:false f))
+          in
+          (* map_shared retains before it checks; a failed call leaves
+             that reference with the caller. *)
+          if err then Phys.release phys f;
+          (err = Imap.mem v model, if err then model else Imap.add v f model))
+  | Pt_unmap v ->
+      let err = raises_invalid (fun () -> Page_table.unmap pt ~vpn:v) in
+      (err = not (Imap.mem v model), Imap.remove v model)
+  | Pt_unmap_range (v, c) ->
+      Page_table.unmap_range pt ~vpn:v ~count:c;
+      (true, Imap.filter (fun u _ -> u < v || u >= v + c) model)
+  | Pt_replace v ->
+      let f = Phys.alloc phys in
+      let err = raises_invalid (fun () -> Page_table.replace_frame pt ~vpn:v f) in
+      if err then Phys.release phys f;
+      (err = not (Imap.mem v model), if err then model else Imap.add v f model)
+  | Pt_map_range (v, c, k) ->
+      let asked = ref [] in
+      let installed =
+        Page_table.map_range pt ~vpn:v ~count:c (fun u ->
+            if u mod k = 0 then begin
+              asked := (u, None) :: !asked;
+              None
+            end
+            else begin
+              let f = Phys.alloc phys in
+              asked := (u, Some f) :: !asked;
+              Some (Pte.make f)
+            end)
+      in
+      let asked = List.rev !asked in
+      let holes =
+        List.filter (fun u -> not (Imap.mem u model)) (List.init c (( + ) v))
+      in
+      let fresh = List.filter_map (fun (u, f) -> Option.map (fun f -> (u, f)) f) asked in
+      ( List.map fst asked = holes && installed = List.length fresh,
+        List.fold_left (fun m (u, f) -> Imap.add u f m) model fresh )
+
+let pt_agrees phys pt model =
+  let expected = List.map (fun (v, f) -> (v, Phys.id f)) (Imap.bindings model) in
+  let probes = pt_edge_vpns @ List.map fst expected in
+  let lookups_ok =
+    List.for_all
+      (fun v ->
+        let m = Option.map Phys.id (Imap.find_opt v model) in
+        Option.map (fun p -> Phys.id p.Pte.frame) (Page_table.lookup pt ~vpn:v) = m
+        && Page_table.is_mapped pt ~vpn:v = (m <> None))
+      probes
+  in
+  let entry v (pte : Pte.t) = (v, Phys.id pte.Pte.frame) in
+  let folded =
+    List.rev (Page_table.fold pt ~init:[] ~f:(fun v p acc -> entry v p :: acc))
+  in
+  let ranges_ok =
+    List.for_all
+      (fun (lo, n) ->
+        let window = List.filter (fun (v, _) -> v >= lo && v < lo + n) expected in
+        let seen = ref [] in
+        Page_table.iter_range pt ~vpn:lo ~count:n (fun v p -> seen := entry v p :: !seen);
+        let ranged =
+          Page_table.fold_range pt ~vpn:lo ~count:n ~init:[] ~f:(fun v p acc ->
+              entry v p :: acc)
+        in
+        List.rev !seen = window && List.rev ranged = window)
+      [ (0, 1100); (500, 30); (far - 700, 1400); ((3 * far) + 7, 1) ]
+  in
+  let refs = Hashtbl.create 16 in
+  Imap.iter
+    (fun _ f ->
+      let fid = Phys.id f in
+      Hashtbl.replace refs fid
+        (1 + Option.value ~default:0 (Hashtbl.find_opt refs fid)))
+    model;
+  let refcounts_ok =
+    Phys.fold_frames phys ~init:true ~f:(fun ok f ->
+        ok
+        && Phys.refcount f
+           = Option.value ~default:0 (Hashtbl.find_opt refs (Phys.id f)))
+  in
+  lookups_ok && folded = expected && ranges_ok && refcounts_ok
+  && Page_table.mapped_count pt = Imap.cardinal model
+
+let prop_pt_model =
+  QCheck.Test.make ~name:"page table = int map model" ~count:200
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat "; " (List.map show_pt_op ops))
+       QCheck.Gen.(list_size (1 -- 40) gen_pt_op))
+    (fun ops ->
+      let phys = Phys.create () in
+      let pt = Page_table.create phys in
+      let rec go model = function
+        | [] -> true
+        | op :: rest ->
+            let ok, model = apply_pt_op phys pt model op in
+            ok && pt_agrees phys pt model && go model rest
+      in
+      go Imap.empty ops)
+
 (* --- Vas --- *)
 
 let setup_vas () =
@@ -773,4 +942,5 @@ let suite =
     qt prop_vas_roundtrip;
     qt prop_pt_map_range_fills_holes;
     qt prop_pt_fold_range_matches_fold;
+    qt prop_pt_model;
   ]

@@ -229,11 +229,75 @@ let test_span_attribution () =
         st.Trace.span_cycles;
       Alcotest.(check int) "outer closed once" 1 st.Trace.span_count
   | None -> Alcotest.fail "outer span missing");
-  match Trace.span_histogram tr "inner" with
+  (match Trace.span_histogram tr "inner" with
   | Some h ->
       Alcotest.(check int) "inner hist count" 1 (Histogram.count h);
       Alcotest.(check int64) "inner hist sum" 7L (Histogram.sum h)
-  | None -> Alcotest.fail "inner histogram missing"
+  | None -> Alcotest.fail "inner histogram missing");
+  (* Spans interleaved on 650 threads (every thread yields with spans
+     open), a span open outside any thread (tid -1) for the whole run,
+     and one span closed by an exception: each thread keeps its own
+     stack, so nothing nests under "boot" or under another thread. *)
+  let n = 650 in
+  let engine = Engine.create ~cores:4 () in
+  let tr = Trace.create ~engine ~costs () in
+  Trace.with_span tr ~name:"boot" (fun () ->
+      for i = 1 to n do
+        ignore
+          (Engine.spawn engine (fun () ->
+               Trace.emit tr (Event.Compute 1L);
+               Trace.with_span tr ~name:"worker" (fun () ->
+                   Trace.emit tr (Event.Compute (Int64.of_int i));
+                   Engine.yield ();
+                   Trace.with_span tr ~name:"inner" (fun () ->
+                       Trace.emit tr (Event.Compute 1L);
+                       Engine.yield ();
+                       Trace.emit tr (Event.Compute 2L));
+                   Engine.yield ();
+                   if i = n then (
+                     try
+                       Trace.with_span tr ~name:"raising" (fun () ->
+                           Trace.emit tr (Event.Compute 5L);
+                           Engine.yield ();
+                           failwith "boom")
+                     with Failure _ -> ());
+                   Trace.emit tr (Event.Compute 3L))))
+      done;
+      Engine.run engine);
+  let total path =
+    match
+      List.find_opt
+        (fun (st : Trace.span_total) -> st.Trace.span_path = path)
+        (Trace.span_totals tr)
+    with
+    | Some st -> (st.Trace.span_cycles, st.Trace.span_count)
+    | None -> Alcotest.failf "span %s missing" (String.concat ";" path)
+  in
+  let sum_i = n * (n + 1) / 2 in
+  Alcotest.(check int64) "threads: unattributed" (Int64.of_int n)
+    (span_self tr [ "(unattributed)" ]);
+  Alcotest.(check int64) "threads: worker self" (Int64.of_int (sum_i + (3 * n)))
+    (span_self tr [ "worker" ]);
+  Alcotest.(check int64) "threads: inner self" (Int64.of_int (3 * n))
+    (span_self tr [ "worker"; "inner" ]);
+  Alcotest.(check int64) "threads: raising self" 5L
+    (span_self tr [ "worker"; "raising" ]);
+  Alcotest.(check (pair int64 int)) "threads: worker total"
+    (Int64.of_int (sum_i + (6 * n) + 5), n)
+    (total [ "worker" ]);
+  Alcotest.(check (pair int64 int)) "threads: inner total"
+    (Int64.of_int (3 * n), n)
+    (total [ "worker"; "inner" ]);
+  Alcotest.(check (pair int64 int)) "threads: raising total" (5L, 1)
+    (total [ "worker"; "raising" ]);
+  Alcotest.(check (pair int64 int)) "boot charged nothing" (0L, 1)
+    (total [ "boot" ]);
+  Alcotest.(check bool) "nothing nested under boot" true
+    (List.for_all
+       (fun (st : Trace.span_total) ->
+         match st.Trace.span_path with "boot" :: _ :: _ -> false | _ -> true)
+       (Trace.span_totals tr));
+  Trace.audit tr ~costs ~elapsed:(Engine.advanced engine)
 
 let test_span_exception_safety () =
   let costs = Costs.ufork in

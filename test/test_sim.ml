@@ -120,7 +120,22 @@ let test_run_until () =
   in
   Engine.run ~until:55L e;
   Alcotest.(check int64) "clock clamped" 55L (Engine.now e);
-  Alcotest.(check bool) "stopped early" true (!steps < 100)
+  Alcotest.(check bool) "stopped early" true (!steps < 100);
+  (* A deadline already behind the clock leaves the clock where it is. *)
+  let e = Engine.create ~cores:1 () in
+  let _ = Engine.spawn e (fun () -> Engine.advance 100L) in
+  Engine.run e;
+  let resumed = ref (-1L) in
+  let _ =
+    Engine.spawn e (fun () ->
+        Engine.advance 50L;
+        resumed := Engine.current_time ())
+  in
+  Engine.run ~until:20L e;
+  Alcotest.(check int64) "past deadline keeps the clock" 100L (Engine.now e);
+  Engine.run e;
+  Alcotest.(check int64) "advance ends at 150" 150L !resumed;
+  Alcotest.(check int64) "clock at 150" 150L (Engine.now e)
 
 let test_blocked_thread_reported () =
   let e = Engine.create ~cores:1 () in
@@ -555,6 +570,130 @@ let prop_random_workload =
       && t1 >= Int64.div work_total (Int64.of_int cores)
       && t1 <= work_total)
 
+(* --- Schedule fingerprints ---
+
+   Seeded random programs on 1 to 512 cores mix pinned and unpinned
+   threads, zero and positive advances (through the effect and through
+   Trace.emit's direct path), yields, sleeps, lock handoffs, condition
+   waits and signals, and spawns from inside threads. Every step logs
+   (tid, core, now); the log ends with the steal count. After the first
+   run, the harness broadcasts every condition from outside event
+   processing, so each wake dispatches at once and a woken thread that
+   signals in turn dispatches a nested thread. The digest of each log is
+   pinned in schedule_digests.txt: any change to dispatch order, core
+   choice, stealing or the advance fast path moves some digest. *)
+
+module Prng = Ufork_util.Prng
+
+type sched_op =
+  | S_advance of int
+  | S_emit of int
+  | S_yield
+  | S_sleep of int
+  | S_locked of int * int
+  | S_wait of int
+  | S_signal of int
+  | S_broadcast of int
+  | S_spawn of int option * sched_op list
+
+let sched_locks = 3
+let sched_conds = 3
+
+let gen_affinity g ~cores =
+  if Prng.int g 4 = 0 then Some (Prng.int g cores) else None
+
+let rec gen_ops g ~cores ~depth =
+  let rec go k acc =
+    if k = 0 then List.rev acc
+    else
+      let op = gen_op g ~cores ~depth in
+      go (k - 1) (op :: acc)
+  in
+  go (Prng.int_in g ~lo:1 ~hi:8) []
+
+and gen_op g ~cores ~depth =
+  match Prng.int g 20 with
+  | 0 | 1 -> S_advance 0
+  | 2 | 3 | 4 | 5 -> S_advance (Prng.int_in g ~lo:1 ~hi:60)
+  | 6 | 7 -> S_emit (Prng.int_in g ~lo:1 ~hi:60)
+  | 8 | 9 -> S_yield
+  | 10 | 11 -> S_sleep (Prng.int g 80)
+  | 12 | 13 ->
+      let l = Prng.int g sched_locks in
+      S_locked (l, Prng.int g 40)
+  | 14 | 15 -> S_wait (Prng.int g sched_conds)
+  | 16 -> S_signal (Prng.int g sched_conds)
+  | 17 -> S_broadcast (Prng.int g sched_conds)
+  | _ ->
+      if depth >= 2 then S_yield
+      else
+        let affinity = gen_affinity g ~cores in
+        S_spawn (affinity, gen_ops g ~cores ~depth:(depth + 1))
+
+let schedule_log ~cores ~seed =
+  let g = Prng.create ~seed:(Int64.of_int ((cores * 1000) + seed)) in
+  let e = Engine.create ~cores () in
+  let tr = Trace.create ~engine:e ~costs:Costs.ufork () in
+  let locks = Array.init sched_locks (fun _ -> Sync.Lock.create ()) in
+  let conds = Array.init sched_conds (fun _ -> Sync.Cond.create ()) in
+  let b = Buffer.create 4096 in
+  let rec body ops () =
+    List.iter
+      (fun op ->
+        (match op with
+        | S_advance n -> Engine.advance (Int64.of_int n)
+        | S_emit n -> Trace.emit tr (Event.Compute (Int64.of_int n))
+        | S_yield -> Engine.yield ()
+        | S_sleep n -> Engine.sleep (Int64.of_int n)
+        | S_locked (l, n) ->
+            Sync.Lock.with_lock locks.(l) (fun () ->
+                Engine.advance (Int64.of_int n))
+        | S_wait c -> Sync.Cond.wait conds.(c)
+        | S_signal c -> Sync.Cond.signal conds.(c)
+        | S_broadcast c -> Sync.Cond.broadcast conds.(c)
+        | S_spawn (affinity, ops) ->
+            ignore (Engine.spawn ?affinity e (body ops)));
+        Printf.bprintf b "%d %d %Ld\n" (Engine.current_tid ())
+          (Engine.current_core ()) (Engine.current_time ()))
+      ops
+  in
+  for _ = 1 to Prng.int_in g ~lo:1 ~hi:((3 * cores) + 10) do
+    let affinity = gen_affinity g ~cores in
+    let ops = gen_ops g ~cores ~depth:0 in
+    ignore (Engine.spawn ?affinity e (body ops))
+  done;
+  Engine.run e;
+  let round = ref 0 in
+  while Engine.blocked_threads e > 0 && !round < 4 do
+    incr round;
+    Printf.bprintf b "round %d at %Ld\n" !round (Engine.now e);
+    Array.iter Sync.Cond.broadcast conds;
+    Engine.run e
+  done;
+  Printf.bprintf b "steals %d now %Ld advanced %Ld live %d blocked %d\n"
+    (Engine.steals e) (Engine.now e) (Engine.advanced e)
+    (Engine.live_threads e) (Engine.blocked_threads e);
+  Buffer.contents b
+
+let schedule_programs =
+  List.concat_map
+    (fun (cores, seeds) -> List.init seeds (fun seed -> (cores, seed)))
+    [ (1, 8); (2, 8); (3, 8); (8, 8); (64, 4); (512, 3) ]
+
+let schedule_line (cores, seed) =
+  Printf.sprintf "cores=%d seed=%d %s" cores seed
+    (Digest.to_hex (Digest.string (schedule_log ~cores ~seed)))
+
+let test_schedule_fingerprints () =
+  let expected =
+    In_channel.with_open_text "schedule_digests.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check (list string))
+    "schedules match the fixture" expected
+    (List.map schedule_line schedule_programs)
+
 let qt = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -593,6 +732,7 @@ let suite =
       test_emit_outside_thread_counts_without_charging );
     ("audit catches raw advance", `Quick, test_audit_catches_uncharged_advance);
     ("jsonl record shape", `Quick, test_trace_jsonl_record_shape);
+    ("schedule fingerprints", `Quick, test_schedule_fingerprints);
     qt prop_event_key_injective;
     qt prop_trace_ring_bounded_and_monotonic;
     qt prop_random_workload;
