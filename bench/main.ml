@@ -610,11 +610,8 @@ let read_smp_baseline path =
       in
       loop []
 
-let smp () =
+let smp_sweep () =
   section "SMP: fork-throughput scaling (sharded locks vs big kernel lock)";
-  (* The sweep owns its core counts: a global --cores override would
-     collapse every point to one machine size. *)
-  E.set_default_cores None;
   let iters = if !quick then 4 else 12 in
   let sys = E.Ufork Strategy.Copa in
   let bkl_config =
@@ -697,9 +694,15 @@ let smp () =
   let module Sync = Ufork_sim.Sync in
   let top = List.fold_left max 1 !cores_sweep in
   Sync.reset_lock_contention ();
-  if !smp_explain_out <> None then E.set_causal_trace true;
-  ignore (E.fork_storm_run sys ~cores:top ~iters ());
-  if !smp_explain_out <> None then E.set_causal_trace false;
+  let graph =
+    let plan = E.current_plan () in
+    E.with_plan
+      (if !smp_explain_out = None then plan
+       else { plan with detectors = [ E.Run.Causal ] })
+      (fun () ->
+        ignore (E.fork_storm_run sys ~cores:top ~iters ());
+        E.causal_graph ())
+  in
   let contention =
     List.filter
       (fun (c : Sync.contention) -> c.Sync.acquires > 0)
@@ -726,7 +729,7 @@ let smp () =
      and Sync's contention counters observe the same Contend events, so
      they must agree (±5% guards future sampling); then write the
      critical-path blame for the point as JSON. *)
-  (match (!smp_explain_out, E.causal_graph ()) with
+  (match (!smp_explain_out, graph) with
   | Some path, Some g ->
       let module Causal = Ufork_analysis.Causal in
       let report = Causal.analyze g ~t0:0L ~t1:(Causal.horizon g) () in
@@ -780,6 +783,11 @@ let smp () =
               c.Sync.lock c.Sync.acquires c.Sync.waits)
           contention)));
   note "wrote %s\n" !smp_out
+
+(* The sweep owns its core counts: a global --cores override would
+   collapse every point to one machine size, so the target runs under the
+   enclosing plan minus that override (later targets keep it). *)
+let smp () = E.with_plan { (E.current_plan ()) with cores = None } smp_sweep
 
 (* ------------------------------------------------------------------ *)
 (* Events: host-side throughput of the charging hot path. Each point is
@@ -1045,7 +1053,6 @@ let main targets quick_flag jobs_flag cores sweep smp_out_flag
   (match events_out_flag with Some p -> events_out := p | None -> ());
   min_events_per_s := min_eps;
   events_baseline := baseline;
-  E.set_default_cores cores;
   (match sweep with
   | Some s ->
       cores_sweep :=
@@ -1062,12 +1069,18 @@ let main targets quick_flag jobs_flag cores sweep smp_out_flag
   smp_baseline := smp_baseline_flag;
   smp_max_regress_pct := max_regress;
   smp_explain_out := explain_out;
-  E.set_trace_out trace_out;
-  E.set_profile_out profile_out;
   let targets = List.filter (fun t -> t <> "quick") targets in
   let targets = if targets = [] then [ "all" ] else targets in
-  List.iter run_target targets;
-  if List.mem "all" targets && not !quick then bechamel ()
+  E.with_plan
+    {
+      E.Run.default with
+      cores;
+      trace_out = Option.map (fun p -> (p, E.Jsonl)) trace_out;
+      profile_out;
+    }
+    (fun () ->
+      List.iter run_target targets;
+      if List.mem "all" targets && not !quick then bechamel ())
 
 let cmd =
   let open Cmdliner in

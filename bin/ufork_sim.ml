@@ -12,6 +12,8 @@ open Cmdliner
 module Strategy = Ufork_core.Strategy
 module E = Ufork_workload.Experiments
 module Units = Ufork_util.Units
+module Chaos = Ufork_analysis.Chaos
+module Invariant = Ufork_analysis.Invariant
 
 let system_conv =
   let parse = function
@@ -291,9 +293,8 @@ let trace_cmd =
   in
   let experiment = small_experiment_arg ~verb:"trace" in
   let run system out format experiment =
-    E.set_trace_out ~format (Some out);
-    Fun.protect
-      ~finally:(fun () -> E.set_trace_out None)
+    E.with_plan
+      { E.Run.default with trace_out = Some (out, format) }
       (fun () -> run_small_experiment system experiment);
     (* Ring overflow, if any, was reported to stderr by the flush (the
        JSONL header line carries the same count). *)
@@ -305,6 +306,34 @@ let trace_cmd =
          "Run an experiment with mechanism-event recording on and write \
           the trace to a file")
     Term.(const run $ system_arg $ out $ format $ experiment)
+
+(* The workloads [check] and [explain] run: the small runs above, or the
+   concurrent fork storm with one forker per core. *)
+let run_checked_workload system ~cores = function
+  | `Hello -> ignore (E.hello_run system)
+  | `Redis ->
+      ignore
+        (E.redis_run system ~entries:50 ~value_len:(100 * 1024)
+           ~db_label:"5 MB")
+  | `Unixbench ->
+      ignore (E.unixbench_run system ~spawn_iters:50 ~context1_iters:500)
+  | `Storm ->
+      let cores = Option.value cores ~default:4 in
+      ignore (E.fork_storm_run system ~cores ~iters:4 ())
+
+(* The chaos flags, straight from the injection table: [check] takes the
+   controls its detectors judge, [explain] the stall its analysis
+   judges. *)
+let chaos_arg ~stall =
+  Arg.(
+    value
+    & vflag_all []
+        (List.filter_map
+           (fun (c : Chaos.control) ->
+             if (c.Chaos.violates = Invariant.Lock_stall) = stall then
+               Some (c.Chaos.injection, info [ c.Chaos.flag ] ~doc:c.Chaos.doc)
+             else None)
+           Chaos.injections))
 
 (* check: run a workload with the machine-state sanitizer and trace
    linter armed; exit non-zero on any invariant violation. *)
@@ -342,26 +371,6 @@ let check_cmd =
             "Also arm the happens-before race detector: flag conflicting \
              shared-state writes with no ordering edge (invariant R1).")
   in
-  let chaos_no_bkl =
-    Arg.(
-      value & flag
-      & info [ "chaos-no-bkl" ]
-          ~doc:
-            "Fault injection: disable the big kernel lock and seed one \
-             deliberate unlocked shared-state write. With $(b,--race) the \
-             check must fail with R1.")
-  in
-  let chaos_unshard =
-    Arg.(
-      value & flag
-      & info [ "chaos-unshard" ]
-          ~doc:
-            "Fault injection: disable exactly one sharded kernel lock (the \
-             stats shard guarding the fork-latency gauge), seeding nothing \
-             else. Under the $(b,storm) workload with $(b,--race) the check \
-             must fail with exactly one R1 — the control certifying the \
-             detector sees through the lock split.")
-  in
   let lockdep =
     Arg.(
       value & flag
@@ -370,16 +379,6 @@ let check_cmd =
             "Also arm the runtime lock-order checker: build the \
              acquisition graph from the lock instrumentation and flag \
              cycles or descending pt-shard nestings (invariant R2).")
-  in
-  let chaos_invert_shard_order =
-    Arg.(
-      value & flag
-      & info [ "chaos-invert-shard-order" ]
-          ~doc:
-            "Fault injection: spawn one rogue thread that acquires a \
-             page-table shard pair in descending index order. With \
-             $(b,--lockdep) the check must fail with exactly R2 — the \
-             control certifying the order checker is live.")
   in
   let capflow =
     Arg.(
@@ -393,56 +392,25 @@ let check_cmd =
              capability store/load stream, at every fork completion, and \
              in the final state sweep.")
   in
-  let chaos_skip_rebase =
-    Arg.(
-      value & flag
-      & info [ "chaos-skip-rebase" ]
-          ~doc:
-            "Fault injection: the next fork silently skips the rebase of \
-             one capability, leaving a parent-provenance capability in \
-             the child's pages. With $(b,--capflow) the check must fail \
-             with exactly R4 at the fork window's closing edge.")
-  in
-  let chaos_heap_smuggle =
-    Arg.(
-      value & flag
-      & info [ "chaos-heap-smuggle" ]
-          ~doc:
-            "Fault injection: the next fork carries one parent capability \
-             across in an OCaml-heap cell — invisible to the tag scan and \
-             discharged from the static rule D13 — and raw-stores it into \
-             the child. Only the runtime side can catch it: with \
-             $(b,--capflow) the check must fail with exactly R4.")
-  in
-  let chaos_leak_root =
-    Arg.(
-      value & flag
-      & info [ "chaos-leak-root" ]
-          ~doc:
-            "Fault injection: a rogue boot thread stores the kernel's \
-             root capability into a running μprocess's GOT. With \
-             $(b,--capflow) the check must fail with exactly R4 (root \
-             provenance reachable from user pages).")
-  in
-  let run system experiment check_cores race chaos_no_bkl chaos_unshard
-      lockdep chaos_invert_shard_order capflow chaos_skip_rebase
-      chaos_heap_smuggle chaos_leak_root =
+  let run system experiment check_cores race lockdep capflow chaos =
     let module Checker = Ufork_analysis.Checker in
     (* Record the event stream even without a trace sink so the protocol
-       linter (L1-L5) has something to replay; the state sweep (S1-S10)
+       linter (L1-L5) has something to replay; the state sweep (S1-S11)
        and the cycle-accounting audit run at the end of every machine's
        run regardless. *)
-    E.set_record_always true;
-    E.set_race_detect race;
-    E.set_lockdep_detect lockdep;
-    E.set_chaos_no_bkl chaos_no_bkl;
-    E.set_chaos_unshard chaos_unshard;
-    E.set_chaos_invert_shard_order chaos_invert_shard_order;
-    E.set_capflow_detect capflow;
-    E.set_chaos_skip_rebase chaos_skip_rebase;
-    E.set_chaos_heap_smuggle chaos_heap_smuggle;
-    E.set_chaos_leak_root chaos_leak_root;
-    E.set_default_cores check_cores;
+    let plan =
+      {
+        E.Run.default with
+        cores = check_cores;
+        record = true;
+        detectors =
+          List.filter_map
+            (fun (on, d) -> if on then Some d else None)
+            [ (race, E.Run.Race); (lockdep, E.Run.Lockdep);
+              (capflow, E.Run.Capflow) ];
+        chaos;
+      }
+    in
     let name =
       match experiment with
       | `Hello -> "hello"
@@ -451,17 +419,8 @@ let check_cmd =
       | `Storm -> "storm"
     in
     (try
-       match experiment with
-       | `Hello -> ignore (E.hello_run system)
-       | `Redis ->
-           ignore
-             (E.redis_run system ~entries:50 ~value_len:(100 * 1024)
-                ~db_label:"5 MB")
-       | `Unixbench ->
-           ignore (E.unixbench_run system ~spawn_iters:50 ~context1_iters:500)
-       | `Storm ->
-           let cores = Option.value check_cores ~default:4 in
-           ignore (E.fork_storm_run system ~cores ~iters:4 ())
+       E.with_plan plan (fun () ->
+           run_checked_workload system ~cores:check_cores experiment)
      with
     | Checker.Unsafe report ->
         Printf.eprintf "check %s on %s: FAILED\n%s\n" name
@@ -485,9 +444,8 @@ let check_cmd =
          "Run a workload under the machine-state sanitizer and trace \
           protocol linter; non-zero exit on any violation")
     Term.(
-      const run $ system_arg $ experiment $ check_cores $ race $ chaos_no_bkl
-      $ chaos_unshard $ lockdep $ chaos_invert_shard_order $ capflow
-      $ chaos_skip_rebase $ chaos_heap_smuggle $ chaos_leak_root)
+      const run $ system_arg $ experiment $ check_cores $ race $ lockdep
+      $ capflow $ chaos_arg ~stall:false)
 
 (* explain: run a workload with the causal collector armed, then compute
    and report the critical path of a fork window (or any interval) —
@@ -495,7 +453,6 @@ let check_cmd =
    waits it crossed. *)
 let explain_cmd =
   let module Causal = Ufork_analysis.Causal in
-  let module Invariant = Ufork_analysis.Invariant in
   let experiment =
     Arg.(
       value
@@ -581,42 +538,14 @@ let explain_cmd =
             "Write the critical path as a Chrome about:tracing / \
              Perfetto JSON file to $(docv).")
   in
-  let chaos_stall =
-    Arg.(
-      value & flag
-      & info [ "chaos-stall-shard" ]
-          ~doc:
-            "Fault injection: a rogue boot thread holds page-table shard \
-             0 across a long sleep. The analysis (whole run by default) \
-             must then report that lock as the dominant critical-path \
-             edge and the command exits non-zero with R3 — the control \
-             certifying the analyzer is live.")
-  in
   let run system experiment cores fork_n interval top dot_out json_out
-      chrome_out chaos_stall =
+      chrome_out chaos =
     let module Checker = Ufork_analysis.Checker in
-    E.set_causal_trace true;
-    E.set_chaos_stall_shard chaos_stall;
-    E.set_default_cores cores;
-    Fun.protect
-      ~finally:(fun () ->
-        E.set_causal_trace false;
-        E.set_chaos_stall_shard false;
-        E.set_default_cores None)
+    let chaos_stall = List.mem Chaos.Stall_shard chaos in
+    E.with_plan
+      { E.Run.default with cores; detectors = [ E.Run.Causal ]; chaos }
       (fun () ->
-        (try
-           match experiment with
-           | `Hello -> ignore (E.hello_run system)
-           | `Redis ->
-               ignore
-                 (E.redis_run system ~entries:50 ~value_len:(100 * 1024)
-                    ~db_label:"5 MB")
-           | `Unixbench ->
-               ignore
-                 (E.unixbench_run system ~spawn_iters:50 ~context1_iters:500)
-           | `Storm ->
-               let cores = Option.value cores ~default:4 in
-               ignore (E.fork_storm_run system ~cores ~iters:4 ())
+        (try run_checked_workload system ~cores experiment
          with Checker.Unsafe report ->
            Printf.eprintf "explain: workload failed its safety check\n%s\n"
              report;
@@ -704,7 +633,7 @@ let explain_cmd =
           wait chains")
     Term.(
       const run $ system_arg $ experiment $ cores $ fork_n $ interval $ top
-      $ dot_out $ json_out $ chrome_out $ chaos_stall)
+      $ dot_out $ json_out $ chrome_out $ chaos_arg ~stall:true)
 
 (* profile: run an experiment with span attribution and print/export the
    folded-stack flamegraph plus per-span latency histograms. *)
@@ -722,10 +651,7 @@ let profile_cmd =
   in
   let experiment = small_experiment_arg ~verb:"profile" in
   let run system flame_out experiment =
-    E.set_collect_profiles true;
-    Fun.protect
-      ~finally:(fun () -> E.set_collect_profiles false)
-      (fun () ->
+    E.with_plan { E.Run.default with collect_profiles = true } (fun () ->
         run_small_experiment system experiment;
         let traces = E.profiled_traces () in
         let folded =
@@ -804,13 +730,13 @@ let stats_cmd =
       Printf.eprintf "stats: --interval must be positive\n";
       exit 1
     end;
-    E.set_collect_profiles true;
-    E.set_sample_interval (Some (Int64.of_int interval));
     Ufork_sim.Sync.reset_lock_contention ();
-    Fun.protect
-      ~finally:(fun () ->
-        E.set_collect_profiles false;
-        E.set_sample_interval None)
+    E.with_plan
+      {
+        E.Run.default with
+        collect_profiles = true;
+        sample_interval = Some (Int64.of_int interval);
+      }
       (fun () ->
         run_small_experiment system experiment;
         let traces = E.profiled_traces () in

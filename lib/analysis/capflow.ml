@@ -13,8 +13,8 @@
    - a stream check over the Hb [Cap_store]/[Cap_load] events the MMU
      paths ({!Ufork_mem.Vas}) publish;
    - a fork-completion scan over the child's freshly forked pages
-     (hooked into {!Ufork_core.Fork_spine} by the workload layer);
-   - a sweep clause in {!Checker} (gated on {!armed}) covering pages
+     (the workload layer wraps a checked machine's fork hook with it);
+   - a sweep clause in {!Checker} ([~capflow:true]) covering pages
      that were relocated lazily after the fork window closed. *)
 
 module Capability = Ufork_cheri.Capability
@@ -26,11 +26,6 @@ module Page_table = Ufork_mem.Page_table
 module Kernel = Ufork_sas.Kernel
 module Uproc = Ufork_sas.Uproc
 module Hb = Ufork_util.Hb
-
-(* Read by Checker.sweep: when set, a stored capability whose provenance
-   stamp does not match the area holding it is reported as R4 (instead
-   of the untyped S3/S10 wild-capability fallout it also causes). *)
-let armed = ref false
 
 let pp_prov ppf prov =
   if prov = Capability.root_provenance then

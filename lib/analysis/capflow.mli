@@ -10,12 +10,6 @@
     tag-clearing removes the rest, and nothing may hand a μprocess the
     root. The static mirror is lint rule D13. *)
 
-val armed : bool ref
-(** Set while a capflow-checked run is in flight. {!Checker.sweep} reads
-    it: armed, a provenance-mismatched stored capability is reported as
-    R4 (the taint diagnosis) instead of the S3/S10 wild-capability
-    fallout it also causes. *)
-
 type t
 (** The stream detector: consumes the [Cap_store]/[Cap_load] events the
     MMU paths publish and accuses provenance mismatches as they flow. *)
@@ -37,5 +31,5 @@ val scan_fork :
 (** [scan_fork k ~child] sweeps the freshly forked child's checkable
     granules the moment the fork window closes: every tagged, unsealed
     capability must already carry the child's provenance. The workload
-    layer hooks this into {!Ufork_core.Fork_spine} when capflow is
-    armed. *)
+    layer wraps a capflow-checked machine's fork hook
+    ({!Ufork_sas.Kernel.fork_hook}) with this scan. *)

@@ -226,3 +226,190 @@ let clean_protocol () =
          (1, Event.Page_fault);
          (1, Event.Cow_claim_in_place);
        ])
+
+(* {1 Run-time injections}
+
+   The must-fail controls of the dynamic detectors. Each arms one
+   deliberate bug on a freshly booted machine, before any workload
+   thread starts, and the detector behind [violates] must then fail the
+   run with exactly that invariant. Everything an injection changes
+   belongs to the machine it was armed on — a rogue thread, a lock mode,
+   a wrapped fork hook — except the skipped rebase: the tag scan has no
+   outside hook, so that one sets the {!Relocate.chaos_skip_rebase}
+   seam, which the harness assigns at every boot. *)
+
+module Relocate = Ufork_core.Relocate
+
+type injection =
+  | Skip_rebase
+  | Heap_smuggle
+  | Leak_root
+  | No_bkl
+  | Unshard
+  | Invert_shard_order
+  | Stall_shard
+
+type control = {
+  injection : injection;
+  flag : string;
+  doc : string;
+  violates : Invariant.t;
+  arm : Kernel.t -> unit;
+}
+
+let rogue k name body = ignore (Engine.spawn (Kernel.engine k) ~name body)
+
+(* Carry one parent capability across the fork in an OCaml-heap cell —
+   the shadow copy the §4.2 tag scan can never see — and raw-store it
+   into the child's meta page once the fork has returned, bypassing the
+   MMU publication path, so only the fork-completion scan can notice the
+   foreign provenance. The cell is shared by every fork in flight on the
+   machine and emptied by the first to complete, so under concurrent
+   forks the planted authority may be another forker's. *)
+let heap_smuggle k =
+  match Kernel.fork_hook k with
+  | None -> ()
+  | Some fork ->
+      let armed = ref true and stash = ref None in
+      (* The stash is exactly the D13 escape pattern, discharged because
+         being invisible to the static side is the point of the
+         experiment. *)
+      let stash_parent (parent : Uproc.t) =
+        stash :=
+          Some
+            (Capability.with_cursor (Kernel.area_cap k parent)
+               parent.Uproc.area_base)
+      [@@ufork.cap_escape_ok]
+      in
+      Kernel.set_fork_hook k (fun parent child_main ->
+          if !armed then stash_parent parent;
+          let pid = fork parent child_main in
+          (match (!stash, Kernel.find_uproc k pid) with
+          | Some cap, Some child -> (
+              stash := None;
+              armed := false;
+              let addr = Kernel.meta_addr child 0 in
+              match
+                Page_table.lookup child.Uproc.pt ~vpn:(Addr.vpn_of_addr addr)
+              with
+              | Some pte ->
+                  Page.store_cap (Phys.page pte.Pte.frame)
+                    ~off:(Addr.page_offset addr) cap
+              | None -> ())
+          | _ -> ());
+          pid)
+
+let injections =
+  [
+    {
+      injection = Skip_rebase;
+      flag = "chaos-skip-rebase";
+      doc =
+        "Fault injection: the next fork silently skips the rebase of one \
+         capability, leaving a parent-provenance capability in the \
+         child's pages. With $(b,--capflow) the check must fail with \
+         exactly R4 at the fork window's closing edge.";
+      violates = Invariant.Cap_provenance;
+      arm = (fun _ -> Relocate.chaos_skip_rebase := true);
+    };
+    {
+      injection = Heap_smuggle;
+      flag = "chaos-heap-smuggle";
+      doc =
+        "Fault injection: the next fork carries one parent capability \
+         across in an OCaml-heap cell — invisible to the tag scan and \
+         discharged from the static rule D13 — and raw-stores it into \
+         the child. Only the runtime side can catch it: with \
+         $(b,--capflow) the check must fail with exactly R4.";
+      violates = Invariant.Cap_provenance;
+      arm = heap_smuggle;
+    };
+    {
+      injection = Leak_root;
+      flag = "chaos-leak-root";
+      doc =
+        "Fault injection: a rogue boot thread stores the kernel's root \
+         capability into a running μprocess's GOT. With $(b,--capflow) \
+         the check must fail with exactly R4 (root provenance reachable \
+         from user pages).";
+      violates = Invariant.Cap_provenance;
+      arm =
+        (fun k ->
+          (* Retry until a process is running, then plant the root in
+             its GOT. *)
+          rogue k "chaos-leak-root" (fun () ->
+              let rec attempt budget =
+                Engine.sleep 500L;
+                if (not (Kernel.chaos_leak_root k)) && budget > 0 then
+                  attempt (budget - 1)
+              in
+              attempt 100));
+    };
+    {
+      injection = No_bkl;
+      flag = "chaos-no-bkl";
+      doc =
+        "Fault injection: disable the big kernel lock and seed one \
+         deliberate unlocked shared-state write. With $(b,--race) the \
+         check must fail with R1.";
+      violates = Invariant.Data_race;
+      arm =
+        (fun k ->
+          Kernel.chaos_disable_biglock k;
+          (* The seeded bug: one kernel-side write to the fork latency
+             gauge every fork also writes, from a thread that takes no
+             lock. With the big lock gone nothing orders it. *)
+          rogue k "chaos-unlocked" (fun () ->
+              Engine.sleep 1_000L;
+              Trace.gauge (Kernel.trace k) Trace.last_fork_latency_key 0));
+    };
+    {
+      injection = Unshard;
+      flag = "chaos-unshard";
+      doc =
+        "Fault injection: disable exactly one sharded kernel lock (the \
+         stats shard guarding the fork-latency gauge), seeding nothing \
+         else. Under the $(b,storm) workload with $(b,--race) the check \
+         must fail with exactly one R1 — the control certifying the \
+         detector sees through the lock split.";
+      violates = Invariant.Data_race;
+      (* No bug is seeded beyond the missing lock: the race, if the
+         detector is honest, is between two legitimate fork-path gauge
+         writes from different forking threads. *)
+      arm = Kernel.chaos_unshard_stats;
+    };
+    {
+      injection = Invert_shard_order;
+      flag = "chaos-invert-shard-order";
+      doc =
+        "Fault injection: spawn one rogue thread that acquires a \
+         page-table shard pair in descending index order. With \
+         $(b,--lockdep) the check must fail with exactly R2 — the \
+         control certifying the order checker is live.";
+      violates = Invariant.Lock_order;
+      (* Spawned before any workload thread, it finds both shards free,
+         so the inversion completes (and is published) rather than
+         deadlocking. *)
+      arm =
+        (fun k ->
+          rogue k "chaos-shard-invert" (fun () ->
+              Kernel.chaos_acquire_shards_descending k));
+    };
+    {
+      injection = Stall_shard;
+      flag = "chaos-stall-shard";
+      doc =
+        "Fault injection: a rogue boot thread holds page-table shard 0 \
+         across a long sleep. The analysis (whole run by default) must \
+         then report that lock as the dominant critical-path edge and \
+         the command exits non-zero with R3 — the control certifying the \
+         analyzer is live.";
+      violates = Invariant.Lock_stall;
+      (* Spawned before any workload thread, it wins the shard while
+         free; every fork touching shard 0 then queues behind a sleeping
+         holder. *)
+      arm =
+        (fun k ->
+          rogue k "chaos-stall-shard" (fun () -> Kernel.chaos_stall_shard k));
+    };
+  ]

@@ -18,7 +18,7 @@ type mapping = {
   table_owner : Uproc.t option;  (* the table's process on multi-AS *)
 }
 
-let sweep k =
+let sweep ?(capflow = false) k =
   let phys = Kernel.phys k in
   let multi_as = Kernel.multi_address_space k in
   let isolation_on =
@@ -206,7 +206,7 @@ let sweep k =
                       (* R4 (capflow armed): the provenance stamp must
                          match the holding area — the taint diagnosis
                          subsumes the untyped wild-capability report. *)
-                      if !Capflow.armed && Capability.prov cap <> base then
+                      if capflow && Capability.prov cap <> base then
                         add Cap_provenance
                           (granule_subject owner_area vpn g)
                           (Printf.sprintf
@@ -278,14 +278,14 @@ let sweep k =
         | _ -> ());
   List.rev !violations
 
-let sweep_and_lint k =
+let sweep_and_lint ?capflow k =
   let trace = Kernel.trace k in
-  sweep k
+  sweep ?capflow k
   @ Lint.run ~dropped:(Trace.dropped trace) (Trace.records trace)
 
 exception Unsafe of string
 
-let assert_safe k =
-  match sweep_and_lint k with
+let assert_safe ?capflow k =
+  match sweep_and_lint ?capflow k with
   | [] -> ()
   | vs -> raise (Unsafe (Invariant.report vs))

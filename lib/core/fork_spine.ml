@@ -29,48 +29,6 @@ let default =
     reloc = None;
   }
 
-(* Armed by the workload layer when a capflow run is in flight: called
-   with the fork window closed but before the parent resumes, so an
-   authority leak is accused at the fork that caused it, not at the next
-   sweep. Disarmed cost: one option read per fork. *)
-let fork_probe : (Kernel.t -> child:Uproc.t -> unit) option ref = ref None
-
-(* Chaos: carry one of the parent's capabilities across the fork in an
-   OCaml-heap cell — the shadow copy the §4.2 tag scan can never see —
-   and raw-store it into the child's meta page after relocation ran.
-   The stash is exactly the D13 escape pattern, discharged here because
-   being invisible to the static side is the point of the experiment:
-   the runtime R4 fork scan must be the side that catches it. *)
-let chaos_heap_smuggle = ref false
-
-let smuggled : Capability.t list ref = ref []
-
-(* The stash is exactly the D13 escape pattern, discharged because being
-   invisible to the static side is the point of the experiment. *)
-let smuggle_stash k (parent : Uproc.t) =
-  if !chaos_heap_smuggle then begin
-    let c = Kernel.area_cap k parent in
-    smuggled := [ Capability.with_cursor c parent.Uproc.area_base ]
-  end
-[@@ufork.cap_escape_ok]
-
-let smuggle_plant (_k : Kernel.t) (child : Uproc.t) =
-  match !smuggled with
-  | [] -> ()
-  | cap :: _ ->
-      smuggled := [];
-      chaos_heap_smuggle := false;
-      let addr = Kernel.meta_addr child 0 in
-      (* Raw store, bypassing the MMU publication path: only the
-         fork-completion scan can notice the foreign provenance. *)
-      let vpn = Addr.vpn_of_addr addr in
-      (match Ufork_mem.Page_table.lookup child.Uproc.pt ~vpn with
-      | Some pte ->
-          Ufork_mem.Page.store_cap
-            (Ufork_mem.Phys.page pte.Ufork_mem.Pte.frame)
-            ~off:(Addr.page_offset addr) cap
-      | None -> ())
-
 (* The write working set a μprocess touches immediately around the fork:
    its top-of-stack pages. *)
 let stack_touch_vpns (u : Uproc.t) n =
@@ -92,7 +50,6 @@ let run k hooks (parent : Uproc.t) child_main =
       span "fork.fixed" (fun () ->
           Kernel.emit ~proc:parent k Event.Fork_fixed;
           hooks.pre_create k ~parent);
-      smuggle_stash k parent;
       let fds =
         span "fork.fd_dup" (fun () ->
             Kernel.with_fd_tables k (fun () ->
@@ -139,8 +96,6 @@ let run k hooks (parent : Uproc.t) child_main =
       Kernel.with_stats k (fun () ->
           Trace.gauge (Kernel.trace k) Trace.last_fork_latency_key
             (Int64.to_int dt));
-      smuggle_plant k child;
-      (match !fork_probe with Some probe -> probe k ~child | None -> ());
       child.Uproc.pid)
 
 let demand_zero k (u : Uproc.t) ~addr =

@@ -53,20 +53,6 @@ val default : hooks
 (** All hooks no-ops, [reloc = None]; build flavours with
     [{ default with ... }]. *)
 
-val fork_probe :
-  (Ufork_sas.Kernel.t -> child:Ufork_sas.Uproc.t -> unit) option ref
-(** Armed by the workload layer during capflow-checked runs: called at
-    the very end of {!run}, after the fork window closed, so invariant
-    R4 can accuse an authority leak at the fork that caused it.
-    Disarmed cost: one option read per fork. *)
-
-val chaos_heap_smuggle : bool ref
-(** Chaos (capflow cross-certification): when set, the next fork stashes
-    one parent capability in an OCaml-heap cell — invisible to the §4.2
-    tag scan — and raw-stores it into the child's meta page after
-    relocation. Static capflow (D13) is deliberately discharged here;
-    the runtime R4 fork scan must be what catches it. Self-clears. *)
-
 val run :
   Ufork_sas.Kernel.t ->
   hooks ->

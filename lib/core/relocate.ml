@@ -7,8 +7,10 @@ type outcome = { granules_scanned : int; relocated : int }
 (* Chaos: silently skip the rebase of exactly one capability (leaving its
    parent provenance and parent-area target intact in the child page), so
    the runtime capflow invariant R4 — not the architectural checks — must
-   be what catches the leak. One-shot: armed by the CLI, consumed by the
-   first rebase the next fork performs. *)
+   be what catches the leak. One-shot, consumed by the first rebase. The
+   tag scan has no outside hook, so this is the one injection seam left in
+   the mechanism: the harness assigns it from the run plan at every boot
+   and clears it when the plan is uninstalled. *)
 let chaos_skip_rebase = ref false
 
 let relocate_cap ~owner_area ~child_base ~child_bytes cap =

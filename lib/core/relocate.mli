@@ -16,7 +16,8 @@ val chaos_skip_rebase : bool ref
 (** Chaos (capflow cross-certification): when set, the next capability
     that would be rebased is instead left untouched — parent target,
     parent provenance — and the flag self-clears. The runtime R4 taint
-    invariant, not any architectural check, must catch the leak. *)
+    invariant, not any architectural check, must catch the leak. The
+    experiment harness assigns it from its run plan at every boot. *)
 
 val relocate_cap :
   owner_area:(int -> (int * int) option) ->

@@ -175,6 +175,7 @@ let vfs t = t.vfs
 let multi_address_space t = t.multi_as
 let root_cap t = t.root
 let set_fork_hook t f = t.fork_hook <- Some f
+let fork_hook t = t.fork_hook
 let set_fault_hook t f = t.fault_hook <- Some f
 
 (* The legacy big-lock shim: under [Big] this is THE serialization point

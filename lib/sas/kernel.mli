@@ -57,6 +57,11 @@ val set_fork_hook : t -> (Uproc.t -> (Api.t -> unit) -> int) -> unit
     the continuation, return the child pid. Runs with syscall entry already
     charged and the kernel lock held. *)
 
+val fork_hook : t -> (Uproc.t -> (Api.t -> unit) -> int) option
+(** The installed fork implementation, so a checker or a fault injection
+    can wrap it for one machine ([set_fork_hook] with a closure calling
+    the previous hook). *)
+
 val set_fault_hook :
   t ->
   (Uproc.t -> addr:int -> access:Ufork_mem.Vas.access -> unit) ->

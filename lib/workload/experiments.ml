@@ -27,8 +27,8 @@ module Lockdep = Ufork_analysis.Lockdep
 module Causal = Ufork_analysis.Causal
 module Capflow = Ufork_analysis.Capflow
 module Invariant = Ufork_analysis.Invariant
+module Chaos = Ufork_analysis.Chaos
 module Relocate = Ufork_core.Relocate
-module Fork_spine = Ufork_core.Fork_spine
 
 type system =
   | Ufork of Strategy.t
@@ -44,168 +44,106 @@ let system_label = function
   | Nephele -> "Nephele"
   | Linux_ref -> "Linux (ref)"
 
-(* A booted system behind a uniform interface. *)
-type booted = {
-  kernel : Kernel.t;
-  engine : Engine.t;
-  start :
-    ?affinity:int -> image:Image.t -> (Api.t -> unit) -> Uproc.t;
-  run : ?until:int64 -> unit -> unit;
-}
+(* {1 The run plan}
 
-(* {1 Harness-wide run options}
-
-   The bench/CLI front ends set these once from their flags; every
-   subsequent [boot] picks them up, so one [--cores]/[--trace-out] applies
-   uniformly across the systems an experiment compares. *)
-
-let default_cores : int option ref = ref None
-let set_default_cores n = default_cores := n
+   Everything a front end asks of the runs it drives is one immutable
+   plan: a core-count override, event recording, the trace and profile
+   sinks, stat sampling, the dynamic detectors and the chaos injections.
+   [with_plan] installs a plan around a body and every [boot] inside
+   reads it once, so one [--cores]/[--trace-out] applies uniformly
+   across the systems an experiment compares. *)
 
 type trace_format = Jsonl | Chrome
 
-let trace_sink : (string * trace_format) option ref = ref None
+module Run = struct
+  type detector = Race | Lockdep | Causal | Capflow
 
-(* Traces of every machine booted since the sink was set, oldest first —
-   a comparative experiment boots several systems and the output file
-   should hold them all. *)
-let traced : Trace.t list ref = ref []
+  type t = {
+    cores : int option;
+    record : bool;
+    trace_out : (string * trace_format) option;
+    profile_out : string option;
+    collect_profiles : bool;
+    sample_interval : int64 option;
+    detectors : detector list;
+    chaos : Chaos.injection list;
+  }
 
-(* Drop count already reported on stderr, so a flush after every run
-   warns once per overflow rather than once per subsequent flush. *)
-let warned_dropped = ref 0
+  let default =
+    {
+      cores = None;
+      record = false;
+      trace_out = None;
+      profile_out = None;
+      collect_profiles = false;
+      sample_interval = None;
+      detectors = [];
+      chaos = [];
+    }
+end
 
-let set_trace_out ?(format = Jsonl) path =
-  trace_sink := Option.map (fun p -> (p, format)) path;
-  traced := [];
-  warned_dropped := 0
+(* What an installed plan has collected: the machines its trace sink and
+   profile consumers keep, oldest first (a comparative experiment boots
+   several systems and the output file should hold them all), and the
+   ring-drop count already reported, so a flush after every run warns
+   once per overflow. *)
+type collected = {
+  mutable traced : Trace.t list;
+  mutable profiled : Trace.t list;
+  mutable warned_dropped : int;
+}
 
-(* Force event recording on every machine booted from here on, even with
-   no trace sink — the [check] front end needs the stream for the
-   protocol linter. *)
-let record_always = ref false
-let set_record_always on = record_always := on
+type installed = {
+  plan : Run.t;
+  collected : collected;
+  mutable causal : Causal.t option;  (* the latest boot's collector *)
+}
 
-(* {2 Profiling options}
+let install plan collected = { plan; collected; causal = None }
+let collection () = { traced = []; profiled = []; warned_dropped = 0 }
+let current = ref (install Run.default (collection ()))
+let current_plan () = !current.plan
 
-   [profile_sink] mirrors [trace_sink] for folded flamegraph stacks;
-   [collect_profiles] keeps the trace registry populated without any
-   file output so front ends (the [profile]/[stats] subcommands) can
-   read span aggregates and histograms back after a run. *)
-
-let profile_sink : string option ref = ref None
-let collect_profiles = ref false
-
-(* Traces of every machine booted since a profile consumer was armed,
-   oldest first. *)
-let profiled : Trace.t list ref = ref []
-
-let set_profile_out path =
-  profile_sink := path;
-  profiled := []
+let with_plan (plan : Run.t) f =
+  let prev = !current in
+  (* A nested plan with the same outputs (say, a sweep dropping the core
+     override) adds to the enclosing plan's collections, so a sink keeps
+     every machine booted while it is installed. *)
+  let same_outputs =
+    plan.trace_out = prev.plan.trace_out
+    && plan.profile_out = prev.plan.profile_out
+    && plan.collect_profiles = prev.plan.collect_profiles
+  in
+  current :=
+    install plan (if same_outputs then prev.collected else collection ());
+  Fun.protect f ~finally:(fun () ->
+      current := prev;
+      (* The injection seam and the bus subscription are the only state a
+         plan leaves outside its machines: neither may outlive it. *)
+      Relocate.chaos_skip_rebase := false;
+      if plan.detectors <> [] then Ufork_util.Hb.unsubscribe ())
 
 let set_collect_profiles on =
-  collect_profiles := on;
-  profiled := []
+  let inst = !current in
+  current := { inst with plan = { inst.plan with collect_profiles = on } };
+  inst.collected.profiled <- []
 
-let profiled_traces () = !profiled
-
-(* Stat-sampling interval in simulated cycles; applied to every machine
-   booted while set. *)
-let sample_interval : int64 option ref = ref None
-let set_sample_interval i = sample_interval := i
-
-(* {2 Race and lock-order detection}
-
-   With [race_detect] set, every boot arms a fresh happens-before
-   detector on the instrumentation bus and [finish_run] raises
-   {!Checker.Unsafe} if any conflicting unordered writes were seen.
-   [lockdep_detect] does the same for the lock-acquisition-order checker
-   (invariant R2); the bus carries one subscriber, so when both are
-   armed a single closure dispatches each event to both.
-   [chaos_no_bkl] is the matching fault injection for the race side:
-   boot with the big kernel lock disabled and spawn one rogue thread
-   that performs a deliberate unlocked write to shared state mid-run.
-   [chaos_invert_shard_order] is the lockdep counterpart: a rogue boot
-   thread takes one pt-shard pair in descending index order. *)
-
-let race_detect = ref false
-let set_race_detect on = race_detect := on
-let lockdep_detect = ref false
-let set_lockdep_detect on = lockdep_detect := on
-let chaos_no_bkl = ref false
-let set_chaos_no_bkl on = chaos_no_bkl := on
-let chaos_unshard = ref false
-let set_chaos_unshard on = chaos_unshard := on
-let chaos_invert_shard_order = ref false
-let set_chaos_invert_shard_order on = chaos_invert_shard_order := on
-let race_detector : Race.t option ref = ref None
-let lockdep_checker : Lockdep.t option ref = ref None
-
-(* {2 Causal tracing}
-
-   With [causal_trace] set, every boot arms a fresh causal collector
-   ({!Causal}) on the same bus subscription; the front end reads it back
-   through [causal_graph] after the run for critical-path analysis.
-   [chaos_stall_shard] is its fault injection: a rogue boot thread
-   holds pt-shard 0 across a long sleep, and the analysis must report
-   that lock as the dominant critical-path edge (R3). *)
-
-let causal_trace = ref false
-let set_causal_trace on = causal_trace := on
-let chaos_stall = ref false
-let set_chaos_stall_shard on = chaos_stall := on
-let causal_collector : Causal.t option ref = ref None
-let causal_graph () = !causal_collector
-
-(* {2 Capability-provenance (capflow) checking}
-
-   With [capflow_detect] set, every boot arms the R4 taint machinery:
-   the Capflow stream detector on the bus subscription, the
-   fork-completion scan through {!Fork_spine.fork_probe}, and the
-   provenance clause of {!Checker.sweep} (via [Capflow.armed]).
-   Three chaos injections cross-certify it against the static rule D13:
-   [chaos_skip_rebase] leaves one capability un-rebased in the fork
-   copy, [chaos_heap_smuggle] carries a parent capability across the
-   fork in an OCaml-heap cell invisible to the tag scan, and
-   [chaos_leak_root] hands the kernel root to a μprocess. Each must
-   fail the run with exactly R4. *)
-
-let capflow_detect = ref false
-let set_capflow_detect on = capflow_detect := on
-let chaos_skip_rebase = ref false
-let set_chaos_skip_rebase on = chaos_skip_rebase := on
-let chaos_heap_smuggle = ref false
-let set_chaos_heap_smuggle on = chaos_heap_smuggle := on
-let chaos_leak_root = ref false
-let set_chaos_leak_root on = chaos_leak_root := on
-let capflow_detector : Capflow.t option ref = ref None
+let profiled_traces () = !current.collected.profiled
+let causal_graph () = !current.causal
 
 (* {2 Domain-parallel sweeps}
 
    [parmap] fans one experiment per sweep point out over OCaml domains.
    Every machine is self-contained (engine, kernel, trace, meter), so
    points never exchange simulated state and each point's result is the
-   same bit pattern the serial order produces; only the process-global
-   registries above are shared, and every write to them is mutexed.
-   Whenever any harness option that funnels per-run state through those
-   registries is armed (trace/profile sinks, sampling, detectors, chaos),
-   the fan-out silently degrades to serial — those paths want one
-   machine at a time, and their cost dwarfs any sweep parallelism. *)
+   same bit pattern the serial order produces. A plan that asks for
+   anything beyond a core count (sinks, recording, sampling, detectors,
+   chaos) funnels per-run state through its installation and the one
+   detector bus, so the fan-out silently degrades to serial under it —
+   those paths want one machine at a time, and their cost dwarfs any
+   sweep parallelism. *)
 
-let registry_mutex = Mutex.create ()
-
-let parallel_unsafe () =
-  !record_always
-  || Option.is_some !trace_sink
-  || Option.is_some !profile_sink
-  || !collect_profiles
-  || Option.is_some !sample_interval
-  || !race_detect || !lockdep_detect || !chaos_no_bkl || !chaos_unshard
-  || !chaos_invert_shard_order
-  || !causal_trace || !chaos_stall
-  || !capflow_detect || !chaos_skip_rebase || !chaos_heap_smuggle
-  || !chaos_leak_root
+let parallel_unsafe () = { (current_plan ()) with cores = None } <> Run.default
 
 let parmap ~jobs f items =
   let jobs = if parallel_unsafe () then 1 else max 1 jobs in
@@ -247,18 +185,6 @@ let emits_acc = Atomic.make 0
 let reset_emits () = Atomic.set emits_acc 0
 let emits_total () = Atomic.get emits_acc
 
-let register_trace tr =
-  if !record_always then Trace.set_recording tr true;
-  if Option.is_some !trace_sink then begin
-    Trace.set_recording tr true;
-    Mutex.protect registry_mutex (fun () -> traced := !traced @ [ tr ])
-  end;
-  if !collect_profiles || Option.is_some !profile_sink then
-    Mutex.protect registry_mutex (fun () -> profiled := !profiled @ [ tr ])
-
-let traced_dropped () =
-  List.fold_left (fun acc tr -> acc + Trace.dropped tr) 0 !traced
-
 (* Artifact writes create missing parents and turn filesystem failures
    into a clean one-line error — the harness front ends (CLI, bench)
    must never surface a Sys_error backtrace for a bad out-path. *)
@@ -269,10 +195,10 @@ let write_artifact path f =
       Printf.eprintf "error: %s\n%!" msg;
       exit 1
 
-(* Rewrite the sink from all traces so far; called after every run so the
-   file is complete whenever the harness stops. *)
-let flush_trace () =
-  (match !trace_sink with
+(* Rewrite the sinks from every machine collected so far; called after
+   every run so the files are complete whenever the harness stops. *)
+let flush_outputs { plan; collected = c; _ } =
+  (match plan.Run.trace_out with
   | None -> ()
   | Some (path, format) ->
       write_artifact path (fun oc ->
@@ -280,16 +206,18 @@ let flush_trace () =
           | Jsonl ->
               List.iter
                 (fun tr -> output_string oc (Trace.to_jsonl_string tr))
-                !traced
+                c.traced
           | Chrome ->
               output_string oc
                 (Trace.chrome_of_records
-                   (List.concat_map Trace.records !traced)));
+                   (List.concat_map Trace.records c.traced)));
       (* The ring drops oldest-first on overflow; a truncated artifact
          must say so rather than pass for a complete recording. *)
-      let dropped = traced_dropped () in
-      if dropped > !warned_dropped then begin
-        warned_dropped := dropped;
+      let dropped =
+        List.fold_left (fun acc tr -> acc + Trace.dropped tr) 0 c.traced
+      in
+      if dropped > c.warned_dropped then begin
+        c.warned_dropped <- dropped;
         Printf.eprintf
           "warning: trace ring overflowed; %d oldest record%s dropped from %s\n\
            %!"
@@ -297,13 +225,25 @@ let flush_trace () =
           (if dropped = 1 then "" else "s")
           path
       end);
-  match !profile_sink with
+  match plan.profile_out with
   | None -> ()
   | Some path ->
       write_artifact path (fun oc ->
           List.iter
             (fun tr -> output_string oc (Trace.folded_stacks tr))
-            !profiled)
+            c.profiled)
+
+(* A booted system behind a uniform interface, with the installation it
+   was booted under and the end-of-run findings of its armed detectors. *)
+type booted = {
+  kernel : Kernel.t;
+  engine : Engine.t;
+  start :
+    ?affinity:int -> image:Image.t -> (Api.t -> unit) -> Uproc.t;
+  run : ?until:int64 -> unit -> unit;
+  installed : installed;
+  detected : unit -> Invariant.violation list;
+}
 
 (* The accounting invariant, checked after every experiment run: the
    engine's lifetime busy cycles must equal the cycles charged through the
@@ -318,85 +258,75 @@ let finish_run b =
   (* The state sanitizer next to the accounting audit: a run that
      corrupted machine state must not report numbers. The lint half sees
      the recorded stream, so it is active whenever recording is. *)
-  Checker.assert_safe b.kernel;
-  (let vs =
-     (match !race_detector with Some d -> Race.violations d | None -> [])
-     @ (match !lockdep_checker with
-       | Some d -> Lockdep.violations d
-       | None -> [])
-     @ (match !capflow_detector with
-       | Some d -> Capflow.violations d
-       | None -> [])
-   in
-   match vs with
-   | [] -> ()
-   | vs -> raise (Checker.Unsafe (Invariant.report vs)));
-  flush_trace ()
-
-(* Every flavour boots down to the same {!Ufork_core.System.t}; the
-   uniform interface is one projection, not five hand-rolled records. *)
-let booted_of_system sys =
-  {
-    kernel = System.kernel sys;
-    engine = System.engine sys;
-    start = (fun ?affinity ~image main -> System.start sys ?affinity ~image main);
-    run = (fun ?until () -> System.run ?until sys);
-  }
+  Checker.assert_safe
+    ~capflow:(List.mem Run.Capflow b.installed.plan.detectors)
+    b.kernel;
+  (match b.detected () with
+  | [] -> ()
+  | vs -> raise (Checker.Unsafe (Invariant.report vs)));
+  flush_outputs b.installed
 
 let boot_raw ~cores ?config system =
-  let sys =
-    match system with
-    | Ufork strategy ->
-        Os.system
-          (Os.boot ~cores
-             ~config:(Option.value config ~default:Config.ufork_fast)
-             ~strategy ())
-    | Ufork_toctou strategy ->
-        Os.system
-          (Os.boot ~cores
-             ~config:(Option.value config ~default:Config.ufork_default)
-             ~strategy ())
-    | Cheribsd -> Monolithic.system (Monolithic.boot ~cores ?config ())
-    | Linux_ref ->
-        Monolithic.system
-          (Monolithic.boot ~cores
-             ~config:(Option.value config ~default:Config.linux_default)
-             ~costs:Costs.linux_ref ())
-    | Nephele -> Vmclone.system (Vmclone.boot ~cores ?config ())
-  in
-  booted_of_system sys
+  match system with
+  | Ufork strategy ->
+      Os.system
+        (Os.boot ~cores
+           ~config:(Option.value config ~default:Config.ufork_fast)
+           ~strategy ())
+  | Ufork_toctou strategy ->
+      Os.system
+        (Os.boot ~cores
+           ~config:(Option.value config ~default:Config.ufork_default)
+           ~strategy ())
+  | Cheribsd -> Monolithic.system (Monolithic.boot ~cores ?config ())
+  | Linux_ref ->
+      Monolithic.system
+        (Monolithic.boot ~cores
+           ~config:(Option.value config ~default:Config.linux_default)
+           ~costs:Costs.linux_ref ())
+  | Nephele -> Vmclone.system (Vmclone.boot ~cores ?config ())
+
+(* Fail at the fork that leaked, not at the next sweep: the capflow scan
+   wraps the machine's fork hook, so it runs as the fork returns to the
+   parent — after any chaos wrapper has planted its capability. *)
+let scan_forks k =
+  Option.iter
+    (fun fork ->
+      Kernel.set_fork_hook k (fun parent child_main ->
+          let pid = fork parent child_main in
+          Option.iter
+            (fun child ->
+              match Capflow.scan_fork k ~child with
+              | [] -> ()
+              | vs -> raise (Checker.Unsafe (Invariant.report vs)))
+            (Kernel.find_uproc k pid);
+          pid))
+    (Kernel.fork_hook k)
 
 let boot ?(cores = 4) ?config system =
-  let cores = Option.value !default_cores ~default:cores in
+  let inst = !current in
+  let plan = inst.plan in
+  let cores = Option.value plan.cores ~default:cores in
+  let armed d = List.mem d plan.detectors in
   (* Arm the detectors before boot so image setup and process spawns are
      already on their clocks. The bus carries a single subscriber: one
-     closure dispatches to whichever of the two checkers is armed; when
-     neither is, the bus from an earlier (possibly aborted) checked run
-     must not outlive it — disarm and drop both. *)
-  let rd = if !race_detect then Some (Race.create ()) else None in
-  let ld = if !lockdep_detect then Some (Lockdep.create ()) else None in
-  let cd = if !causal_trace then Some (Causal.create ()) else None in
-  race_detector := rd;
-  lockdep_checker := ld;
-  causal_collector := cd;
-  (* The capflow detector needs the kernel, which does not exist yet:
-     its bus handler dispatches through the registry slot, filled right
-     after boot. The few boot-time stores it misses are swept by the
-     armed Checker clause at finish_run. *)
-  capflow_detector := None;
-  Capflow.armed := !capflow_detect;
+     closure feeds every armed detector; when none is, the bus from an
+     earlier (possibly aborted) checked run must not outlive it. *)
+  let rd = if armed Race then Some (Race.create ()) else None in
+  let ld = if armed Lockdep then Some (Lockdep.create ()) else None in
+  let cd = if armed Causal then Some (Causal.create ()) else None in
+  (* The capflow detector needs the kernel, which does not exist yet: its
+     handler reads this slot, filled right after boot. The few boot-time
+     stores it misses are swept by the final sweep's R4 clause. *)
+  let fd = ref None in
   let handlers =
     List.filter_map Fun.id
       [
         Option.map (fun d ev -> Race.handle d ev) rd;
         Option.map (fun d ev -> Lockdep.handle d ev) ld;
         Option.map (fun d ev -> Causal.handle d ev) cd;
-        (if !capflow_detect then
-           Some
-             (fun ev ->
-               match !capflow_detector with
-               | Some d -> Capflow.handle d ev
-               | None -> ())
+        (if armed Capflow then
+           Some (fun ev -> Option.iter (fun d -> Capflow.handle d ev) !fd)
          else None);
       ]
   in
@@ -404,79 +334,48 @@ let boot ?(cores = 4) ?config system =
   | [] -> Ufork_util.Hb.unsubscribe ()
   | [ h ] -> Ufork_util.Hb.subscribe h
   | hs -> Ufork_util.Hb.subscribe (fun ev -> List.iter (fun h -> h ev) hs));
-  let b = boot_raw ~cores ?config system in
-  if !capflow_detect then begin
-    capflow_detector := Some (Capflow.create b.kernel);
-    (* Fail at the fork that leaked, not at the next sweep: the probe
-       raises from inside the fork window's closing edge. *)
-    Fork_spine.fork_probe :=
-      Some
-        (fun k ~child ->
-          match Capflow.scan_fork k ~child with
-          | [] -> ()
-          | vs -> raise (Checker.Unsafe (Invariant.report vs)))
-  end
-  else Fork_spine.fork_probe := None;
-  if !chaos_skip_rebase then Relocate.chaos_skip_rebase := true;
-  if !chaos_heap_smuggle then Fork_spine.chaos_heap_smuggle := true;
-  if !chaos_leak_root then
-    (* A rogue boot thread retries until a process is running, then
-       plants the kernel root in its GOT — the stream detector (and the
-       armed sweep) must accuse exactly R4. *)
-    ignore
-      (Engine.spawn b.engine ~name:"chaos-leak-root" (fun () ->
-           let rec attempt budget =
-             Engine.sleep 500L;
-             if (not (Kernel.chaos_leak_root b.kernel)) && budget > 0 then
-               attempt (budget - 1)
-           in
-           attempt 100));
+  let sys = boot_raw ~cores ?config system in
+  let kernel = System.kernel sys and engine = System.engine sys in
+  (* Each planned injection once, in table order; the skip-rebase seam is
+     assigned whether armed or not. *)
+  Relocate.chaos_skip_rebase := false;
+  List.iter
+    (fun (c : Chaos.control) ->
+      if List.mem c.injection plan.chaos then c.arm kernel)
+    Chaos.injections;
+  if armed Capflow then begin
+    fd := Some (Capflow.create kernel);
+    scan_forks kernel
+  end;
   (* Boot-time events were stamped 0 (correct: the engine starts there);
      everything after reads the machine's clock. *)
   Option.iter
-    (fun c -> Causal.set_now c (fun () -> Engine.now b.engine))
+    (fun c ->
+      Causal.set_now c (fun () -> Engine.now engine);
+      inst.causal <- Some c)
     cd;
-  register_trace (Kernel.trace b.kernel);
-  (match !sample_interval with
-  | Some interval -> Kernel.enable_stat_sampling b.kernel ~interval
-  | None -> ());
-  if !chaos_no_bkl then begin
-    Kernel.chaos_disable_biglock b.kernel;
-    (* The seeded bug: one kernel-side write to shared state (the fork
-       latency gauge every fork also writes) from a thread that takes no
-       lock. With the big lock gone nothing orders it. *)
-    ignore
-      (Engine.spawn b.engine ~name:"chaos-unlocked" (fun () ->
-           Engine.sleep 1_000L;
-           Trace.gauge (Kernel.trace b.kernel) Trace.last_fork_latency_key 0))
-  end;
-  if !chaos_unshard then
-    (* The sharded-regime control: only the stats shard loses its lock.
-       No bug is seeded beyond that — the race, if the detector is
-       honest, is between two legitimate fork-path gauge writes from
-       different forking threads (run a concurrent-fork workload such as
-       {!fork_storm_run}). Every other shard stays armed, so the report
-       must be exactly one R1 on the gauge. *)
-    Kernel.chaos_unshard_stats b.kernel;
-  if !chaos_invert_shard_order then
-    (* The lockdep control: a rogue boot thread takes one pt-shard pair
-       in descending index order. Spawned first, it runs before any
-       workload thread, so both shards are free and the inversion
-       completes (and is published) rather than deadlocking — the
-       checker must fail the run with exactly R2. *)
-    ignore
-      (Engine.spawn b.engine ~name:"chaos-shard-invert" (fun () ->
-           Kernel.chaos_acquire_shards_descending b.kernel));
-  if !chaos_stall then
-    (* The causal-analyzer control: a rogue boot thread camps on
-       pt-shard 0 across a long sleep. Spawned before any workload
-       thread, it wins the shard while free; every fork touching shard 0
-       then queues behind a sleeping holder, and the analysis must name
-       this lock as the dominant critical-path edge. *)
-    ignore
-      (Engine.spawn b.engine ~name:"chaos-stall-shard" (fun () ->
-           Kernel.chaos_stall_shard b.kernel));
-  b
+  let tr = Kernel.trace kernel in
+  if plan.record || Option.is_some plan.trace_out then
+    Trace.set_recording tr true;
+  let c = inst.collected in
+  if Option.is_some plan.trace_out then c.traced <- c.traced @ [ tr ];
+  if plan.collect_profiles || Option.is_some plan.profile_out then
+    c.profiled <- c.profiled @ [ tr ];
+  Option.iter
+    (fun interval -> Kernel.enable_stat_sampling kernel ~interval)
+    plan.sample_interval;
+  let found f d = Option.fold ~none:[] ~some:f d in
+  {
+    kernel;
+    engine;
+    start = (fun ?affinity ~image main -> System.start sys ?affinity ~image main);
+    run = (fun ?until () -> System.run ?until sys);
+    installed = inst;
+    detected =
+      (fun () ->
+        found Race.violations rd @ found Lockdep.violations ld
+        @ found Capflow.violations !fd);
+  }
 
 let child_private_mb b pid =
   match Kernel.find_uproc b.kernel pid with

@@ -1,9 +1,12 @@
-(** Drivers for every experiment in the paper's evaluation (§5).
+(** Drivers for every experiment in the paper's evaluation (§5), plus
+    the SMP scaling sweep and the ablations beyond it.
 
-    Each function boots the systems involved, runs the workload inside the
-    simulation, and returns structured rows. They are shared by the
-    benchmark harness ([bench/main.exe]), the CLI ([bin/ufork_sim.exe])
-    and the integration tests. All runs are deterministic. *)
+    Each function boots the systems involved under the installed run
+    plan ({!with_plan}), runs the workload inside the simulation, checks
+    every machine it booted (below) and returns structured rows. They
+    are shared by the benchmark harness ([bench/main.exe]), the CLI
+    ([bin/ufork_sim.exe]), the repository benchmark ([perfbench/]) and
+    the test suites. All runs are deterministic. *)
 
 (** Which OS serves the workload. *)
 type system =
@@ -15,156 +18,106 @@ type system =
 
 val system_label : system -> string
 
-(** {1 Harness-wide run options} *)
+(** {1 The run plan}
 
-val set_default_cores : int option -> unit
-(** Override the core count every subsequent experiment boots with
-    ([None] restores each experiment's own default). Set once from the
-    front end's [--cores] flag. *)
+    Everything a front end asks of the runs it drives — a core-count
+    override, event recording, trace and profile sinks, stat sampling,
+    the dynamic detectors and the chaos injections — is one immutable
+    {!Run.t}. {!with_plan} installs it around a body; every experiment
+    boot inside reads it once. *)
 
 (** Trace sink encoding: one JSON record per line, or a Chrome
     [about:tracing] / Perfetto trace-event file. *)
 type trace_format = Jsonl | Chrome
 
-val set_trace_out : ?format:trace_format -> string option -> unit
-(** Direct every subsequent experiment to record its mechanism events and
-    write them to the given file (all machines booted since the sink was
-    set, oldest first; rewritten after each run). [None] disables
-    tracing. Default format: [Jsonl]. *)
+module Run : sig
+  (** The dynamic checkers a plan can arm on every machine it boots.
+      They share the one instrumentation bus subscription. *)
+  type detector =
+    | Race
+        (** The happens-before race detector ({!Ufork_analysis.Race}):
+            the run fails with R1 if conflicting writes to shared state
+            went unordered. *)
+    | Lockdep
+        (** The lock-acquisition-order checker
+            ({!Ufork_analysis.Lockdep}): the run fails with R2 if the
+            acquisition graph grew a cycle or a pt-shard pair was nested
+            in descending index order. *)
+    | Causal
+        (** The causal collector ({!Ufork_analysis.Causal}); read it back
+            with {!causal_graph} for critical-path analysis. *)
+    | Capflow
+        (** The capability-provenance taint checks (R4): the
+            {!Ufork_analysis.Capflow} stream detector, a scan of every
+            child's pages as its fork returns, and the provenance clause
+            of the final {!Ufork_analysis.Checker.sweep}. *)
 
-val set_record_always : bool -> unit
-(** Record mechanism events on every machine booted from now on even
-    without a trace sink, so the protocol linter
-    ({!Ufork_analysis.Lint}) has a stream to check. Used by the [check]
-    front end. *)
+  type t = {
+    cores : int option;
+        (** Boot every machine with this many cores instead of each
+            experiment's own default. *)
+    record : bool;
+        (** Record mechanism events even with no trace sink, so the
+            protocol linter ({!Ufork_analysis.Lint}) has a stream to
+            check. *)
+    trace_out : (string * trace_format) option;
+        (** Record every machine's events and write them to this file
+            (all machines booted under the plan, oldest first; rewritten
+            after each run). *)
+    profile_out : string option;
+        (** Write every machine's folded-stack flamegraph text to this
+            file, rewritten after each run like the trace sink. *)
+    collect_profiles : bool;
+        (** Keep every machine's trace reachable through
+            {!profiled_traces} (no file output). *)
+    sample_interval : int64 option;
+        (** Virtual-time stat sampling interval in cycles (see
+            {!Ufork_sas.Kernel.enable_stat_sampling}). *)
+    detectors : detector list;
+    chaos : Ufork_analysis.Chaos.injection list;
+        (** Must-fail controls armed on every machine before its workload
+            starts ({!Ufork_analysis.Chaos.injections}); paired with the
+            detector of the invariant each violates, the run must fail
+            with exactly that invariant. *)
+  }
 
-val traced_dropped : unit -> int
-(** Total records evicted by ring overflow across every trace registered
-    on the current sink — nonzero means the written file is truncated
-    (oldest records first). *)
+  val default : t
+  (** Each experiment's own core count, nothing recorded, no sinks, no
+      detectors, no chaos. *)
+end
+
+val with_plan : Run.t -> (unit -> 'a) -> 'a
+(** [with_plan p f] runs [f] with [p] installed and restores the
+    previous plan when [f] returns or raises. The machines the plan's
+    sinks collect, and the causal collector, belong to the installation;
+    a nested plan with the same sinks and profile consumers adds to the
+    enclosing plan's collections. On exit the
+    {!Ufork_core.Relocate.chaos_skip_rebase} seam is cleared and, if the
+    plan armed detectors, the instrumentation bus is unsubscribed, so
+    nothing the plan armed outlives it. *)
+
+val current_plan : unit -> Run.t
+(** The installed plan ({!Run.default} outside any {!with_plan}). *)
+
+val set_collect_profiles : bool -> unit
+(** Set [collect_profiles] in the installed plan, without scoping, and
+    empty {!profiled_traces}. Nothing else changes: the trace sink's
+    machines, the drop-warning count and the causal collector are kept.
+    Leaving the enclosing {!with_plan} undoes the setting. *)
+
+val profiled_traces : unit -> Ufork_sim.Trace.t list
+(** Machines booted since a profile consumer was installed, oldest
+    first. *)
+
+val causal_graph : unit -> Ufork_analysis.Causal.t option
+(** The causal collector of the latest boot under the installed plan, if
+    it arms {!Run.Causal}. *)
 
 val write_artifact : string -> (out_channel -> unit) -> unit
 (** Write one output artifact via {!Ufork_util.Fsout.with_out}: missing
     parent directories are created, and a filesystem failure prints a
     clean one-line error and exits 1 — no backtrace. Shared by the trace
     and profile sinks here and the CLI/bench front ends. *)
-
-(** {1 Profiling options} *)
-
-val set_profile_out : string option -> unit
-(** Write the folded-stack flamegraph text of every subsequent
-    experiment's machines to the given file (rewritten after each run,
-    like the trace sink). [None] disables. *)
-
-val set_collect_profiles : bool -> unit
-(** Keep every subsequently booted machine's trace reachable through
-    {!profiled_traces} — no file output — so a front end can read span
-    totals, histograms and samples back after the run. *)
-
-val profiled_traces : unit -> Ufork_sim.Trace.t list
-(** Machines booted since a profile consumer was armed, oldest first. *)
-
-val set_sample_interval : int64 option -> unit
-(** Enable virtual-time stat sampling (see
-    {!Ufork_sas.Kernel.enable_stat_sampling}) with the given cycle
-    interval on every machine booted from now on. [None] disables for
-    subsequent boots. *)
-
-(** {1 Race and lock-order detection} *)
-
-val set_race_detect : bool -> unit
-(** Arm the happens-before race detector ({!Ufork_analysis.Race}) on
-    every machine booted from now on; the end-of-run check raises
-    {!Ufork_analysis.Checker.Unsafe} with R1 violations if any
-    conflicting unordered writes were observed. *)
-
-val set_lockdep_detect : bool -> unit
-(** Arm the lock-acquisition-order checker ({!Ufork_analysis.Lockdep})
-    on every machine booted from now on; the end-of-run check raises
-    {!Ufork_analysis.Checker.Unsafe} with R2 violations if the runtime
-    acquisition graph grew a cycle or a pt-shard pair was nested in
-    descending index order. Composes with {!set_race_detect}: one bus
-    subscriber dispatches to both. *)
-
-val set_chaos_no_bkl : bool -> unit
-(** Fault injection for the race detector: boot every subsequent machine
-    with the big kernel lock chaos-disabled and spawn one rogue thread
-    that performs a deliberate unlocked write to shared state mid-run.
-    Meaningful together with {!set_race_detect}, which must then flag
-    R1. *)
-
-val set_chaos_unshard : bool -> unit
-(** Fault injection for the sharded-lock regime: boot every subsequent
-    machine with exactly one sharded lock (the stats shard guarding the
-    fork-latency gauge) chaos-disabled
-    ({!Ufork_sas.Kernel.chaos_unshard_stats}). No rogue write is seeded:
-    under a concurrent-fork workload ({!fork_storm_run}) the legitimate
-    fork-path gauge writes themselves lose their ordering edge, so with
-    {!set_race_detect} the check must fail with exactly the one R1 on
-    the gauge — certifying that the stats shard, and not an accident of
-    scheduling, is what orders them. *)
-
-val set_chaos_invert_shard_order : bool -> unit
-(** Fault injection for the lock-order checker: every subsequent boot
-    spawns one rogue thread that acquires a page-table shard pair in
-    descending index order
-    ({!Ufork_sas.Kernel.chaos_acquire_shards_descending}). With
-    {!set_lockdep_detect} the run must fail with exactly R2. No-op
-    under the big-kernel-lock regime (no shards to invert). *)
-
-(** {1 Causal tracing} *)
-
-val set_causal_trace : bool -> unit
-(** Arm the causal collector ({!Ufork_analysis.Causal}) on every machine
-    booted from now on; read it back with {!causal_graph} after the run
-    for critical-path analysis. Composes with the detectors above over
-    the one bus subscription. *)
-
-val causal_graph : unit -> Ufork_analysis.Causal.t option
-(** The collector armed at the most recent {!boot}, if any. *)
-
-val set_chaos_stall_shard : bool -> unit
-(** Fault injection for the causal analyzer: every subsequent boot
-    spawns one rogue thread that holds page-table shard 0 across a long
-    sleep ({!Ufork_sas.Kernel.chaos_stall_shard}). Under a concurrent
-    fork workload with {!set_causal_trace}, the analysis must find a
-    dominant wait edge on the critical path and fail with R3 — the
-    reported lock may be downstream of the injected shard (the stall
-    convoys every forker onto the process-table lock). No-op when the
-    kernel is not sharded. *)
-
-(** {1 Capability-provenance (capflow) checking} *)
-
-val set_capflow_detect : bool -> unit
-(** Arm the R4 taint machinery on every machine booted from now on: the
-    {!Ufork_analysis.Capflow} stream detector on the bus subscription, a
-    fork-completion scan of every child's pages (through
-    {!Ufork_core.Fork_spine.fork_probe}), and the provenance clause of
-    {!Ufork_analysis.Checker.sweep}. A run that let authority leak
-    across fork fails with exactly R4. *)
-
-val set_chaos_skip_rebase : bool -> unit
-(** Fault injection for capflow: the next fork silently skips the rebase
-    of one capability ({!Ufork_core.Relocate.chaos_skip_rebase}),
-    leaving a parent-provenance capability in the child's pages. With
-    {!set_capflow_detect} the run must fail with exactly R4 at the fork
-    window's closing edge. *)
-
-val set_chaos_heap_smuggle : bool -> unit
-(** Fault injection for capflow: the next fork carries one parent
-    capability across in an OCaml-heap cell — invisible to §4.2's tag
-    scan and discharged from the static rule D13 — and raw-stores it
-    into the child's meta page
-    ({!Ufork_core.Fork_spine.chaos_heap_smuggle}). Only the runtime side
-    can catch it: with {!set_capflow_detect} the run must fail with
-    exactly R4. *)
-
-val set_chaos_leak_root : bool -> unit
-(** Fault injection for capflow: a rogue boot thread hands the kernel's
-    root capability to the first running μprocess
-    ({!Ufork_sas.Kernel.chaos_leak_root}). With {!set_capflow_detect}
-    the run must fail with exactly R4 (root provenance reachable from
-    user pages). *)
 
 (** {1 Domain-parallel sweeps} *)
 
@@ -175,9 +128,10 @@ val parmap : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     to what the serial [List.map] produces — the qcheck suite pins this
     property; a raising point re-raises deterministically (first failure
     in item order). Degrades to serial when [jobs <= 1] and, silently,
-    whenever a harness option that funnels per-run state through the
-    process-global registries is armed (trace/profile sinks,
-    [record_always], sampling, detectors, chaos modes). *)
+    whenever the installed plan differs from {!Run.default} in anything
+    but [cores] (sinks, recording, sampling, detectors, chaos): those
+    funnel per-run state through the installation and the one detector
+    bus. *)
 
 val reset_emits : unit -> unit
 (** Zero the cross-run emitted-events accumulator below. *)
@@ -198,9 +152,10 @@ val emits_total : unit -> int
     Alongside the audit, every run ends with
     {!Ufork_analysis.Checker.assert_safe}: the machine-state sanitizer
     sweeps frames, page tables, stored capabilities and the process
-    table (invariants S1–S10), and — when recording is on — the
-    protocol linter replays the event stream (L1–L5). A violation
-    raises {!Ufork_analysis.Checker.Unsafe} with the full report. *)
+    table (invariants S1–S11), and — when recording is on — the
+    protocol linter replays the event stream (L1–L5). Then the plan's
+    armed detectors report (R1, R2, R4). A violation raises
+    {!Ufork_analysis.Checker.Unsafe} with the full report. *)
 
 (** {1 Redis (Fig. 3, 4, 5)} *)
 

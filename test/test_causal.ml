@@ -117,10 +117,7 @@ let test_timer_sleep () =
 (* {1 Integration: a real armed run} *)
 
 let with_causal_storm f =
-  E.set_causal_trace true;
-  Fun.protect
-    ~finally:(fun () -> E.set_causal_trace false)
-    (fun () ->
+  E.with_plan { E.Run.default with detectors = [ E.Run.Causal ] } (fun () ->
       Sync.reset_lock_contention ();
       ignore
         (E.fork_storm_run (E.Ufork Strategy.Copa) ~cores:4 ~iters:3 ());

@@ -31,10 +31,12 @@ let replay events =
   d
 
 (* Stable ids for named test locks; registration is global and
-   idempotent. *)
-let lock_a = 9001
-let lock_b = 9002
-let shard i = 9100 + i
+   idempotent. Real locks take positive ids from a process-wide counter
+   that grows with every machine booted, so test locks are negative: no
+   earlier test can rename them. *)
+let lock_a = -1
+let lock_b = -2
+let shard i = -100 - i
 
 let () =
   Hb.set_lock_name lock_a "lock.test.a";
@@ -113,7 +115,7 @@ let test_events_seen () =
 (* {1 qcheck: cycle detection against a reference digraph} *)
 
 let chain_names = [| "lock.q0"; "lock.q1"; "lock.q2"; "lock.q3" |]
-let chain_lock i = 9200 + i
+let chain_lock i = -200 - i
 
 let () =
   Array.iteri (fun i n -> Hb.set_lock_name (chain_lock i) n) chain_names
@@ -286,13 +288,13 @@ let test_contention_counters () =
 
 (* {1 Integration: checked runs} *)
 
-let with_lockdep ~chaos f =
-  E.set_lockdep_detect true;
-  E.set_chaos_invert_shard_order chaos;
-  Fun.protect
-    ~finally:(fun () ->
-      E.set_lockdep_detect false;
-      E.set_chaos_invert_shard_order false)
+let with_lockdep ?(race = false) ~chaos f =
+  E.with_plan
+    {
+      E.Run.default with
+      detectors = (if race then [ E.Run.Race ] else []) @ [ E.Run.Lockdep ];
+      chaos = (if chaos then [ Ufork_analysis.Chaos.Invert_shard_order ] else []);
+    }
     f
 
 let test_checked_run_clean () =
@@ -303,12 +305,8 @@ let test_checked_run_clean () =
 let test_race_and_lockdep_compose () =
   (* One bus subscriber dispatches to both detectors; a clean run stays
      clean with both armed. *)
-  E.set_race_detect true;
-  Fun.protect
-    ~finally:(fun () -> E.set_race_detect false)
-    (fun () ->
-      with_lockdep ~chaos:false (fun () ->
-          ignore (E.hello_run (E.Ufork Strategy.Copa))))
+  with_lockdep ~race:true ~chaos:false (fun () ->
+      ignore (E.hello_run (E.Ufork Strategy.Copa)))
 
 let test_chaos_inversion_caught_as_r2 () =
   let contains needle hay =

@@ -165,12 +165,12 @@ let test_violation_rendering () =
 (* {1 Integration: checked runs} *)
 
 let with_race_detection ~chaos f =
-  E.set_race_detect true;
-  E.set_chaos_no_bkl chaos;
-  Fun.protect
-    ~finally:(fun () ->
-      E.set_race_detect false;
-      E.set_chaos_no_bkl false)
+  E.with_plan
+    {
+      E.Run.default with
+      detectors = [ E.Run.Race ];
+      chaos = (if chaos then [ Ufork_analysis.Chaos.No_bkl ] else []);
+    }
     f
 
 let test_locked_run_clean () =
