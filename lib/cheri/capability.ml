@@ -125,11 +125,14 @@ let unseal ~authority t =
   if not (is_sealed t) then violation "unseal: capability is not sealed";
   { t with otype = Otype.unsealed }
 
-let invoke t =
+let check_invoke t =
   if not t.tag then violation "invoke: untagged capability";
   if not (is_sealed t) then violation "invoke: capability is not sealed";
   if not (Perms.has t.perms Perms.execute) then
-    violation "invoke: sealed capability is not executable";
+    violation "invoke: sealed capability is not executable"
+
+let invoke t =
+  check_invoke t;
   { t with otype = Otype.unsealed }
 
 let check_access t ~perm ~addr ~len =

@@ -106,6 +106,12 @@ val unseal : authority:t -> t -> t
 (** [unseal ~authority c] yields the unsealed twin of [c]. [authority] must
     carry {!Perms.unseal}. @raise Violation on object-type mismatch. *)
 
+val check_invoke : t -> unit
+(** The checks of {!invoke} without building the PCC it returns: what a
+    caller that only needs the entry to be legal (the kernel's syscall
+    entry) runs. @raise Violation unless [t] is a tagged, sealed,
+    executable capability. *)
+
 val invoke : t -> t
 (** Branch-to-sealed-capability: models CHERI's sealed-entry invocation used
     for trapless syscalls. Returns the unsealed capability the CPU would

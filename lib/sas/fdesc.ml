@@ -7,27 +7,40 @@ type description =
 type entry = { desc : description; mutable refcount : int ref }
 
 module Fdtable = struct
-  type t = (int, entry) Hashtbl.t
+  (* Indexed by descriptor, so [get] is a bounds check and every walk
+     (dup, close-all) is in ascending fd order by construction. *)
+  type t = { mutable slots : entry option array; mutable count : int }
 
   let make_entry desc = { desc; refcount = ref 1 }
 
   let create () =
-    let t = Hashtbl.create 16 in
+    let slots = Array.make 16 None in
     for fd = 0 to 2 do
-      Hashtbl.replace t fd (make_entry Null)
+      slots.(fd) <- Some (make_entry Null)
     done;
-    t
+    { slots; count = 3 }
 
   let alloc t desc =
-    let rec first fd = if Hashtbl.mem t fd then first (fd + 1) else fd in
+    let n = Array.length t.slots in
+    let rec first fd =
+      if fd = n then fd
+      else match t.slots.(fd) with Some _ -> first (fd + 1) | None -> fd
+    in
     let fd = first 0 in
-    Hashtbl.replace t fd (make_entry desc);
+    if fd = n then begin
+      let slots = Array.make (2 * n) None in
+      Array.blit t.slots 0 slots 0 n;
+      t.slots <- slots
+    end;
+    t.slots.(fd) <- Some (make_entry desc);
+    t.count <- t.count + 1;
     fd
 
-  let get t fd =
-    match Hashtbl.find_opt t fd with
-    | Some e -> e.desc
-    | None -> raise Not_found
+  let find t fd =
+    if fd < 0 || fd >= Array.length t.slots then raise Not_found
+    else match t.slots.(fd) with Some e -> e | None -> raise Not_found
+
+  let get t fd = (find t fd).desc
 
   let release_description e =
     decr e.refcount;
@@ -39,28 +52,23 @@ module Fdtable = struct
       | Null -> ()
 
   let close t fd =
-    match Hashtbl.find_opt t fd with
-    | None -> raise Not_found
-    | Some e ->
-        Hashtbl.remove t fd;
-        release_description e
+    let e = find t fd in
+    t.slots.(fd) <- None;
+    t.count <- t.count - 1;
+    release_description e
 
   let dup_all t =
-    let t' = Hashtbl.create 16 in
-    (* Table-to-table copy: the destination is keyed the same way, so
-       traversal order cannot leak. *)
-    (Hashtbl.iter
-       (fun fd e ->
-         incr e.refcount;
-         Hashtbl.replace t' fd { desc = e.desc; refcount = e.refcount })
-       t [@ufork.order_independent]);
-    t'
+    let dup e =
+      incr e.refcount;
+      { desc = e.desc; refcount = e.refcount }
+    in
+    { slots = Array.map (Option.map dup) t.slots; count = t.count }
 
+  (* Closing a pipe end wakes its waiters, so the order is observable. *)
   let close_all t =
-    (* Close in ascending fd order: closing can emit pipe/vfs events, so
-       the order must not depend on Hashtbl internals. *)
-    let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) t [] in
-    List.iter (fun fd -> close t fd) (List.sort compare fds)
+    Array.iteri
+      (fun fd e -> match e with Some _ -> close t fd | None -> ())
+      t.slots
 
-  let open_count t = Hashtbl.length t
+  let open_count t = t.count
 end

@@ -26,7 +26,8 @@ module Fdtable : sig
   (** Lowest free descriptor. *)
 
   val get : t -> int -> description
-  (** Raises [Not_found] for a bad descriptor. *)
+  (** A bounds check and an array read. Raises [Not_found] for a bad
+      (free, negative or out-of-range) descriptor. *)
 
   val close : t -> int -> unit
   (** Releases the slot; when the shared refcount reaches zero, pipe ends
@@ -37,7 +38,7 @@ module Fdtable : sig
       refcounts bumped. *)
 
   val close_all : t -> unit
-  (** Process exit: close every descriptor. *)
+  (** Process exit: close every descriptor, in ascending fd order. *)
 
   val open_count : t -> int
 end

@@ -294,9 +294,8 @@ let chaos_stall_shard t =
    goes through the bus. Boot-time setup (and unit tests poking at the
    kernel directly) runs outside an engine thread; Trace.emit counts those
    events but skips the charge. *)
-let emit ?proc t event =
-  let pid = Option.map (fun (u : Uproc.t) -> u.Uproc.pid) proc in
-  Trace.emit t.trace ?pid event
+let pid_of = function Some (u : Uproc.t) -> u.Uproc.pid | None -> -1
+let emit ?proc t event = Trace.emit t.trace ~pid:(pid_of proc) event
 
 let with_span t ~name f = Trace.with_span t.trace ~name f
 
@@ -568,41 +567,89 @@ let check_killed (u : Uproc.t) =
 
 let syscall_entry_cap t = t.entry_cap
 
-let syscall_entry_event t name =
+(* A system call's static site: its span name and both entry events,
+   built once per name at module init, so entering a syscall builds no
+   string and allocates no event — and the trace's physically compared
+   memos hit on the shared name. *)
+type syscall = { span : string; sealed : Event.t; trap : Event.t }
+
+let syscall name =
+  {
+    span = "syscall." ^ name;
+    sealed = Event.Syscall { name; trap = false };
+    trap = Event.Syscall { name; trap = true };
+  }
+
+module Site = struct
+  let fork = syscall "fork"
+  let exit = syscall "exit"
+  let wait = syscall "wait"
+  let spawn = syscall "spawn"
+  let kill = syscall "kill"
+  let brk = syscall "brk"
+  let open_ = syscall "open"
+  let close = syscall "close"
+  let read = syscall "read"
+  let pread = syscall "pread"
+  let write = syscall "write"
+  let rename = syscall "rename"
+  let unlink = syscall "unlink"
+  let pipe = syscall "pipe"
+  let shm_open = syscall "shm_open"
+  let mmap_lib = syscall "mmap_lib"
+end
+
+let syscall_entry_event t site =
   match t.config.Config.syscall_mode with
   | Config.Sealed_entry ->
       (* The entry really is a sealed-capability invocation: branching to
          anything else in kernel code is impossible for a uprocess. *)
-      ignore (Capability.invoke t.entry_cap);
-      Event.Syscall { name; trap = false }
-  | Config.Trap -> Event.Syscall { name; trap = true }
+      Capability.check_invoke t.entry_cap;
+      site.sealed
+  | Config.Trap -> site.trap
 
-let validation_cost t =
-  match t.config.Config.isolation with
-  | Config.Full_isolation -> 60
-  | Config.Fault_isolation -> 20
-  | Config.No_isolation -> 0
+(* Argument-validation work at entry, per isolation level; preallocated
+   like the sites. *)
+let full_validation = Event.Entry_validation 60
+let fault_validation = Event.Entry_validation 20
 
-let with_syscall t ?proc ?(bytes = 0) name f =
+(* Everything entry charges before the body runs. *)
+let enter_syscall t ~pid ~bytes site =
+  Trace.emit t.trace ~pid (syscall_entry_event t site);
+  (match t.config.Config.isolation with
+  | Config.Full_isolation -> Trace.emit t.trace ~pid full_validation
+  | Config.Fault_isolation -> Trace.emit t.trace ~pid fault_validation
+  | Config.No_isolation -> ());
+  (* TOCTTOU hardening sets up the kernel-side shadow copies of
+     by-reference arguments on every entry (§4.4). *)
+  if t.config.Config.toctou then Trace.emit t.trace ~pid Event.Toctou_setup;
+  if bytes > 0 then begin
+    (* copyin/copyout of the payload... *)
+    Trace.emit t.trace ~pid (Event.Copy_bytes bytes);
+    (* ...plus the TOCTTOU double copy when protection is on. *)
+    if t.config.Config.toctou then
+      Trace.emit t.trace ~pid (Event.Toctou_bytes bytes)
+  end
+
+let with_syscall t ?proc ?(bytes = 0) site f =
   (match proc with Some u -> check_killed u | None -> ());
   (* The span covers everything from kernel entry to return, so every
      cycle a syscall charges — entry, validation, copies, body, faults it
-     services — attributes under "syscall.<name>". *)
-  Trace.with_span t.trace ~name:("syscall." ^ name) (fun () ->
-      emit ?proc t (syscall_entry_event t name);
-      (match validation_cost t with
-      | 0 -> ()
-      | c -> emit ?proc t (Event.Entry_validation c));
-      (* TOCTTOU hardening sets up the kernel-side shadow copies of
-         by-reference arguments on every entry (§4.4). *)
-      if t.config.Config.toctou then emit ?proc t Event.Toctou_setup;
-      if bytes > 0 then begin
-        (* copyin/copyout of the payload... *)
-        emit ?proc t (Event.Copy_bytes bytes);
-        (* ...plus the TOCTTOU double copy when protection is on. *)
-        if t.config.Config.toctou then emit ?proc t (Event.Toctou_bytes bytes)
-      end;
-      with_biglock t f)
+     services — attributes under "syscall.<name>". Opened and closed by
+     hand rather than through [Trace.with_span], so a syscall allocates
+     no closure for it. *)
+  let span = Trace.open_span t.trace ~name:site.span in
+  match
+    enter_syscall t ~pid:(pid_of proc) ~bytes site;
+    with_biglock t f
+  with
+  | v ->
+      Trace.close_span t.trace span;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Trace.close_span t.trace span;
+      Printexc.raise_with_backtrace e bt
 
 let kernel_wait ?proc t cond =
   (* Under the BKL, drop one recursion level across the sleep (the
@@ -835,23 +882,45 @@ let sys_pipe t (u : Uproc.t) =
   let wfd = Fdesc.Fdtable.alloc u.Uproc.fds (Fdesc.Pipe_write p) in
   (rfd, wfd)
 
+(* The blocking loops are top-level functions, not per-call closures. *)
+let rec pipe_read t u p n =
+  match Pipe.try_read p n with
+  | Pipe.Data b -> b
+  | Pipe.Eof -> Bytes.empty
+  | Pipe.Empty ->
+      kernel_wait ~proc:u t (Pipe.readable p);
+      pipe_read t u p n
+
+let rec pipe_write t u p b ~off =
+  if off >= Bytes.length b then Bytes.length b
+  else
+    match Pipe.try_write p ~off b with
+    | Pipe.Wrote n -> pipe_write t u p b ~off:(off + n)
+    | Pipe.Would_block ->
+        kernel_wait ~proc:u t (Pipe.writable p);
+        pipe_write t u p b ~off
+    | exception Pipe.Broken_pipe -> raise (Api.Sys_error "EPIPE")
+
+(* A zero-length read returns at once, even on an empty pipe; a negative
+   length is EINVAL on every descriptor kind. *)
 let sys_read t (u : Uproc.t) fd n =
   match Fdesc.Fdtable.get u.Uproc.fds fd with
   | exception Not_found -> raise (Api.Sys_error "EBADF")
-  | Fdesc.Null -> Bytes.create 0
+  | _ when n < 0 -> raise (Api.Sys_error "EINVAL")
+  | Fdesc.Null -> Bytes.empty
   | Fdesc.Vfs_file f -> Vfs.read f n
   | Fdesc.Pipe_write _ -> raise (Api.Sys_error "EBADF: write end")
   | Fdesc.Pipe_read p ->
-      emit ~proc:u t Event.Pipe_op;
-      let rec go () =
-        match Pipe.try_read p n with
-        | Pipe.Data b -> b
-        | Pipe.Eof -> Bytes.create 0
-        | Pipe.Empty ->
-            kernel_wait ~proc:u t (Pipe.readable p);
-            go ()
-      in
-      go ()
+      Trace.emit t.trace ~pid:u.Uproc.pid Event.Pipe_op;
+      if n = 0 then Bytes.empty else pipe_read t u p n
+
+let sys_pread (u : Uproc.t) fd ~off n =
+  match Fdesc.Fdtable.get u.Uproc.fds fd with
+  | exception Not_found -> raise (Api.Sys_error "EBADF")
+  | _ when n < 0 || off < 0 -> raise (Api.Sys_error "EINVAL")
+  | Fdesc.Vfs_file f -> Vfs.pread f ~off n
+  | Fdesc.Null | Fdesc.Pipe_read _ | Fdesc.Pipe_write _ ->
+      raise (Api.Sys_error "ESPIPE")
 
 let sys_write t (u : Uproc.t) fd b =
   match Fdesc.Fdtable.get u.Uproc.fds fd with
@@ -860,20 +929,8 @@ let sys_write t (u : Uproc.t) fd b =
   | Fdesc.Vfs_file f -> Vfs.write f b
   | Fdesc.Pipe_read _ -> raise (Api.Sys_error "EBADF: read end")
   | Fdesc.Pipe_write p ->
-      emit ~proc:u t Event.Pipe_op;
-      let total = Bytes.length b in
-      let rec go off =
-        if off >= total then total
-        else
-          match Pipe.try_write p (Bytes.sub b off (total - off)) with
-          | Pipe.Wrote n -> go (off + n)
-          | Pipe.Would_block ->
-              kernel_wait ~proc:u t (Pipe.writable p);
-              go off
-          | exception Pipe.Broken_pipe -> raise (Api.Sys_error "EPIPE")
-      in
-      go 0
-
+      Trace.emit t.trace ~pid:u.Uproc.pid Event.Pipe_op;
+      pipe_write t u p b ~off:0
 
 (* {1 Shared memory (§3.7)} *)
 
@@ -970,6 +1027,8 @@ let rec sys_spawn t (u : Uproc.t) main =
 
 and build_api t ?(reloc = fun c -> c) (u : Uproc.t) : Api.t =
   let pt = u.Uproc.pt in
+  (* Boxed once per process: a [~proc:u] per call would allocate. *)
+  let proc = Some u in
   let faulty f = with_faults t u f in
   (* On real hardware a process cannot possess a valid capability into
      another μprocess's area: fork relocates registers and memory, and
@@ -1001,21 +1060,21 @@ and build_api t ?(reloc = fun c -> c) (u : Uproc.t) : Api.t =
         match t.fork_hook with
         | None -> raise (Api.Sys_error "ENOSYS: fork")
         | Some hook ->
-            with_syscall t ~proc:u "fork" (fun () -> hook u child_main));
-    exit = (fun status -> with_syscall t ~proc:u "exit" (fun () -> sys_exit t u status));
+            with_syscall t ?proc Site.fork (fun () -> hook u child_main));
+    exit = (fun status -> with_syscall t ?proc Site.exit (fun () -> sys_exit t u status));
     wait =
-      (fun () -> with_syscall t ~proc:u "wait" (fun () -> sys_wait t u));
+      (fun () -> with_syscall t ?proc Site.wait (fun () -> sys_wait t u));
     spawn =
       (fun main ->
-        with_syscall t ~proc:u "spawn" (fun () -> sys_spawn t u main));
+        with_syscall t ?proc Site.spawn (fun () -> sys_spawn t u main));
     kill =
-      (fun pid -> with_syscall t ~proc:u "kill" (fun () -> sys_kill t pid));
+      (fun pid -> with_syscall t ?proc Site.kill (fun () -> sys_kill t pid));
     reloc;
-    malloc = (fun size -> with_syscall t ~proc:u "brk" (fun () -> sys_malloc t u size));
+    malloc = (fun size -> with_syscall t ?proc Site.brk (fun () -> sys_malloc t u size));
     free =
       (fun cap ->
         let cap = confined cap in
-        with_syscall t ~proc:u "brk" (fun () -> sys_free t u cap));
+        with_syscall t ?proc Site.brk (fun () -> sys_free t u cap));
     read_bytes =
       (fun cap ~off ~len ->
         let cap = confined cap in
@@ -1065,46 +1124,42 @@ and build_api t ?(reloc = fun c -> c) (u : Uproc.t) : Api.t =
     compute =
       (fun cycles ->
         Trace.with_span t.trace ~name:"user.compute" (fun () ->
-            emit ~proc:u t (Event.Compute cycles)));
+            Trace.emit t.trace ~pid:u.Uproc.pid (Event.Compute cycles)));
     now = (fun () -> Engine.now t.engine);
     open_ =
-      (fun name mode -> with_syscall t ~proc:u "open" (fun () -> sys_open t u name mode));
-    close = (fun fd -> with_syscall t ~proc:u "close" (fun () -> sys_close t u fd));
+      (fun name mode -> with_syscall t ?proc Site.open_ (fun () -> sys_open t u name mode));
+    close = (fun fd -> with_syscall t ?proc Site.close (fun () -> sys_close t u fd));
     read =
       (fun fd n ->
-        with_syscall t ~proc:u ~bytes:n "read" (fun () -> sys_read t u fd n));
+        with_syscall t ?proc ~bytes:n Site.read (fun () -> sys_read t u fd n));
     pread =
       (fun fd ~off n ->
-        with_syscall t ~proc:u ~bytes:n "pread" (fun () ->
-            match Fdesc.Fdtable.get u.Uproc.fds fd with
-            | exception Not_found -> raise (Api.Sys_error "EBADF")
-            | Fdesc.Vfs_file f -> Vfs.pread f ~off n
-            | Fdesc.Null | Fdesc.Pipe_read _ | Fdesc.Pipe_write _ ->
-                raise (Api.Sys_error "ESPIPE")));
+        with_syscall t ?proc ~bytes:n Site.pread (fun () ->
+            sys_pread u fd ~off n));
     write =
       (fun fd b ->
-        with_syscall t ~proc:u ~bytes:(Bytes.length b) "write" (fun () ->
+        with_syscall t ?proc ~bytes:(Bytes.length b) Site.write (fun () ->
             sys_write t u fd b));
     rename =
       (fun ~src ~dst ->
-        with_syscall t ~proc:u "rename" (fun () ->
+        with_syscall t ?proc Site.rename (fun () ->
             emit ~proc:u t Event.File_op;
             try Vfs.rename t.vfs ~src ~dst
             with Not_found -> raise (Api.Sys_error ("ENOENT: " ^ src))));
     unlink =
       (fun name ->
-        with_syscall t ~proc:u "unlink" (fun () ->
+        with_syscall t ?proc Site.unlink (fun () ->
             emit ~proc:u t Event.File_op;
             try Vfs.unlink t.vfs name
             with Not_found -> raise (Api.Sys_error ("ENOENT: " ^ name))));
-    pipe = (fun () -> with_syscall t ~proc:u "pipe" (fun () -> sys_pipe t u));
+    pipe = (fun () -> with_syscall t ?proc Site.pipe (fun () -> sys_pipe t u));
     shm_open =
       (fun name bytes ->
-        with_syscall t ~proc:u "shm_open" (fun () ->
+        with_syscall t ?proc Site.shm_open (fun () ->
             sys_shm_open t u name ~bytes));
     map_library =
       (fun name bytes ->
-        with_syscall t ~proc:u "mmap_lib" (fun () ->
+        with_syscall t ?proc Site.mmap_lib (fun () ->
             sys_map_library t u name ~bytes));
     stats_private_bytes = (fun () -> u.Uproc.private_bytes);
     stats_heap_used = (fun () -> Tinyalloc.used_bytes u.Uproc.allocator);
@@ -1128,7 +1183,7 @@ and spawn_process t ?affinity ?reloc (u : Uproc.t) main =
          (* The exit path must not re-check the kill flag: a killed
             process has to be able to die. *)
          let finish status =
-           match with_syscall t "exit" (fun () -> sys_exit t u status) with
+           match with_syscall t Site.exit (fun () -> sys_exit t u status) with
            | () -> ()
            | exception Api.Exited _ -> ()
          in

@@ -179,7 +179,16 @@ val kernel_wait : ?proc:Uproc.t -> t -> Ufork_sim.Sync.Cond.t -> unit
     switch on multi-AS kernels) on resume. When [proc] is given and a
     SIGKILL arrived while blocked, unwinds with {!Killed_signal}. *)
 
-val with_syscall : t -> ?proc:Uproc.t -> ?bytes:int -> string -> (unit -> 'a) -> 'a
+type syscall
+(** A system call's static site: its span name and entry events. *)
+
+val syscall : string -> syscall
+(** The site of the named system call. Build each once, at module
+    initialisation: entering through a shared site builds no string and
+    allocates no event. *)
+
+val with_syscall :
+  t -> ?proc:Uproc.t -> ?bytes:int -> syscall -> (unit -> 'a) -> 'a
 (** Charge syscall entry (per the configured mode), argument-validation
     work when full isolation is on, TOCTTOU buffer copies for [bytes]
     bytes when enabled, then run the body under the locking discipline:

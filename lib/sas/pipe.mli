@@ -20,14 +20,18 @@ exception Broken_pipe
 type write_result = Wrote of int | Would_block
 type read_result = Data of bytes | Eof | Empty
 
-val try_write : t -> bytes -> write_result
-(** Append up to the free space; [Would_block] when full.
-    @raise Broken_pipe if the read end is closed. *)
+val try_write : t -> ?off:int -> bytes -> write_result
+(** [try_write t ~off b] appends as much of [b] from offset [off]
+    (default 0) as the free space holds: a caller resuming a partial
+    write passes the offset instead of a copy. [Would_block] when full.
+    @raise Broken_pipe if the read end is closed.
+    @raise Invalid_argument unless [0 <= off <= length b]. *)
 
 val try_read : t -> int -> read_result
-(** Take up to [n] buffered bytes. [Empty] means nothing buffered but the
-    write end is still open; [Eof] means nothing buffered and no writers
-    remain. *)
+(** Take up to [n] buffered bytes, copied once out of the ring. [Empty]
+    means nothing buffered but the write end is still open; [Eof] means
+    nothing buffered and no writers remain.
+    @raise Invalid_argument if [n < 0]. *)
 
 val readable : t -> Ufork_sim.Sync.Cond.t
 (** Signalled when data arrives or the write end closes. *)

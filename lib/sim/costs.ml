@@ -163,4 +163,4 @@ let pp ppf t =
     t.cap_relocate
     t.domain_create t.copy_per_byte t.toctou_per_byte t.file_op t.pipe_op
 
-let bytes_cost per_byte n = Int64.of_float ((per_byte *. float_of_int n) +. 0.5)
+let bytes_cost per_byte n = int_of_float ((per_byte *. float_of_int n) +. 0.5)

@@ -74,5 +74,7 @@ val linux_ref : t
 
 val pp : Format.formatter -> t -> unit
 
-val bytes_cost : float -> int -> int64
-(** [bytes_cost per_byte n] is [per_byte * n] rounded, as cycles. *)
+val bytes_cost : float -> int -> int
+(** [bytes_cost per_byte n] is [per_byte * n] rounded, as cycles (a
+    native int, like {!Event.cost}: an [int64] result would be boxed on
+    every byte-scaled emission). *)

@@ -527,7 +527,6 @@ let advance n = Effect.perform (Advance n)
    is not set falls back to the effect. Unlike the handler's inline path
    this consumes no native stack, so no depth cap applies. *)
 let advance_direct t n =
-  let n = Int64.to_int n in
   let target = t.now + n in
   if
     n >= 0 && t.in_event

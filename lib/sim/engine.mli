@@ -89,7 +89,7 @@ val blocked_threads : t -> int
 val advance : int64 -> unit
 (** Consume CPU: occupy the current core for the given number of cycles. *)
 
-val advance_direct : t -> int64 -> bool
+val advance_direct : t -> int -> bool
 (** Try to consume [n] cycles for the running thread without performing
     the {!advance} effect: succeeds (returns [true], time passed, core
     still held) exactly when nothing — no ready thread, no heap event at

@@ -155,73 +155,79 @@ let count = function
 
 (* Raw constants that are mechanism properties rather than machine
    parameters: they do not vary across the cost presets. *)
-let trap_floor = 800L
-let toctou_setup_cycles = 600L
-let kill_cycles = 300L
-let malloc_bookkeeping_cycles = 120L
-let free_cycles = 80L
+let trap_floor = 800
+let toctou_setup_cycles = 600
+let kill_cycles = 300
+let malloc_bookkeeping_cycles = 120
+let free_cycles = 80
 
-let cost ~(costs : Costs.t) = function
+(* Native ints throughout: the preset's int64 fields unbox for free, and
+   an [int64] result would be boxed on every computed cost. *)
+let cost ~(costs : Costs.t) event =
+  match event with
   | Syscall { trap; _ } ->
-      if trap then max costs.Costs.syscall trap_floor else costs.Costs.syscall
-  | Entry_validation c -> Int64.of_int c
+      if trap then Int.max (Int64.to_int costs.Costs.syscall) trap_floor
+      else Int64.to_int costs.Costs.syscall
+  | Entry_validation cycles -> cycles
   | Toctou_setup -> toctou_setup_cycles
   | Copy_bytes n -> Costs.bytes_cost costs.Costs.copy_per_byte n
   | Toctou_bytes n -> Costs.bytes_cost costs.Costs.toctou_per_byte n
-  | Context_switch -> costs.Costs.context_switch
-  | Address_space_switch -> costs.Costs.address_space_switch
-  | Page_fault | Demand_zero -> costs.Costs.page_fault
-  | Soft_fault -> costs.Costs.soft_fault
+  | Context_switch -> Int64.to_int costs.Costs.context_switch
+  | Address_space_switch -> Int64.to_int costs.Costs.address_space_switch
+  | Page_fault | Demand_zero -> Int64.to_int costs.Costs.page_fault
+  | Soft_fault -> Int64.to_int costs.Costs.soft_fault
   | Cow_write_fault | Copa_write_fault | Copa_cap_load_fault
   | Coa_access_fault ->
-      0L
-  | Fork_fixed -> costs.Costs.fork_fixed
-  | Spawn -> Int64.div costs.Costs.fork_fixed 4L
-  | Thread_create -> costs.Costs.thread_create
-  | Exit -> costs.Costs.exit_fixed
+      0
+  | Fork_fixed -> Int64.to_int costs.Costs.fork_fixed
+  | Spawn -> Int64.to_int costs.Costs.fork_fixed / 4
+  | Thread_create -> Int64.to_int costs.Costs.thread_create
+  | Exit -> Int64.to_int costs.Costs.exit_fixed
   | Kill -> kill_cycles
-  | Domain_create -> costs.Costs.domain_create
-  | Pte_copy n -> Int64.mul costs.Costs.pte_copy (Int64.of_int n)
-  | Pte_protect -> costs.Costs.pte_protect
+  | Domain_create -> Int64.to_int costs.Costs.domain_create
+  | Pte_copy n -> Int64.to_int costs.Costs.pte_copy * n
+  | Pte_protect -> Int64.to_int costs.Costs.pte_protect
   (* The flush batch closing a downgrade sequence: one IPI round-trip
      per remote core that may cache a stale entry. On one core ([n=0])
      the local invalidate is folded into the Pte_protect cost, as
      before; past that the window grows linearly with the machine —
      the term that eventually caps fork scaling. *)
-  | Tlb_shootdown n -> Int64.mul costs.Costs.tlb_ipi (Int64.of_int (max 0 n))
-  | Page_alloc n -> Int64.mul costs.Costs.page_alloc (Int64.of_int n)
-  | Page_copy_eager n -> Int64.mul costs.Costs.page_copy (Int64.of_int n)
-  | Page_copy_child | Page_copy_cow -> costs.Costs.page_copy
-  | Claim_in_place | Cow_claim_in_place | Shm_share -> 0L
-  | Granule_scan n -> Int64.mul costs.Costs.granule_scan (Int64.of_int n)
-  | Cap_relocate n -> Int64.mul costs.Costs.cap_relocate (Int64.of_int n)
-  | Toctou_revalidate n -> Int64.of_int (n / 2)
+  | Tlb_shootdown n -> Int64.to_int costs.Costs.tlb_ipi * Int.max 0 n
+  | Page_alloc n -> Int64.to_int costs.Costs.page_alloc * n
+  | Page_copy_eager n -> Int64.to_int costs.Costs.page_copy * n
+  | Page_copy_child | Page_copy_cow -> Int64.to_int costs.Costs.page_copy
+  | Claim_in_place | Cow_claim_in_place | Shm_share -> 0
+  | Granule_scan n -> Int64.to_int costs.Costs.granule_scan * n
+  | Cap_relocate n -> Int64.to_int costs.Costs.cap_relocate * n
+  | Toctou_revalidate n -> n / 2
   | Malloc -> malloc_bookkeeping_cycles
   | Free -> free_cycles
-  | File_op -> costs.Costs.file_op
-  | Pipe_op -> costs.Costs.pipe_op
-  | Shm_open | Map_library | Arena_pretouch _ -> 0L
-  | Compute c -> c
+  | File_op -> Int64.to_int costs.Costs.file_op
+  | Pipe_op -> Int64.to_int costs.Costs.pipe_op
+  | Shm_open | Map_library | Arena_pretouch _ -> 0
+  | Compute cycles -> Int64.to_int cycles
+
+let no_unit = -1
 
 let linear_unit ~(costs : Costs.t) event =
   match event with
   (* Byte-scaled costs round per emission (sum of roundings is not the
      rounding of the sum), so no per-key unit exists. *)
-  | Copy_bytes _ | Toctou_bytes _ -> None
+  | Copy_bytes _ | Toctou_bytes _ -> no_unit
   (* The payload is the cost itself; different emissions under the same key
      legitimately differ. *)
-  | Compute _ -> None
+  | Compute _ -> no_unit
   (* Integer halving rounds per emission. *)
-  | Toctou_revalidate _ -> None
+  | Toctou_revalidate _ -> no_unit
   (* The payload scales with remote cores, not with the batch count. *)
-  | Tlb_shootdown _ -> None
-  | Page_alloc _ -> Some costs.Costs.page_alloc
-  | Granule_scan _ -> Some costs.Costs.granule_scan
-  | Cap_relocate _ -> Some costs.Costs.cap_relocate
-  | Pte_copy _ -> Some costs.Costs.pte_copy
-  | Page_copy_eager _ -> Some costs.Costs.page_copy
-  | Arena_pretouch _ -> Some 0L
-  | e -> Some (cost ~costs e)
+  | Tlb_shootdown _ -> no_unit
+  | Page_alloc _ -> Int64.to_int costs.Costs.page_alloc
+  | Granule_scan _ -> Int64.to_int costs.Costs.granule_scan
+  | Cap_relocate _ -> Int64.to_int costs.Costs.cap_relocate
+  | Pte_copy _ -> Int64.to_int costs.Costs.pte_copy
+  | Page_copy_eager _ -> Int64.to_int costs.Costs.page_copy
+  | Arena_pretouch _ -> 0
+  | e -> cost ~costs e
 
 (* Counter keys callers read back by name. Deriving them from [to_key]
    keeps the string in exactly one place. *)

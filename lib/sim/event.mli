@@ -117,14 +117,18 @@ val count : t -> int
     [Toctou_revalidate], [Arena_pretouch], [Pte_copy] and
     [Page_copy_eager]; 1 otherwise. *)
 
-val cost : costs:Costs.t -> t -> int64
-(** Simulated cycles one emission charges under the preset. *)
+val cost : costs:Costs.t -> t -> int
+(** Simulated cycles one emission charges under the preset. A native
+    int: {!Trace.emit} is the only caller, and it converts to [int64]
+    only at the audit and engine edges. *)
 
-val linear_unit : costs:Costs.t -> t -> int64 option
-(** [Some u] when [cost] is exactly [count * u] with [u] derivable from
+val linear_unit : costs:Costs.t -> t -> int
+(** [u >= 0] when [cost] is exactly [count * u] with [u] derivable from
     the preset (and, for [Syscall]/[Entry_validation], the payload) — the
-    per-key invariant {!Trace.audit} re-checks. [None] for byte-scaled
-    costs (per-call rounding), [Toctou_revalidate] and [Compute]. *)
+    per-key invariant {!Trace.audit} re-checks. [-1] (no unit) for
+    byte-scaled costs (per-call rounding), [Tlb_shootdown],
+    [Toctou_revalidate] and [Compute]. Preset costs are non-negative, so
+    the sentinel never collides with a unit. *)
 
 val fault_key : string
 (** [to_key Page_fault] — for callers that read the fault counter back

@@ -4,16 +4,20 @@
 
 let buckets = 65
 
-type t = {
-  counts : int array;
-  mutable n : int;
-  mutable sum : int64;
-  mutable vmin : int64;
-  mutable vmax : int64;
-}
+(* [sum], [min] and [max] are int64 cells in one [Bytes.t] rather than
+   mutable [int64] fields: storing to a boxed field allocates a fresh box
+   on every update, while the bytes accessors compile to unboxed loads
+   and stores. The span hot path records one value per closed span. *)
+type t = { counts : int array; mutable n : int; cells : Bytes.t }
+
+let sum_at = 0
+let min_at = 8
+let max_at = 16
+let get t at = Bytes.get_int64_ne t.cells at
+let set t at v = Bytes.set_int64_ne t.cells at v
 
 let create () =
-  { counts = Array.make buckets 0; n = 0; sum = 0L; vmin = 0L; vmax = 0L }
+  { counts = Array.make buckets 0; n = 0; cells = Bytes.make 24 '\000' }
 
 let index_of v =
   if Int64.compare v 0L < 0 then
@@ -35,46 +39,37 @@ let bounds_of_index i =
 
 let bucket_bounds v = bounds_of_index (index_of v)
 
-let record t v =
-  let i = index_of v in
+(* The shared tail of both entry points, once the bucket is known;
+   inlined, so [record_int]'s value is never boxed for the call. *)
+let add t i (v : int64) =
   t.counts.(i) <- t.counts.(i) + 1;
-  t.sum <- Int64.add t.sum v;
+  set t sum_at (Int64.add (get t sum_at) v);
   if t.n = 0 then begin
-    t.vmin <- v;
-    t.vmax <- v
+    set t min_at v;
+    set t max_at v
   end
   else begin
-    if Int64.compare v t.vmin < 0 then t.vmin <- v;
-    if Int64.compare v t.vmax > 0 then t.vmax <- v
+    if v < get t min_at then set t min_at v;
+    if v > get t max_at then set t max_at v
   end;
   t.n <- t.n + 1
+[@@inline]
+
+let record t v = add t (index_of v) v
 
 (* Same layout as {!record} but the bucket search runs on the native
-   int, so the per-record cost is branch-and-shift with no intermediate
-   boxing — the span hot path records one value per closed span. *)
+   int, so the per-record cost is branch-and-shift with no boxing. *)
 let record_int t v =
   if v < 0 then invalid_arg "Histogram: negative value";
   let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
-  let i = bits 0 v in
-  t.counts.(i) <- t.counts.(i) + 1;
-  let v = Int64.of_int v in
-  t.sum <- Int64.add t.sum v;
-  if t.n = 0 then begin
-    t.vmin <- v;
-    t.vmax <- v
-  end
-  else begin
-    if Int64.compare v t.vmin < 0 then t.vmin <- v;
-    if Int64.compare v t.vmax > 0 then t.vmax <- v
-  end;
-  t.n <- t.n + 1
+  add t (bits 0 v) (Int64.of_int v)
 
 let count t = t.n
 let is_empty t = t.n = 0
-let sum t = t.sum
-let min_value t = if t.n = 0 then 0L else t.vmin
-let max_value t = if t.n = 0 then 0L else t.vmax
-let mean t = if t.n = 0 then 0. else Int64.to_float t.sum /. float_of_int t.n
+let sum t = get t sum_at
+let min_value t = if t.n = 0 then 0L else get t min_at
+let max_value t = if t.n = 0 then 0L else get t max_at
+let mean t = if t.n = 0 then 0. else Int64.to_float (sum t) /. float_of_int t.n
 
 let quantile t p =
   if p < 0. || p > 1. then invalid_arg "Histogram.quantile: p outside [0,1]";
@@ -92,8 +87,9 @@ let quantile t p =
        done
      with Exit -> ());
     let _, hi = bounds_of_index !idx in
-    let v = if Int64.compare hi t.vmax > 0 then t.vmax else hi in
-    if Int64.compare v t.vmin < 0 then t.vmin else v
+    let vmax = max_value t and vmin = min_value t in
+    let v = if Int64.compare hi vmax > 0 then vmax else hi in
+    if Int64.compare v vmin < 0 then vmin else v
   end
 
 let merge a b =
@@ -102,18 +98,18 @@ let merge a b =
     t.counts.(i) <- a.counts.(i) + b.counts.(i)
   done;
   t.n <- a.n + b.n;
-  t.sum <- Int64.add a.sum b.sum;
+  set t sum_at (Int64.add (sum a) (sum b));
   (match (a.n, b.n) with
   | 0, 0 -> ()
   | _, 0 ->
-      t.vmin <- a.vmin;
-      t.vmax <- a.vmax
+      set t min_at (min_value a);
+      set t max_at (max_value a)
   | 0, _ ->
-      t.vmin <- b.vmin;
-      t.vmax <- b.vmax
+      set t min_at (min_value b);
+      set t max_at (max_value b)
   | _ ->
-      t.vmin <- (if Int64.compare a.vmin b.vmin <= 0 then a.vmin else b.vmin);
-      t.vmax <- (if Int64.compare a.vmax b.vmax >= 0 then a.vmax else b.vmax));
+      set t min_at (Int64.min (min_value a) (min_value b));
+      set t max_at (Int64.max (max_value a) (max_value b)));
   t
 
 let to_buckets t =

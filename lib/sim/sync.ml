@@ -243,9 +243,9 @@ module Cond = struct
   (* Entries woken out of band (e.g. signal delivery) are skipped so their
      stale wakers never consume a real wakeup. *)
   let rec signal t =
-    match Queue.take_opt t.queue with
-    | Some w -> if Engine.waker_pending w then Engine.wake w else signal t
-    | None -> ()
+    if not (Queue.is_empty t.queue) then
+      let w = Queue.take t.queue in
+      if Engine.waker_pending w then Engine.wake w else signal t
 
   let broadcast t =
     let n = Queue.length t.queue in

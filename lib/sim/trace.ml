@@ -13,8 +13,8 @@ type record = {
    [fixed] stays true only while every emission under the key has agreed
    with [rep]'s linear unit, so [cycles = unit rep * charged_units].
    [rep_unit] caches [Event.linear_unit rep] under the trace's own preset
-   so the agreement check on the hot path is an option compare, not a
-   recomputation. *)
+   (-1 until [rep] is set) so the agreement check on the hot path is an
+   int compare, not a recomputation. *)
 (* Cycle accumulators here are native [int], not [int64]: a mutable
    boxed-int64 record field allocates a fresh box on every store, and
    these fields are written once or more per emitted event. 62 bits of
@@ -25,7 +25,7 @@ type entry = {
   mutable charged_units : int;
   mutable cycles : int;
   mutable rep : Event.t option;
-  mutable rep_unit : int64 option;
+  mutable rep_unit : int;
   mutable fixed : bool;
 }
 
@@ -35,7 +35,7 @@ let fresh_entry () =
     charged_units = 0;
     cycles = 0;
     rep = None;
-    rep_unit = None;
+    rep_unit = -1;
     fixed = true;
   }
 
@@ -51,11 +51,13 @@ type span_agg = {
 (* One open span instance on some thread's stack. [path_id] is the
    interned id of the outermost-first stack path ending in this span's
    own name; [agg] caches the per-path aggregate so charging on the hot
-   emit path is one mutable add, not a hash lookup. *)
+   emit path is one mutable add, not a hash lookup. The bottom of every
+   stack is the shared sentinel [no_frame], so neither a frame's parent
+   nor a stack slot needs an option box. *)
 type frame = {
   path_id : int;
   agg : span_agg;
-  parent : frame option;
+  parent : frame;
   mutable self : int;
   mutable child_total : int;
 }
@@ -67,12 +69,55 @@ type span_total = {
   span_count : int;
 }
 
+(* A few physically compared [(key, name) -> id] slots in front of a
+   hashed interning table. Callers pass literal or preallocated names, so
+   a loop alternating between a handful of them (Context1's read and
+   write) resolves with no hashing; a miss falls through to the table
+   and takes the next slot round-robin. *)
+module Slots = struct
+  let n = 4
+
+  type t = {
+    keys : int array;
+    names : string array;
+    ids : int array; (* -1: empty slot *)
+    mutable next : int;
+  }
+
+  let create () =
+    {
+      keys = Array.make n 0;
+      names = Array.make n "";
+      ids = Array.make n (-1);
+      next = 0;
+    }
+
+  let rec probe s key name i =
+    if i = n then -1
+    else if s.names.(i) == name && s.keys.(i) = key && s.ids.(i) >= 0 then
+      s.ids.(i)
+    else probe s key name (i + 1)
+
+  (* The slot's id, or -1 on a miss. *)
+  let find s ~key name = probe s key name 0
+
+  let add s ~key name id =
+    let i = s.next in
+    s.keys.(i) <- key;
+    s.names.(i) <- name;
+    s.ids.(i) <- id;
+    s.next <- (i + 1) land (n - 1)
+
+  let clear s = Array.fill s.ids 0 n (-1)
+end
+
 (* The accounting state is flat and int-indexed so the non-recording
    emit path is array stores plus one [Engine.advance]:
 
    - counter keys are interned into the meter once (first touch) and
      cached per [Event.id] in [key_ids] (per syscall name in
-     [syscall_kids]) — no string building or hashing per event;
+     [syscall_kids], behind [sys_slots]) — no string building or
+     hashing per event;
    - per-key audit entries live in [entries], indexed by the same meter
      key id;
    - the record ring is columnar (one preallocated array per field), so
@@ -88,10 +133,7 @@ type t = {
   meter : Meter.t;
   key_ids : int array; (* Event.id -> meter key id, -1 until first touch *)
   syscall_kids : (string, int) Hashtbl.t; (* syscall name -> meter key id *)
-  (* Last syscall name resolved, compared physically: emission sites pass
-     literal names, so a run of same-name syscalls skips the table. *)
-  mutable last_sys_name : string;
-  mutable last_sys_kid : int;
+  sys_slots : Slots.t; (* syscall name -> meter key id, key unused *)
   mutable syscall_agg_kid : int; (* the aggregate "syscall" key id, or -1 *)
   mutable entries : entry array; (* meter key id -> audit entry *)
   mutable total_cycles : int;
@@ -105,7 +147,7 @@ type t = {
   mutable ring_core : int array;
   mutable ring_tid : int array;
   mutable ring_pid : int array;
-  mutable ring_cycles : int64 array;
+  mutable ring_cycles : int array;
   mutable ring_event : Event.t array;
   mutable ring_name : string array;
   mutable ring_start : int;
@@ -124,16 +166,12 @@ type t = {
   mutable path_hists : Histogram.t array; (* id -> name's histogram, lazy *)
   mutable n_paths : int;
   mutable unattr_id : int; (* "(unattributed)" path id, or -1 *)
-  (* Last (parent, name) interned, name compared physically: span names
-     are literals, so a tight span loop resolves its path id branch-only. *)
-  mutable memo_parent : int;
-  mutable memo_name : string;
-  mutable memo_path : int; (* -1 until the first hit *)
+  path_slots : Slots.t; (* (parent path id, name) -> path id *)
   (* Innermost open frame per thread, at [stacks.(tid + 1)]; slot 0 is
      code outside any thread (tid -1). Engine tids are dense from 1, so
      the array grows by doubling up to the highest tid that opened a
      span, and reading a thread's top is one bounds check. *)
-  mutable stacks : frame option array;
+  mutable stacks : frame array;
   hists : (string, Histogram.t) Hashtbl.t;
   mutable sampler : (unit -> (string * int) list) option;
   mutable sample_interval : int64;
@@ -145,6 +183,17 @@ type t = {
 let default_ring_capacity = 65536
 let ring_dummy_event = Event.Context_switch
 let dummy_agg = { self_cycles = 0; span_total = 0; closed = 0 }
+
+(* Never written through: every writer checks for it first, so sharing
+   it across traces (hence domains) is safe. *)
+let rec no_frame =
+  {
+    path_id = -1;
+    agg = dummy_agg;
+    parent = no_frame;
+    self = 0;
+    child_total = 0;
+  }
 
 (* Slot fillers for the per-path arrays. Never written through: a slot is
    only read once its id has been interned, and interning installs fresh
@@ -161,8 +210,7 @@ let create ~engine ~costs ?(ring_capacity = default_ring_capacity) () =
     meter = Meter.create ();
     key_ids = Array.make Event.id_count (-1);
     syscall_kids = Hashtbl.create 16;
-    last_sys_name = "";
-    last_sys_kid = -1;
+    sys_slots = Slots.create ();
     syscall_agg_kid = -1;
     entries = Array.init 64 (fun _ -> fresh_entry ());
     total_cycles = 0;
@@ -187,9 +235,7 @@ let create ~engine ~costs ?(ring_capacity = default_ring_capacity) () =
     path_hists = Array.make 64 dummy_hist;
     n_paths = 0;
     unattr_id = -1;
-    memo_parent = -1;
-    memo_name = "";
-    memo_path = -1;
+    path_slots = Slots.create ();
     stacks = [||];
     hists = Hashtbl.create 16;
     sampler = None;
@@ -212,7 +258,7 @@ let ensure_ring t =
     t.ring_core <- Array.make cap (-1);
     t.ring_tid <- Array.make cap (-1);
     t.ring_pid <- Array.make cap (-1);
-    t.ring_cycles <- Array.make cap 0L;
+    t.ring_cycles <- Array.make cap 0;
     t.ring_event <- Array.make cap ring_dummy_event;
     t.ring_name <- Array.make cap ""
   end
@@ -229,7 +275,8 @@ let dropped t = t.dropped
 let kid_of t event =
   match event with
   | Event.Syscall { name; _ } ->
-      if name == t.last_sys_name then t.last_sys_kid
+      let k = Slots.find t.sys_slots ~key:0 name in
+      if k >= 0 then k
       else begin
         let k =
           match Hashtbl.find_opt t.syscall_kids name with
@@ -239,8 +286,7 @@ let kid_of t event =
               Hashtbl.replace t.syscall_kids name k;
               k
         in
-        t.last_sys_name <- name;
-        t.last_sys_kid <- k;
+        Slots.add t.sys_slots ~key:0 name k;
         k
       end
   | _ ->
@@ -327,7 +373,7 @@ let hist_for t name =
 
 let stack_top t tid =
   let i = tid + 1 in
-  if i < Array.length t.stacks then t.stacks.(i) else None
+  if i < Array.length t.stacks then t.stacks.(i) else no_frame
 
 let set_stack_top t tid top =
   let i = tid + 1 in
@@ -336,7 +382,7 @@ let set_stack_top t tid top =
     while !n <= i do
       n := 2 * !n
     done;
-    let stacks = Array.make !n None in
+    let stacks = Array.make !n no_frame in
     Array.blit t.stacks 0 stacks 0 (Array.length t.stacks);
     t.stacks <- stacks
   end;
@@ -350,9 +396,8 @@ let set_stack_top t tid top =
 let close_frame t tid frame =
   set_stack_top t tid frame.parent;
   let total = frame.self + frame.child_total in
-  (match frame.parent with
-  | Some p -> p.child_total <- p.child_total + total
-  | None -> ());
+  let p = frame.parent in
+  if p != no_frame then p.child_total <- p.child_total + total;
   frame.agg.span_total <- frame.agg.span_total + total;
   frame.agg.closed <- frame.agg.closed + 1;
   let h = t.path_hists.(frame.path_id) in
@@ -366,61 +411,71 @@ let close_frame t tid frame =
   in
   Histogram.record_int h total
 
-let with_span t ~name f =
+type span = frame
+
+let open_span t ~name =
   let tid = Engine.running_tid t.engine in
   let parent = stack_top t tid in
-  let parent_id = match parent with Some p -> p.path_id | None -> -1 in
+  let parent_id = parent.path_id in
   let path_id =
-    (* Physical compare on [name]: span names are literals, so a tight
-       span loop (e.g. user.compute per slice) resolves branch-only. *)
-    if t.memo_path >= 0 && t.memo_parent = parent_id && t.memo_name == name
-    then t.memo_path
+    let id = Slots.find t.path_slots ~key:parent_id name in
+    if id >= 0 then id
     else begin
       let id = intern_path t ~parent:parent_id name in
-      t.memo_parent <- parent_id;
-      t.memo_name <- name;
-      t.memo_path <- id;
+      Slots.add t.path_slots ~key:parent_id name id;
       id
     end
   in
   let frame =
     { path_id; agg = t.path_aggs.(path_id); parent; self = 0; child_total = 0 }
   in
-  set_stack_top t tid (Some frame);
+  set_stack_top t tid frame;
   (* Span boundaries feed the causal analyzer's per-thread span-path
      timeline. Free when the bus is disarmed: one bool read. *)
   let module Hb = Ufork_util.Hb in
   if Hb.on () then Hb.emit (Hb.Span_open { tid; name });
+  frame
+
+(* The closing thread is the opening one: a span stays open across a
+   fiber suspension and closes when its own thread resumes. *)
+let close_span t frame =
+  let tid = Engine.running_tid t.engine in
+  close_frame t tid frame;
+  let module Hb = Ufork_util.Hb in
+  if Hb.on () then
+    Hb.emit (Hb.Span_close { tid; name = t.path_names.(frame.path_id) })
+
+let with_span t ~name f =
+  let span = open_span t ~name in
   match f () with
   | v ->
-      close_frame t tid frame;
-      if Hb.on () then Hb.emit (Hb.Span_close { tid; name });
+      close_span t span;
       v
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      close_frame t tid frame;
-      if Hb.on () then Hb.emit (Hb.Span_close { tid; name });
+      close_span t span;
       Printexc.raise_with_backtrace e bt
 
 (* Attribute charged cycles to the innermost open span on this thread;
    cycles charged with no span open land in the "(unattributed)" bucket
    so the audit identity (sum of self = total charged) is total. *)
 let attribute t tid cost =
-  match stack_top t tid with
-  | Some f ->
-      f.self <- f.self + cost;
-      f.agg.self_cycles <- f.agg.self_cycles + cost
-  | None ->
-      let id =
-        if t.unattr_id >= 0 then t.unattr_id
-        else begin
-          let id = intern_path t ~parent:(-1) unattributed_name in
-          t.unattr_id <- id;
-          id
-        end
-      in
-      let a = t.path_aggs.(id) in
-      a.self_cycles <- a.self_cycles + cost
+  let f = stack_top t tid in
+  if f != no_frame then begin
+    f.self <- f.self + cost;
+    f.agg.self_cycles <- f.agg.self_cycles + cost
+  end
+  else
+    let id =
+      if t.unattr_id >= 0 then t.unattr_id
+      else begin
+        let id = intern_path t ~parent:(-1) unattributed_name in
+        t.unattr_id <- id;
+        id
+      end
+    in
+    let a = t.path_aggs.(id) in
+    a.self_cycles <- a.self_cycles + cost
 
 (* {2 Virtual-time sampling}
 
@@ -480,9 +535,9 @@ let record_slow t pid event tid cost charged =
   t.ring_name.(j) <- Engine.running_name t.engine;
   t.ring_pid.(j) <- pid;
   t.ring_event.(j) <- event;
-  t.ring_cycles.(j) <- (if charged then cost else 0L)
+  t.ring_cycles.(j) <- (if charged then cost else 0)
 
-let emit t ?(pid = -1) event =
+let emit t ~pid event =
   if t.sampler != None then maybe_sample t;
   t.emits <- t.emits + 1;
   let kid = kid_of t event in
@@ -503,23 +558,25 @@ let emit t ?(pid = -1) event =
   | Event.Tlb_shootdown remotes when Ufork_util.Hb.on () ->
       Ufork_util.Hb.emit (Ufork_util.Hb.Ipi { by = tid; remotes })
   | _ -> ());
-  let charged = tid >= 0 && cost > 0L in
+  let charged = tid >= 0 && cost > 0 in
   let e = acc_entry t kid in
   e.units <- e.units + n;
-  (match Event.linear_unit ~costs:t.costs event with
-  | None -> e.fixed <- false
-  | Some _ as lu -> (
-      match e.rep with
-      | None ->
-          e.rep <- Some event;
-          e.rep_unit <- lu
-      | Some _ -> if e.rep_unit <> lu then e.fixed <- false));
+  (* A key that lost its fixed unit never regains it (the audit skips
+     it), so only fixed keys pay for the unit. *)
+  if e.fixed then begin
+    let lu = Event.linear_unit ~costs:t.costs event in
+    if lu < 0 then e.fixed <- false
+    else if e.rep_unit < 0 then begin
+      e.rep <- Some event;
+      e.rep_unit <- lu
+    end
+    else if e.rep_unit <> lu then e.fixed <- false
+  end;
   if charged then begin
-    let icost = Int64.to_int cost in
     e.charged_units <- e.charged_units + n;
-    e.cycles <- e.cycles + icost;
-    t.total_cycles <- t.total_cycles + icost;
-    attribute t tid icost
+    e.cycles <- e.cycles + cost;
+    t.total_cycles <- t.total_cycles + cost;
+    attribute t tid cost
   end;
   if t.recording then record_slow t pid event tid cost charged;
   (* Last, so the record and the aggregates describe the state at emission
@@ -528,7 +585,8 @@ let emit t ?(pid = -1) event =
      alone and nothing can intervene — the common case on the
      non-recorded hot path. *)
   if charged then
-    if not (Engine.advance_direct t.engine cost) then Engine.advance cost
+    if not (Engine.advance_direct t.engine cost) then
+      Engine.advance (Int64.of_int cost)
 
 let gauge t key v =
   (* Gauges are shared scalar state (e.g. last-fork latency read by the
@@ -558,7 +616,7 @@ let records t =
         name = t.ring_name.(j);
         pid = t.ring_pid.(j);
         event = t.ring_event.(j);
-        cycles = t.ring_cycles.(j);
+        cycles = Int64.of_int t.ring_cycles.(j);
       })
 
 let reset t =
@@ -569,7 +627,7 @@ let reset t =
       e.charged_units <- 0;
       e.cycles <- 0;
       e.rep <- None;
-      e.rep_unit <- None;
+      e.rep_unit <- -1;
       e.fixed <- true)
     t.entries;
   t.total_cycles <- 0;
@@ -587,10 +645,8 @@ let reset t =
   Array.fill t.path_hists 0 t.n_paths dummy_hist;
   t.n_paths <- 0;
   t.unattr_id <- -1;
-  t.memo_parent <- -1;
-  t.memo_name <- "";
-  t.memo_path <- -1;
-  Array.fill t.stacks 0 (Array.length t.stacks) None;
+  Slots.clear t.path_slots;
+  Array.fill t.stacks 0 (Array.length t.stacks) no_frame;
   Hashtbl.reset t.hists;
   t.samples_rev <- [];
   if t.sampler <> None then
@@ -802,19 +858,20 @@ let audit t ~costs ~elapsed =
   Array.iteri
     (fun kid e ->
       match e.rep with
-      | Some rep when e.fixed -> (
-          match Event.linear_unit ~costs rep with
-          | None -> ()
-          | Some unit ->
-              let expected = Int64.mul unit (Int64.of_int e.charged_units) in
-              if Int64.of_int e.cycles <> expected then
-                raise
-                  (Audit_failure
-                     (Printf.sprintf
-                        "key %S charged %Ld cycles; preset says %d units x \
-                         %Ld = %Ld"
-                        (Meter.name t.meter kid)
-                        (Int64.of_int e.cycles)
-                        e.charged_units unit expected)))
+      | Some rep when e.fixed ->
+          let unit = Event.linear_unit ~costs rep in
+          if unit >= 0 then begin
+            let unit = Int64.of_int unit in
+            let expected = Int64.mul unit (Int64.of_int e.charged_units) in
+            if Int64.of_int e.cycles <> expected then
+              raise
+                (Audit_failure
+                   (Printf.sprintf
+                      "key %S charged %Ld cycles; preset says %d units x \
+                       %Ld = %Ld"
+                      (Meter.name t.meter kid)
+                      (Int64.of_int e.cycles)
+                      e.charged_units unit expected))
+          end
       | _ -> ())
     t.entries

@@ -36,10 +36,11 @@ val meter : t -> Meter.t
     from {!emit} (or {!gauge}); poking it directly bypasses charging and
     will trip {!audit}. *)
 
-val emit : t -> ?pid:int -> Event.t -> unit
-(** Charge + count + record one event. [pid] defaults to [-1] (no process
-    context). For [Event.Syscall] the aggregate ["syscall"] counter is
-    bumped alongside the per-name key. *)
+val emit : t -> pid:int -> Event.t -> unit
+(** Charge + count + record one event on behalf of μprocess [pid] ([-1]:
+    no process context). Required rather than optional: an optional
+    argument is boxed on every cross-module call. For [Event.Syscall] the
+    aggregate ["syscall"] counter is bumped alongside the per-name key. *)
 
 val gauge : t -> string -> int -> unit
 (** Overwrite a "last observed value" gauge in the derived view (e.g.
@@ -59,6 +60,19 @@ val with_span : t -> name:string -> (unit -> 'a) -> 'a
     stack is keyed by engine tid). Cycles charged with no open span land
     under the ["(unattributed)"] pseudo-span, so attribution is a
     partition of {!total_charged} — {!audit} enforces the identity. *)
+
+type span
+(** An open span instance. *)
+
+val open_span : t -> name:string -> span
+(** The opening half of {!with_span}, for a caller that runs its body
+    inline instead of as a closure (the kernel's syscall entry, taken on
+    every system call). *)
+
+val close_span : t -> span -> unit
+(** The closing half: the caller closes every span it opens, on every
+    exit path, exceptions included, innermost first, from the thread
+    that opened it. *)
 
 type span_total = {
   span_path : string list;  (** Stack path, outermost-first. *)

@@ -77,6 +77,21 @@ let hist_eq a b =
   && Histogram.max_value a = Histogram.max_value b
   && Histogram.to_buckets a = Histogram.to_buckets b
 
+(* The span hot path records native ints through [record_int]; it must
+   land every value in the bucket, and fold it into the totals, exactly
+   as the int64 [record] does — across every bit length. *)
+let prop_record_int_matches_record =
+  QCheck.Test.make ~name:"histogram: record_int = record" ~count:200
+    QCheck.(
+      list_of_size Gen.(int_range 1 60)
+        (map
+           (fun (bits, x) -> x land ((1 lsl bits) - 1))
+           (pair (int_range 0 62) (int_range 0 max_int))))
+    (fun vs ->
+      let h = Histogram.create () in
+      List.iter (Histogram.record_int h) vs;
+      hist_eq h (of_values vs))
+
 let prop_merge_commutative =
   QCheck.Test.make ~name:"histogram: merge commutative" ~count:200
     QCheck.(pair values_gen values_gen)
@@ -206,12 +221,12 @@ let test_span_attribution () =
   let costs = Costs.ufork in
   let tr, elapsed =
     on_engine costs (fun tr ->
-        Trace.emit tr (Event.Compute 10L);
+        Trace.emit tr ~pid:(-1) (Event.Compute 10L);
         Trace.with_span tr ~name:"outer" (fun () ->
-            Trace.emit tr (Event.Compute 100L);
+            Trace.emit tr ~pid:(-1) (Event.Compute 100L);
             Trace.with_span tr ~name:"inner" (fun () ->
-                Trace.emit tr (Event.Compute 7L));
-            Trace.emit tr (Event.Compute 30L)))
+                Trace.emit tr ~pid:(-1) (Event.Compute 7L));
+            Trace.emit tr ~pid:(-1) (Event.Compute 30L)))
   in
   Alcotest.(check int64) "unattributed" 10L
     (span_self tr [ "(unattributed)" ]);
@@ -245,23 +260,23 @@ let test_span_attribution () =
       for i = 1 to n do
         ignore
           (Engine.spawn engine (fun () ->
-               Trace.emit tr (Event.Compute 1L);
+               Trace.emit tr ~pid:(-1) (Event.Compute 1L);
                Trace.with_span tr ~name:"worker" (fun () ->
-                   Trace.emit tr (Event.Compute (Int64.of_int i));
+                   Trace.emit tr ~pid:(-1) (Event.Compute (Int64.of_int i));
                    Engine.yield ();
                    Trace.with_span tr ~name:"inner" (fun () ->
-                       Trace.emit tr (Event.Compute 1L);
+                       Trace.emit tr ~pid:(-1) (Event.Compute 1L);
                        Engine.yield ();
-                       Trace.emit tr (Event.Compute 2L));
+                       Trace.emit tr ~pid:(-1) (Event.Compute 2L));
                    Engine.yield ();
                    if i = n then (
                      try
                        Trace.with_span tr ~name:"raising" (fun () ->
-                           Trace.emit tr (Event.Compute 5L);
+                           Trace.emit tr ~pid:(-1) (Event.Compute 5L);
                            Engine.yield ();
                            failwith "boom")
                      with Failure _ -> ());
-                   Trace.emit tr (Event.Compute 3L))))
+                   Trace.emit tr ~pid:(-1) (Event.Compute 3L))))
       done;
       Engine.run engine);
   let total path =
@@ -305,10 +320,10 @@ let test_span_exception_safety () =
     on_engine costs (fun tr ->
         (try
            Trace.with_span tr ~name:"raising" (fun () ->
-               Trace.emit tr (Event.Compute 5L);
+               Trace.emit tr ~pid:(-1) (Event.Compute 5L);
                failwith "boom")
          with Failure _ -> ());
-        Trace.emit tr (Event.Compute 3L))
+        Trace.emit tr ~pid:(-1) (Event.Compute 3L))
   in
   Alcotest.(check int64) "raising self" 5L (span_self tr [ "raising" ]);
   Alcotest.(check int64) "post-raise unattributed" 3L
@@ -320,7 +335,7 @@ let test_folded_stacks () =
     on_engine Costs.ufork (fun tr ->
         Trace.with_span tr ~name:"a" (fun () ->
             Trace.with_span tr ~name:"b" (fun () ->
-                Trace.emit tr (Event.Compute 42L))))
+                Trace.emit tr ~pid:(-1) (Event.Compute 42L))))
   in
   let folded = Trace.folded_stacks tr in
   Alcotest.(check bool) "a;b line present" true
@@ -343,7 +358,7 @@ let test_sampler () =
             incr ticks;
             [ ("g", !ticks) ]);
         for _ = 1 to 10 do
-          Trace.emit tr (Event.Compute 60L)
+          Trace.emit tr ~pid:(-1) (Event.Compute 60L)
         done)
   in
   let samples = Trace.samples tr in
@@ -373,7 +388,7 @@ let test_jsonl_header () =
   let tr = Trace.create ~engine ~costs:Costs.ufork ~ring_capacity:4 () in
   Trace.set_recording tr true;
   for _ = 1 to 10 do
-    Trace.emit tr Event.Malloc
+    Trace.emit tr ~pid:(-1) Event.Malloc
   done;
   Alcotest.(check int) "dropped" 6 (Trace.dropped tr);
   match String.split_on_char '\n' (Trace.to_jsonl_string tr) with
@@ -393,7 +408,7 @@ let test_ring_drops_oldest () =
   let tr = Trace.create ~engine ~costs:Costs.ufork ~ring_capacity:4 () in
   Trace.set_recording tr true;
   for i = 1 to 10 do
-    Trace.emit tr (Event.Copy_bytes i)
+    Trace.emit tr ~pid:(-1) (Event.Copy_bytes i)
   done;
   Alcotest.(check (list int)) "newest survive, in order" [ 7; 8; 9; 10 ]
     (List.map
@@ -554,6 +569,7 @@ let suite =
     qt prop_quantile_monotone;
     qt prop_bucket_contains;
     qt prop_quantile_vs_reference;
+    qt prop_record_int_matches_record;
     qt prop_merge_commutative;
     qt prop_merge_associative;
     qt prop_merge_vs_reference;

@@ -14,6 +14,8 @@ module Kernel = Ufork_sas.Kernel
 module Api = Ufork_sas.Api
 module Capability = Ufork_cheri.Capability
 module Os = Ufork_core.Os
+module Engine = Ufork_sim.Engine
+module Sync = Ufork_sim.Sync
 
 (* Run a single-process scenario on a freshly booted μFork OS and return
    its result. *)
@@ -235,6 +237,91 @@ let test_pipe_empty () =
   | Pipe.Empty -> ()
   | _ -> Alcotest.fail "empty"
 
+(* The ring pipe against a string-queue model. Sizes run to 3x the
+   capacity, so writes go partial, the ring wraps, and it grows from its
+   small initial size up to the capacity; writes start at a random
+   offset into their buffer. Closing either end mid-run checks [Eof]
+   and [Broken_pipe]. *)
+type pipe_op = P_write of int * int | P_read of int | P_close_read | P_close_write
+
+let pipe_op_gen cap =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 10,
+          map2 (fun n off -> P_write (n, off)) (0 -- (3 * cap)) (0 -- 8) );
+        (10, map (fun n -> P_read n) (0 -- (3 * cap)));
+        (1, return P_close_read);
+        (1, return P_close_write);
+      ])
+
+let pp_pipe_op = function
+  | P_write (n, off) -> Printf.sprintf "write %d@%d" n off
+  | P_read n -> Printf.sprintf "read %d" n
+  | P_close_read -> "close_read"
+  | P_close_write -> "close_write"
+
+let prop_pipe_model =
+  QCheck.Test.make ~name:"ring pipe = string-queue model" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (cap, ops) ->
+          Printf.sprintf "capacity %d: %s" cap
+            (String.concat "; " (List.map pp_pipe_op ops)))
+        Gen.(
+          1 -- 64 >>= fun cap ->
+          map (fun ops -> (cap, ops)) (list_size (0 -- 60) (pipe_op_gen cap))))
+    (fun (cap, ops) ->
+      let p = Pipe.create ~capacity:cap () in
+      let q = Buffer.create 64 in
+      let next = ref 0 in
+      let read_open = ref true and write_open = ref true in
+      let step = function
+        | P_write (n, off) -> (
+            let b =
+              Bytes.init (off + n) (fun _ ->
+                  incr next;
+                  Char.chr (!next land 0xff))
+            in
+            match Pipe.try_write p ~off b with
+            | exception Pipe.Broken_pipe -> not !read_open
+            | r -> (
+                !read_open
+                &&
+                let room = cap - Buffer.length q in
+                match r with
+                | Pipe.Would_block -> room <= 0
+                | Pipe.Wrote k ->
+                    room > 0
+                    && k = min room n
+                    && (Buffer.add_subbytes q b off k;
+                        true)))
+        | P_read n -> (
+            match Pipe.try_read p n with
+            | Pipe.Empty -> Buffer.length q = 0 && !write_open
+            | Pipe.Eof -> Buffer.length q = 0 && not !write_open
+            | Pipe.Data d ->
+                let k = min n (Buffer.length q) in
+                Buffer.length q > 0
+                && Bytes.to_string d = Buffer.sub q 0 k
+                &&
+                let rest = Buffer.sub q k (Buffer.length q - k) in
+                Buffer.clear q;
+                Buffer.add_string q rest;
+                true)
+        | P_close_read ->
+            Pipe.close_read p;
+            read_open := false;
+            true
+        | P_close_write ->
+            Pipe.close_write p;
+            write_open := false;
+            true
+      in
+      List.for_all
+        (fun op -> step op && Pipe.available p = Buffer.length q)
+        ops)
+
 (* --- Vfs --- *)
 
 let test_vfs_crud () =
@@ -390,13 +477,156 @@ let test_fdtable_close_all () =
   ignore (Fdesc.Fdtable.alloc t (Fdesc.Pipe_write p));
   Fdesc.Fdtable.close_all t;
   Alcotest.(check int) "empty" 0 (Fdesc.Fdtable.open_count t);
-  Alcotest.(check bool) "pipe write closed" false (Pipe.write_open p)
+  Alcotest.(check bool) "pipe write closed" false (Pipe.write_open p);
+  (* Closing a write end wakes its readers, so the order readers wake in
+     is the order [close_all] closed the descriptors: ascending fd, not
+     allocation order. Fds 3..6 end up holding pipes 2, 0, 3, 1, with fds
+     3 and 4 freed and refilled after fd 5 was taken. *)
+  let t = Fdesc.Fdtable.create () in
+  let pipes = Array.init 4 (fun _ -> Pipe.create ()) in
+  List.iter
+    (fun i -> ignore (Fdesc.Fdtable.alloc t (Fdesc.Pipe_write pipes.(i))))
+    [ 2; 1; 3 ];
+  Fdesc.Fdtable.close t 4;
+  Fdesc.Fdtable.close t 3;
+  List.iter
+    (fun i -> ignore (Fdesc.Fdtable.alloc t (Fdesc.Pipe_write pipes.(i))))
+    [ 2; 0; 1 ];
+  let e = Engine.create ~cores:1 () in
+  let woke = ref [] in
+  Array.iteri
+    (fun i p ->
+      ignore
+        (Engine.spawn e (fun () ->
+             Sync.Cond.wait (Pipe.readable p);
+             woke := i :: !woke)))
+    pipes;
+  Engine.run e;
+  Fdesc.Fdtable.close_all t;
+  Engine.run e;
+  Alcotest.(check (list int)) "readers woken in ascending fd order"
+    [ 2; 0; 3; 1 ] (List.rev !woke)
 
 let test_fdtable_bad_fd () =
   let t = Fdesc.Fdtable.create () in
   Alcotest.check_raises "get" Not_found (fun () ->
       ignore (Fdesc.Fdtable.get t 99));
   Alcotest.check_raises "close" Not_found (fun () -> Fdesc.Fdtable.close t 99)
+
+(* The fd table against an int-map model: alloc takes the lowest free
+   fd; get and close of a free, out-of-range or negative fd raise
+   [Not_found]; [dup_all] shares refcounts, so a pipe end closes only
+   when its last descriptor in either table goes; [close_all] empties
+   the table in ascending fd order. Descriptions are pipe write ends,
+   one pipe each. *)
+type fd_op = F_alloc | F_get of int | F_close of int | F_dup | F_close_all
+
+let pp_fd_op = function
+  | F_alloc -> "alloc"
+  | F_get fd -> Printf.sprintf "get %d" fd
+  | F_close fd -> Printf.sprintf "close %d" fd
+  | F_dup -> "dup_all"
+  | F_close_all -> "close_all"
+
+module Int_map = Map.Make (Int)
+
+let prop_fdtable_model =
+  QCheck.Test.make ~name:"array fd table = int-map model" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map pp_fd_op ops))
+        Gen.(
+          list_size (0 -- 80)
+            (frequency
+               [
+                 (6, return F_alloc);
+                 (4, map (fun fd -> F_get fd) (-3 -- 40));
+                 (4, map (fun fd -> F_close fd) (-3 -- 40));
+                 (1, return F_dup);
+                 (1, return F_close_all);
+               ])))
+    (fun ops ->
+      let t = Fdesc.Fdtable.create () in
+      (* A second table that [dup_all] copies into, so shared refcounts
+         are observable: pipe [i] stays open while either table holds
+         it. *)
+      let other = ref (Fdesc.Fdtable.create ()) in
+      let other_model = ref Int_map.empty in
+      let model =
+        ref (Int_map.of_seq (List.to_seq [ (0, -1); (1, -1); (2, -1) ]))
+      in
+      let pipes = ref [] in
+      let holds m i = Int_map.exists (fun _ j -> j = i) m in
+      let held i = holds !model i || holds !other_model i in
+      let lowest_free m =
+        let rec go fd = if Int_map.mem fd m then go (fd + 1) else fd in
+        go 0
+      in
+      let desc_ok fd d =
+        match (Int_map.find fd !model, d) with
+        | -1, Fdesc.Null -> true
+        | i, Fdesc.Pipe_write p -> p == List.assoc i !pipes
+        | _ -> false
+      in
+      let step = function
+        | F_alloc ->
+            let i = List.length !pipes in
+            let p = Pipe.create () in
+            pipes := (i, p) :: !pipes;
+            let fd = Fdesc.Fdtable.alloc t (Fdesc.Pipe_write p) in
+            let expected = lowest_free !model in
+            model := Int_map.add fd i !model;
+            fd = expected
+        | F_get fd -> (
+            match Fdesc.Fdtable.get t fd with
+            | d -> Int_map.mem fd !model && desc_ok fd d
+            | exception Not_found -> not (Int_map.mem fd !model))
+        | F_close fd -> (
+            match Fdesc.Fdtable.close t fd with
+            | () ->
+                Int_map.mem fd !model
+                && (model := Int_map.remove fd !model;
+                    true)
+            | exception Not_found -> not (Int_map.mem fd !model))
+        | F_dup ->
+            Fdesc.Fdtable.close_all !other;
+            other := Fdesc.Fdtable.dup_all t;
+            other_model := !model;
+            Int_map.for_all
+              (fun fd _ -> desc_ok fd (Fdesc.Fdtable.get !other fd))
+              !model
+        | F_close_all ->
+            (* A reader blocked on each pipe this shuts wakes as its
+               write end closes, so the wake order is the close order.
+               Readers start in descending fd order. *)
+            let closing =
+              Int_map.fold
+                (fun _ i acc ->
+                  if i >= 0 && not (holds !other_model i) then i :: acc
+                  else acc)
+                !model []
+            in
+            let e = Engine.create ~cores:1 () in
+            let woke = ref [] in
+            List.iter
+              (fun i ->
+                ignore
+                  (Engine.spawn e (fun () ->
+                       Sync.Cond.wait (Pipe.readable (List.assoc i !pipes));
+                       woke := i :: !woke)))
+              closing;
+            Engine.run e;
+            Fdesc.Fdtable.close_all t;
+            Engine.run e;
+            model := Int_map.empty;
+            !woke = closing
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Fdesc.Fdtable.open_count t = Int_map.cardinal !model
+          && List.for_all (fun (i, p) -> Pipe.write_open p = held i) !pipes)
+        ops)
 
 (* --- Kernel services through the API --- *)
 
@@ -519,6 +749,40 @@ let test_bad_fd () =
   in
   Alcotest.(check string) "EBADF" "EBADF" msg
 
+(* A zero-length read returns at once, empty pipe or not; a negative
+   length (or pread offset) is EINVAL whatever the descriptor is. *)
+let test_read_lengths () =
+  let zero, einvals =
+    in_proc (fun api ->
+        let rfd, wfd = api.Api.pipe () in
+        let on_empty = api.Api.read rfd 0 in
+        ignore (api.Api.write wfd (Bytes.of_string "x"));
+        let on_data = api.Api.read rfd 0 in
+        let rest = api.Api.read rfd 1 in
+        let fd = api.Api.open_ "/z" `Create in
+        ignore (api.Api.write fd (Bytes.of_string "abc"));
+        let errno f =
+          match f () with
+          | (_ : bytes) -> "ok"
+          | exception Api.Sys_error e -> e
+        in
+        ( List.map Bytes.to_string [ on_empty; on_data; rest ],
+          List.map errno
+            [
+              (fun () -> api.Api.read rfd (-1));
+              (fun () -> api.Api.read wfd (-1));
+              (fun () -> api.Api.read fd (-1));
+              (fun () -> api.Api.read 0 (-1));
+              (fun () -> api.Api.pread fd ~off:0 (-1));
+              (fun () -> api.Api.pread rfd ~off:0 (-1));
+              (fun () -> api.Api.pread fd ~off:(-1) 1);
+            ] ))
+  in
+  Alcotest.(check (list string)) "zero-length reads" [ ""; ""; "x" ] zero;
+  Alcotest.(check (list string)) "negative lengths"
+    (List.init 7 (fun _ -> "EINVAL"))
+    einvals
+
 let test_pipe_through_api () =
   let got =
     in_proc (fun api ->
@@ -527,6 +791,31 @@ let test_pipe_through_api () =
         Bytes.to_string (api.Api.read rfd 4))
   in
   Alcotest.(check string) "pipe" "ping" got
+
+(* One non-blocking pipe write and read through the API: syscall entry,
+   span, fd lookup and the ring copy, measured inside the process's
+   engine thread. The budget covers the returned bytes, the result
+   constructors, the span frames and the per-call body closures. *)
+let test_pipe_pair_allocation () =
+  let words =
+    in_proc (fun api ->
+        let rfd, wfd = api.Api.pipe () in
+        let msg = Bytes.of_string "ping" in
+        let pair () =
+          ignore (api.Api.write wfd msg);
+          ignore (api.Api.read rfd 4)
+        in
+        pair ();
+        let rounds = 1000 in
+        let w0 = Gc.minor_words () in
+        for _ = 1 to rounds do
+          pair ()
+        done;
+        (Gc.minor_words () -. w0) /. float_of_int rounds)
+  in
+  if words > 40. then
+    Alcotest.failf "a pipe write+read pair allocates %.1f words (budget 40)"
+      words
 
 let test_wait_echild () =
   let raised =
@@ -587,6 +876,7 @@ let suite =
     ("pipe capacity", `Quick, test_pipe_capacity);
     ("pipe eof/epipe", `Quick, test_pipe_eof_and_epipe);
     ("pipe empty", `Quick, test_pipe_empty);
+    qt prop_pipe_model;
     ("vfs crud", `Quick, test_vfs_crud);
     ("vfs streaming", `Quick, test_vfs_streaming);
     ("vfs append/grow", `Quick, test_vfs_append_grows);
@@ -597,6 +887,7 @@ let suite =
     ("fdtable dup shares", `Quick, test_fdtable_dup_shares_pipe);
     ("fdtable close_all", `Quick, test_fdtable_close_all);
     ("fdtable bad fd", `Quick, test_fdtable_bad_fd);
+    qt prop_fdtable_model;
     ("malloc bounds", `Quick, test_malloc_bounds);
     ("malloc oob access", `Quick, test_malloc_oob_access);
     ("malloc enomem", `Quick, test_malloc_enomem);
@@ -607,7 +898,9 @@ let suite =
     ("file syscalls", `Quick, test_file_syscalls);
     ("pread", `Quick, test_pread);
     ("bad fd", `Quick, test_bad_fd);
+    ("read lengths", `Quick, test_read_lengths);
     ("pipe via api", `Quick, test_pipe_through_api);
+    ("pipe pair allocation", `Quick, test_pipe_pair_allocation);
     ("wait ECHILD", `Quick, test_wait_echild);
     ("time advances", `Quick, test_time_advances);
     ("demand zero heap", `Quick, test_demand_zero_heap);

@@ -406,7 +406,7 @@ let test_costs_presets () =
     Costs.ufork.Costs.address_space_switch;
   Alcotest.(check bool) "nephele domain create dominates" true
     (Costs.nephele.Costs.domain_create > 10_000_000L);
-  Alcotest.(check int64) "bytes cost" 100L (Costs.bytes_cost 1.0 100)
+  Alcotest.(check int) "bytes cost" 100 (Costs.bytes_cost 1.0 100)
 
 (* --- Event bus (Trace) --- *)
 
@@ -415,9 +415,9 @@ let test_emit_charges_and_counts () =
   let tr = Trace.create ~engine:e ~costs:Costs.ufork () in
   let _ =
     Engine.spawn e (fun () ->
-        Trace.emit tr Event.Context_switch;
+        Trace.emit tr ~pid:(-1) Event.Context_switch;
         Trace.emit tr ~pid:7 (Event.Pte_copy 1);
-        Trace.emit tr (Event.Page_alloc 3))
+        Trace.emit tr ~pid:(-1) (Event.Page_alloc 3))
   in
   Engine.run e;
   let m = Trace.meter tr in
@@ -440,9 +440,43 @@ let test_emit_outside_thread_counts_without_charging () =
      kernel directly) count in the meter but charge nothing. *)
   let e = Engine.create ~cores:1 () in
   let tr = Trace.create ~engine:e ~costs:Costs.ufork () in
-  Trace.emit tr (Event.Pte_copy 1);
+  Trace.emit tr ~pid:(-1) (Event.Pte_copy 1);
   Alcotest.(check int) "counted" 1 (Meter.get (Trace.meter tr) "pte_copy");
   Alcotest.(check int64) "not charged" 0L (Trace.total_charged tr);
+  Trace.audit tr ~costs:Costs.ufork ~elapsed:(Engine.advanced e)
+
+(* Allocation is deterministic for a given binary, so a budget on it is
+   a host-cost gate that timing noise cannot blur. On the direct path
+   (one thread, nothing else scheduled) a fixed-cost event, a byte-scaled
+   [Copy_bytes] and a syscall entry through one preallocated event
+   charge, count and attribute without allocating. *)
+let test_emit_allocates_nothing () =
+  let e = Engine.create ~cores:1 () in
+  let tr = Trace.create ~engine:e ~costs:Costs.ufork () in
+  let events =
+    [|
+      Event.Context_switch;
+      Event.Copy_bytes 4;
+      Event.Syscall { name = "read"; trap = false };
+    |]
+  in
+  let rounds = 1000 in
+  let words = ref nan in
+  let _ =
+    Engine.spawn e (fun () ->
+        (* First touches intern keys and create audit entries. *)
+        Array.iter (Trace.emit tr ~pid:(-1)) events;
+        let w0 = Gc.minor_words () in
+        for _ = 1 to rounds do
+          for i = 0 to Array.length events - 1 do
+            Trace.emit tr ~pid:(-1) events.(i)
+          done
+        done;
+        words := Gc.minor_words () -. w0)
+  in
+  Engine.run e;
+  Alcotest.(check (float 0.)) "minor words per event" 0.
+    (!words /. float_of_int (rounds * 3));
   Trace.audit tr ~costs:Costs.ufork ~elapsed:(Engine.advanced e)
 
 let test_audit_catches_uncharged_advance () =
@@ -451,7 +485,7 @@ let test_audit_catches_uncharged_advance () =
   let tr = Trace.create ~engine:e ~costs:Costs.ufork () in
   let _ =
     Engine.spawn e (fun () ->
-        Trace.emit tr Event.Context_switch;
+        Trace.emit tr ~pid:(-1) Event.Context_switch;
         Engine.advance 123L)
   in
   Engine.run e;
@@ -515,7 +549,7 @@ let prop_trace_ring_bounded_and_monotonic =
           ignore
             (Engine.spawn e (fun () ->
                  for _ = 1 to n do
-                   Trace.emit tr Event.Context_switch;
+                   Trace.emit tr ~pid:(-1) Event.Context_switch;
                    Engine.yield ()
                  done)))
         thread_events;
@@ -642,7 +676,7 @@ let schedule_log ~cores ~seed =
       (fun op ->
         (match op with
         | S_advance n -> Engine.advance (Int64.of_int n)
-        | S_emit n -> Trace.emit tr (Event.Compute (Int64.of_int n))
+        | S_emit n -> Trace.emit tr ~pid:(-1) (Event.Compute (Int64.of_int n))
         | S_yield -> Engine.yield ()
         | S_sleep n -> Engine.sleep (Int64.of_int n)
         | S_locked (l, n) ->
@@ -732,6 +766,7 @@ let suite =
       test_emit_outside_thread_counts_without_charging );
     ("audit catches raw advance", `Quick, test_audit_catches_uncharged_advance);
     ("jsonl record shape", `Quick, test_trace_jsonl_record_shape);
+    ("emit allocates nothing", `Quick, test_emit_allocates_nothing);
     ("schedule fingerprints", `Quick, test_schedule_fingerprints);
     qt prop_event_key_injective;
     qt prop_trace_ring_bounded_and_monotonic;
