@@ -844,9 +844,10 @@ let lint_cmd =
       Rules.print_catalogue ~md ();
       exit 0
     end;
+    let prog = Lint.load root in
     (match lock_graph with
     | Some fmt ->
-        let g = Lockdep.graph_of_tree root in
+        let g = Lockdep.graph prog in
         print_string
           (match fmt with
           | `Dot -> Lockdep.to_dot g
@@ -854,12 +855,8 @@ let lint_cmd =
         exit 0
     | None -> ());
     let findings =
-      List.sort
-        (fun (a : Lint.finding) b ->
-          compare (a.Lint.file, a.Lint.line, a.Lint.col)
-            (b.Lint.file, b.Lint.line, b.Lint.col))
-        (Lint.lint_tree root @ Lockdep.analyze_tree root
-        @ Capflow.analyze_tree root)
+      Lint.sort_findings
+        (Lint.check prog @ Lockdep.check prog @ Capflow.check prog)
     in
     if json then print_endline (Lint.to_json findings)
     else begin
@@ -869,7 +866,7 @@ let lint_cmd =
           "lint: clean — %d rules (D1-D13) over lib/, bin/, bench/, tools/ \
            (%d files)\n"
           (List.length Rules.all)
-          (List.length (Lint.tree_files root))
+          (List.length prog.Lint.files)
     end;
     if findings <> [] then exit 1
   in

@@ -1,11 +1,12 @@
-(* ufork_lint precision tests, mirroring the chaos methodology of
+(* Linter precision tests, mirroring the chaos methodology of
    test_analysis: every rule in the catalogue is exercised by a fixture
    that seeds exactly one violation, and the false-positive controls
    (banned names in comments/strings, innocent aliases, discharged
    Hashtbl traversals) must lint clean. Fixtures live in
    test/lint_fixtures/ (a data-only dir: dune never compiles them) and
    are linted under a synthetic lib/ path, because rule applicability is
-   path-scoped. *)
+   path-scoped. test/lint/ pins every fixture's full findings through
+   `ufork_sim lint`. *)
 
 module Rules = Ufork_lint_core.Lint_rules
 module Lint = Ufork_lint_core.Lint_engine
@@ -18,22 +19,16 @@ let fixture_dir =
   if Sys.file_exists "lint_fixtures" then "lint_fixtures"
   else Filename.concat "test" "lint_fixtures"
 
-let read_file file =
-  let ic = open_in_bin (Filename.concat fixture_dir file) in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file file = Lint.read_file (Filename.concat fixture_dir file)
 
 let ids fs = List.map (fun (f : Lint.finding) -> f.Lint.rule.Rules.id) fs
 
-let lint ?(path = "lib/workload/fixture.ml") file =
-  Lint.lint_source ~path ~source:(read_file file)
+let program ?(path = "lib/workload/fixture.ml") file =
+  Lint.of_sources [ (path, read_file file) ]
 
-let lockdep_lint ?(path = "lib/workload/fixture.ml") file =
-  Lockdep.analyze_sources [ (path, read_file file) ]
-
-let capflow_lint ?(path = "lib/workload/fixture.ml") file =
-  Capflow.analyze_sources [ (path, read_file file) ]
+let lint ?path file = Lint.check (program ?path file)
+let lockdep_lint ?path file = Lockdep.check (program ?path file)
+let capflow_lint ?path file = Capflow.check (program ?path file)
 
 (* One seeded violation per rule id, caught as exactly that rule. *)
 let seeded =
@@ -184,10 +179,7 @@ let test_json () =
 let test_lock_graph () =
   (* The exported graph names the hierarchy and the declared custom
      order from the clean fixture, in both DOT and JSON. *)
-  let g =
-    Lockdep.graph_of_sources
-      [ ("lib/workload/fixture.ml", read_file "fixture_clean_d10.ml") ]
-  in
+  let g = Lockdep.graph (program "fixture_clean_d10.ml") in
   let dot = Lockdep.to_dot g and json = Lockdep.to_json g in
   List.iter
     (fun (needle, hay, label) ->
@@ -200,6 +192,65 @@ let test_lock_graph () =
         json, "json declared edge" );
       ({|"kind":"hierarchy"|}, json, "json hierarchy edge");
     ]
+
+(* Calls resolve by file, not by file basename: two modules may share a
+   name (lib/analysis/lockdep.ml and tools/lint/lockdep.ml do). *)
+
+let test_d13_keys_by_file () =
+  (* Both [M.f] share the key (M, f) when keyed by basename: their
+     summaries overwrite each other every round and the fixpoint never
+     settles. Each caller reaches the [M] in its own directory. *)
+  let sources =
+    [
+      ("lib/sas/m.ml", "let f () = Capability.root ()");
+      ("lib/apps/m.ml", "let f () = 0");
+      ("lib/apps/user.ml", "let g tbl = Hashtbl.add tbl 0 (M.f ())");
+      ("lib/sas/user.ml", "let h tbl = Hashtbl.add tbl 0 (M.f ())");
+    ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "only lib/sas's M.f returns a capability"
+    [ ("lib/sas/user.ml", 1) ]
+    (List.map
+       (fun (f : Lint.finding) -> (f.Lint.file, f.Lint.line))
+       (Capflow.check (Lint.of_sources sources)))
+
+let test_d10_qualified_by_file () =
+  let m_files =
+    [
+      ("lib/sas/m.ml", "let f k = Kernel.with_uproc_table k (fun () -> ())");
+      ("lib/apps/m.ml", "let f () = ()");
+    ]
+  in
+  let caller = "let g k = Kernel.with_stats k (fun () -> M.f k)" in
+  let d10 user =
+    ids (Lockdep.check (Lint.of_sources (m_files @ [ (user, caller) ])))
+  in
+  Alcotest.(check (list string)) "lib/apps/user.ml calls lib/apps/m.ml" []
+    (d10 "lib/apps/user.ml");
+  Alcotest.(check (list string)) "lib/sas/user.ml calls lib/sas/m.ml"
+    [ "D10" ] (d10 "lib/sas/user.ml");
+  Alcotest.(check (list string)) "bin/user.ml: ambiguous, unresolved" []
+    (d10 "bin/user.ml")
+
+let test_d10_bare_name_is_local () =
+  (* A bare call names the caller's own binding: a local function named
+     like a kernel helper takes no lock, while kernel.ml's own bare
+     helper calls do. *)
+  let d10 path source =
+    ids (Lockdep.check (Lint.of_sources [ (path, source) ]))
+  in
+  Alcotest.(check (list string)) "lib/apps/x.ml" []
+    (d10 "lib/apps/x.ml"
+       "let with_uproc_table f = f ()\n\
+        let g k = Kernel.with_stats k (fun () -> with_uproc_table (fun () \
+        -> ()))\n");
+  Alcotest.(check (list string)) "lib/sas/kernel.ml" [ "D10" ]
+    (d10 "lib/sas/kernel.ml"
+       "let with_stats t f = f ()\n\
+        let with_uproc_table t f = f ()\n\
+        let g t = with_stats t (fun () -> with_uproc_table t (fun () -> \
+        ()))\n")
 
 let suite =
   [
@@ -218,4 +269,10 @@ let suite =
     Alcotest.test_case "findings carry precise locations" `Quick
       test_finding_location;
     Alcotest.test_case "json export" `Quick test_json;
+    Alcotest.test_case "D13 summaries key by file" `Quick
+      test_d13_keys_by_file;
+    Alcotest.test_case "D10 resolves M.f by file" `Quick
+      test_d10_qualified_by_file;
+    Alcotest.test_case "D10 bare names stay in their file" `Quick
+      test_d10_bare_name_is_local;
   ]

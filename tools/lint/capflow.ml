@@ -7,8 +7,9 @@
    survives fork. This pass tracks capability values from their sources
    — [Capability.root], [Capability.mint], [Relocate.relocate_cap] —
    through let-bindings, the cap->cap transformers ([with_cursor],
-   [rebase], [stamp], ...), and whole-program function summaries (a
-   fixpoint over return-value taint, like lockdep's A(F)), and flags:
+   [rebase], [stamp], ...), and whole-program function summaries
+   (return-value taint, computed by the engine's fixpoint like
+   lockdep's A(F)), and flags:
 
    (a) a tracked capability stored into an OCaml-heap container that is
        not a tag-carrying [Page.store_cap] (which is a plain call, not a
@@ -87,86 +88,55 @@ let app_scope path =
 
 (* {1 Analysis state} *)
 
-type site = { s_file : string; s_line : int; s_col : int }
+type site = Lint_engine.site
 
-let site_of (loc : Location.t) file =
-  {
-    s_file = file;
-    s_line = loc.Location.loc_start.Lexing.pos_lnum;
-    s_col =
-      loc.Location.loc_start.Lexing.pos_cnum
-      - loc.Location.loc_start.Lexing.pos_bol;
-  }
-
+(* A top-level value binding: what the summaries and the escape walk
+   read. *)
 type fn = {
-  f_key : string * string;  (* module, function *)
-  f_ctx : Lint_engine.ctx;
-  f_modname : string;
+  f_src : Lint_engine.source;
+  f_key : Lint_engine.key option;  (* None: no name calls it *)
   f_bodies : expression list;
   f_discharged : bool;  (* [@@ufork.cap_escape_ok] on the binding *)
   f_site : site;
 }
 
-type state = { mutable fns : fn list; mutable anon : int }
+let fns_of prog =
+  List.concat_map
+    (fun (src : Lint_engine.source) ->
+      List.map
+        (fun vb ->
+          {
+            f_src = src;
+            f_key =
+              Option.map (fun name -> (src.path, name)) (Lint_engine.binder vb);
+            f_bodies = Lint_engine.lambda_bodies vb.pvb_expr;
+            f_discharged = Lint_engine.has_attr escape_attr vb.pvb_attributes;
+            f_site = Lint_engine.site_of vb.pvb_loc src.path;
+          })
+        (Lint_engine.top_bindings src.str))
+    prog.Lint_engine.sources
 
-let has_attr name attrs =
-  List.exists (fun a -> a.attr_name.Location.txt = name) attrs
+(* What evaluating one file's code consults: the program (for call
+   resolution), the file, and the return-taint summaries so far. *)
+type cx = {
+  prog : Lint_engine.program;
+  src : Lint_engine.source;
+  summary : Lint_engine.key -> taint option;
+}
 
-let ident_path e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (Longident.flatten txt)
-  | _ -> None
+let names cx resolved = Lint_engine.names cx.prog cx.src resolved
 
-(* Unroll [f @@ x] and [x |> f] so source and sink calls match
-   regardless of application style. *)
-let rec normalize_apply e =
-  match e.pexp_desc with
-  | Pexp_apply (op, [ (Asttypes.Nolabel, f); (Asttypes.Nolabel, x) ])
-    when ident_path op = Some [ "@@" ] -> (
-      match normalize_apply f with
-      | Some (fn, args) -> Some (fn, args @ [ (Asttypes.Nolabel, x) ])
-      | None -> Some (f, [ (Asttypes.Nolabel, x) ]))
-  | Pexp_apply (op, [ (Asttypes.Nolabel, x); (Asttypes.Nolabel, f) ])
-    when ident_path op = Some [ "|>" ] -> (
-      match normalize_apply f with
-      | Some (fn, args) -> Some (fn, args @ [ (Asttypes.Nolabel, x) ])
-      | None -> Some (f, [ (Asttypes.Nolabel, x) ]))
-  | Pexp_apply (f, args) -> Some (f, args)
-  | _ -> None
+let summary_of cx resolved =
+  match Lint_engine.callee cx.prog cx.src resolved with
+  | Some key -> cx.summary key
+  | None -> None
 
-let rec lambda_bodies e =
-  match e.pexp_desc with
-  | Pexp_fun (_, _, _, body) -> lambda_bodies body
-  | Pexp_newtype (_, body) -> lambda_bodies body
-  | Pexp_function cases ->
-      List.concat_map (fun c -> lambda_bodies c.pc_rhs) cases
-  | _ -> [ e ]
-
-let nolabel_args args =
-  List.filter_map
-    (fun (lbl, a) -> if lbl = Asttypes.Nolabel then Some a else None)
-    args
-
-(* The (module, function) key a resolved call path summarizes to,
-   mirroring lockdep's callee resolution: bare names are self-module
-   calls. *)
-let callee_of ~modname resolved =
-  match List.rev resolved with
-  | [ fname ] -> Some (modname, fname)
-  | fname :: m :: _ when m <> "" && m.[0] >= 'A' && m.[0] <= 'Z' ->
-      Some (m, fname)
-  | _ -> None
-
-let matches_any ctx resolved targets =
-  List.exists (fun t -> Lint_engine.matches ctx resolved t) targets
-
-let is_relocate_call ctx e =
-  match normalize_apply e with
+let is_relocate_call cx e =
+  match Lint_engine.normalize_apply e with
   | Some (f, _) -> (
-      match ident_path f with
+      match Lint_engine.ident_path f with
       | Some p ->
-          Lint_engine.matches ctx
-            (Lint_engine.resolve ctx p)
+          names cx (Lint_engine.resolve cx.src.scope p)
             [ "Relocate"; "relocate_cap" ]
       | None -> false)
   | None -> false
@@ -175,135 +145,97 @@ let is_relocate_call ctx e =
 
    [taint_of] computes the taint of an expression's value under an
    environment of let-bound variables, consulting the whole-program
-   summary table for calls and for references to module-level
-   constants. *)
+   summaries for calls and for references to module-level constants. *)
 
-let rec taint_of sums ctx ~modname env e =
-  match normalize_apply e with
+let rec taint_of cx env e =
+  match Lint_engine.normalize_apply e with
   | Some (f, args) -> (
-      match ident_path f with
+      match Lint_engine.ident_path f with
       | Some p -> (
-          let resolved = Lint_engine.resolve ctx p in
-          if matches_any ctx resolved root_sources then Some Root
-          else if matches_any ctx resolved cap_sources then Some Cap
-          else if
-            matches_any ctx resolved
-              [ [ "Capability"; "clear_tag" ] ]
-          then None
-          else if
-            List.exists
-              (fun op ->
-                matches_any ctx resolved [ [ "Capability"; op ] ])
-              propagating
-          then
-            match nolabel_args args with
-            | a :: _ -> taint_of sums ctx ~modname env a
+          let resolved = Lint_engine.resolve cx.src.scope p in
+          let is = names cx resolved in
+          let first_arg () =
+            match Lint_engine.positional args with
+            | a :: _ -> taint_of cx env a
             | [] -> None
-          else if resolved = [ "ref" ] || resolved = [ "Stdlib"; "ref" ]
-                  || resolved = [ "!" ] then
-            match nolabel_args args with
-            | a :: _ -> taint_of sums ctx ~modname env a
-            | [] -> None
-          else
-            match callee_of ~modname resolved with
-            | Some key -> (
-                match Hashtbl.find_opt sums key with
-                | Some t -> t
-                | None -> None)
-            | None -> None)
+          in
+          if List.exists is root_sources then Some Root
+          else if List.exists is cap_sources then Some Cap
+          else if is [ "Capability"; "clear_tag" ] then None
+          else if
+            List.exists (fun op -> is [ "Capability"; op ]) propagating
+          then first_arg ()
+          else if
+            resolved = [ "ref" ] || resolved = [ "Stdlib"; "ref" ]
+            || resolved = [ "!" ]
+          then first_arg ()
+          else summary_of cx resolved)
       | None -> None)
   | None -> (
       match e.pexp_desc with
       | Pexp_ident { txt; _ } -> (
           match Longident.flatten txt with
-          | [ x ] -> (
-              match List.assoc_opt x env with
-              | Some t -> t
-              | None -> (
-                  match Hashtbl.find_opt sums (modname, x) with
-                  | Some t -> t
-                  | None -> None))
-          | p -> (
-              match callee_of ~modname (Lint_engine.resolve ctx p) with
-              | Some key -> (
-                  match Hashtbl.find_opt sums key with
-                  | Some t -> t
-                  | None -> None)
-              | None -> None))
+          | [ x ] when List.mem_assoc x env -> List.assoc x env
+          | p -> summary_of cx (Lint_engine.resolve cx.src.scope p))
       | Pexp_field (_, { txt; _ }) -> (
           (* The kernel's own authority store: [t.root]. *)
           match List.rev (Longident.flatten txt) with
           | "root" :: _ -> Some Root
           | _ -> None)
       | Pexp_let (_, vbs, body) ->
-          let env = List.fold_left (bind sums ctx ~modname) env vbs in
-          taint_of sums ctx ~modname env body
-      | Pexp_sequence (_, b) -> taint_of sums ctx ~modname env b
+          taint_of cx (List.fold_left (bind cx) env vbs) body
+      | Pexp_sequence (_, b) -> taint_of cx env b
       | Pexp_ifthenelse (_, t, f) ->
-          join
-            (taint_of sums ctx ~modname env t)
-            (Option.fold ~none:None
-               ~some:(taint_of sums ctx ~modname env)
-               f)
+          join (taint_of cx env t)
+            (Option.fold ~none:None ~some:(taint_of cx env) f)
       | Pexp_match (_, cases) | Pexp_try (_, cases) ->
           List.fold_left
-            (fun acc c -> join acc (taint_of sums ctx ~modname env c.pc_rhs))
+            (fun acc c -> join acc (taint_of cx env c.pc_rhs))
             None cases
       | Pexp_constraint (e, _) | Pexp_open (_, e) | Pexp_letmodule (_, _, e)
         ->
-          taint_of sums ctx ~modname env e
+          taint_of cx env e
       | Pexp_construct (_, Some arg) | Pexp_variant (_, Some arg) ->
-          taint_of sums ctx ~modname env arg
+          taint_of cx env arg
       | Pexp_tuple es ->
-          List.fold_left
-            (fun acc e -> join acc (taint_of sums ctx ~modname env e))
-            None es
+          List.fold_left (fun acc e -> join acc (taint_of cx env e)) None es
       | _ -> None)
 
-and bind sums ctx ~modname env vb =
-  match vb.pvb_pat.ppat_desc with
-  | Ppat_var { txt; _ }
-  | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) ->
-      (txt, taint_of sums ctx ~modname env vb.pvb_expr) :: env
-  | _ -> env
+and bind cx env vb =
+  match Lint_engine.binder vb with
+  | Some x -> (x, taint_of cx env vb.pvb_expr) :: env
+  | None -> env
 
 (* {1 Whole-program summaries}
 
-   Return-value taint per function, to a fixpoint: a function returning
-   [Kernel.root_cap k] is itself a root source at every call site. *)
+   Return-value taint per function: a function returning
+   [Kernel.root_cap k] is itself a root source at every call site. A
+   name bound twice in one file summarizes both definitions. *)
 
-let summaries st =
-  let sums : (string * string, taint option) Hashtbl.t = Hashtbl.create 64 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun fn ->
-        let t =
-          List.fold_left
-            (fun acc b ->
-              join acc
-                (taint_of sums fn.f_ctx ~modname:fn.f_modname [] b))
-            None fn.f_bodies
-        in
-        if Hashtbl.find_opt sums fn.f_key <> Some t then begin
-          Hashtbl.replace sums fn.f_key t;
-          changed := true
-        end)
-      st.fns
-  done;
-  sums
+let summaries prog fns =
+  let defs = Hashtbl.create 64 in
+  let keys =
+    List.fold_left
+      (fun keys fn ->
+        match fn.f_key with
+        | Some k ->
+            let fresh = not (Hashtbl.mem defs k) in
+            Hashtbl.add defs k fn;
+            if fresh then k :: keys else keys
+        | None -> keys)
+      [] fns
+  in
+  Lint_engine.fixpoint ~bottom:None ~equal:( = )
+    ~step:(fun summary k ->
+      List.fold_left
+        (fun acc fn ->
+          let cx = { prog; src = fn.f_src; summary } in
+          List.fold_left (fun acc b -> join acc (taint_of cx [] b)) acc
+            fn.f_bodies)
+        None (Hashtbl.find_all defs k))
+    (List.rev keys)
 
 (* {1 The escape walk} *)
-
-let finding ~site ~message =
-  {
-    Lint_engine.rule = Lint_rules.capflow;
-    file = site.s_file;
-    line = site.s_line;
-    col = site.s_col;
-    message;
-  }
 
 type report_sink = {
   mutable findings : Lint_engine.finding list;
@@ -312,11 +244,13 @@ type report_sink = {
   discharges : (site, int ref) Hashtbl.t;
 }
 
-let report sink ~shields site message =
+let report sink ~shields (site : site) message =
   if Lint_rules.capflow.Lint_rules.applies site.s_file then
     match shields with
     | shield :: _ -> incr (Hashtbl.find sink.discharges shield)
-    | [] -> sink.findings <- finding ~site ~message :: sink.findings
+    | [] ->
+        sink.findings <-
+          Lint_engine.finding Lint_rules.capflow site message :: sink.findings
 
 let register_discharge sink site =
   if not (Hashtbl.mem sink.discharges site) then
@@ -346,103 +280,85 @@ let root_msg what =
      capability instead"
     what
 
-let check_fns st sums =
+let check prog =
+  let fns = fns_of prog in
+  let summary = summaries prog fns in
   let sink = { findings = []; discharges = Hashtbl.create 8 } in
   let check_fn fn =
-    let ctx = fn.f_ctx and modname = fn.f_modname in
-    let file = ctx.Lint_engine.path in
-    let taint env e = taint_of sums ctx ~modname env e in
+    let cx = { prog; src = fn.f_src; summary } in
+    let file = fn.f_src.path in
+    let discharge loc shields =
+      let s = Lint_engine.site_of loc file in
+      register_discharge sink s;
+      s :: shields
+    in
     let rec walk env shields e =
       let shields =
-        if has_attr escape_attr e.pexp_attributes then begin
-          let s = site_of e.pexp_loc file in
-          register_discharge sink s;
-          s :: shields
-        end
+        if Lint_engine.has_attr escape_attr e.pexp_attributes then
+          discharge e.pexp_loc shields
         else shields
       in
-      let esite = site_of e.pexp_loc file in
+      let esite = Lint_engine.site_of e.pexp_loc file in
       let check_store where v =
-        match taint env v with
+        match taint_of cx env v with
         | Some t -> report sink ~shields esite (escape_msg t where)
         | None -> ()
       in
-      match normalize_apply e with
+      match Lint_engine.normalize_apply e with
       | Some (f, args) ->
-          (match ident_path f with
+          (match Lint_engine.ident_path f with
           | Some p ->
-              let resolved = Lint_engine.resolve ctx p in
-              let nolabel = nolabel_args args in
+              let resolved = Lint_engine.resolve cx.src.scope p in
+              let is = names cx resolved in
+              let positional = Lint_engine.positional args in
               (* (a) heap-container escapes. *)
               if resolved = [ ":=" ] then
-                match nolabel with
+                match positional with
                 | [ _; v ] -> check_store "a ref cell" v
                 | _ -> ()
               else if resolved = [ "ref" ] || resolved = [ "Stdlib"; "ref" ]
-              then List.iter (check_store "a ref cell") nolabel
+              then List.iter (check_store "a ref cell") positional
               else begin
                 List.iter
                   (fun (target, where) ->
-                    if Lint_engine.matches ctx resolved target then
-                      List.iter (check_store where) nolabel)
+                    if is target then
+                      List.iter (check_store where) positional)
                   sink_targets;
                 (* (b) discarded relocation. *)
                 if
-                  (resolved = [ "ignore" ]
-                  || resolved = [ "Stdlib"; "ignore" ])
-                  && List.exists (is_relocate_call ctx) nolabel
+                  (resolved = [ "ignore" ] || resolved = [ "Stdlib"; "ignore" ])
+                  && List.exists (is_relocate_call cx) positional
                 then report sink ~shields esite discard_msg;
                 (* (c) root authority above the kernel layers. *)
-                if app_scope file then
-                  if matches_any ctx resolved root_sources then
-                    report sink ~shields esite
-                      (root_msg
-                         (String.concat "." p))
-                  else
-                    match callee_of ~modname resolved with
-                    | Some key
-                      when Hashtbl.find_opt sums key = Some (Some Root) ->
-                        report sink ~shields esite
-                          (root_msg (String.concat "." p))
-                    | _ -> ()
+                if
+                  app_scope file
+                  && (List.exists is root_sources
+                     || summary_of cx resolved = Some Root)
+                then report sink ~shields esite (root_msg (String.concat "." p))
               end
           | None -> ());
           walk env shields f;
           List.iter (fun (_, a) -> walk env shields a) args
       | None -> (
           match e.pexp_desc with
-          | Pexp_setfield (r, _, v) ->
-              check_store "a mutable record field" v;
-              walk env shields r;
-              walk env shields v
-          | Pexp_array es ->
-              List.iter (check_store "an array") es;
-              List.iter (walk env shields) es
-          | Pexp_sequence (a, b) ->
-              if is_relocate_call ctx a then
-                report sink ~shields (site_of a.pexp_loc file) discard_msg;
-              walk env shields a;
-              walk env shields b
           | Pexp_let (_, vbs, body) ->
               let env' =
                 List.fold_left
                   (fun env' vb ->
                     let shields =
-                      if has_attr escape_attr vb.pvb_attributes then begin
-                        let s = site_of vb.pvb_loc file in
-                        register_discharge sink s;
-                        s :: shields
-                      end
+                      if Lint_engine.has_attr escape_attr vb.pvb_attributes
+                      then discharge vb.pvb_loc shields
                       else shields
                     in
-                    (if vb.pvb_pat.ppat_desc = Ppat_any
-                        && is_relocate_call ctx vb.pvb_expr
+                    (if
+                       vb.pvb_pat.ppat_desc = Ppat_any
+                       && is_relocate_call cx vb.pvb_expr
                      then
                        report sink ~shields
-                         (site_of vb.pvb_expr.pexp_loc file)
+                         (Lint_engine.site_of vb.pvb_expr.pexp_loc file)
                          discard_msg);
                     walk env shields vb.pvb_expr;
-                    bind sums ctx ~modname env' vb)
+                    bind cx env' vb)
                   env vbs
               in
               walk env' shields body
@@ -450,24 +366,17 @@ let check_fns st sums =
               walk env shields body
           | Pexp_function cases ->
               List.iter (fun c -> walk env shields c.pc_rhs) cases
-          | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
-              walk env shields scrut;
-              List.iter (fun c -> walk env shields c.pc_rhs) cases
-          | Pexp_ifthenelse (c, t, f) ->
-              walk env shields c;
-              walk env shields t;
-              Option.iter (walk env shields) f
-          | Pexp_constraint (e, _) | Pexp_open (_, e)
-          | Pexp_letmodule (_, _, e) | Pexp_lazy e | Pexp_assert e ->
-              walk env shields e
-          | Pexp_record (fields, base) ->
-              List.iter (fun (_, fe) -> walk env shields fe) fields;
-              Option.iter (walk env shields) base
-          | Pexp_tuple es -> List.iter (walk env shields) es
-          | Pexp_construct (_, arg) | Pexp_variant (_, arg) ->
-              Option.iter (walk env shields) arg
-          | Pexp_field (e, _) -> walk env shields e
-          | _ -> ())
+          | _ ->
+              (match e.pexp_desc with
+              | Pexp_setfield (_, _, v) ->
+                  check_store "a mutable record field" v
+              | Pexp_array es -> List.iter (check_store "an array") es
+              | Pexp_sequence (a, _) when is_relocate_call cx a ->
+                  report sink ~shields
+                    (Lint_engine.site_of a.pexp_loc file)
+                    discard_msg
+              | _ -> ());
+              List.iter (walk env shields) (Lint_engine.subexpressions e))
     in
     let shields =
       if fn.f_discharged then begin
@@ -478,107 +387,20 @@ let check_fns st sums =
     in
     List.iter (walk [] shields) fn.f_bodies
   in
-  List.iter check_fn st.fns;
+  List.iter check_fn fns;
   (* The annotations are checked, not trusted: a discharge that shielded
-     nothing is dead weight that would silently excuse a future leak. *)
-  Hashtbl.iter
-    (fun site count ->
-      if
-        !count = 0
-        && Lint_rules.capflow.Lint_rules.applies site.s_file
-      then
-        sink.findings <-
-          finding ~site
-            ~message:
-              (Printf.sprintf
-                 "[@%s] discharges nothing: no capability escape under \
-                  this annotation — remove it so it cannot excuse a \
-                  future leak"
-                 escape_attr)
-          :: sink.findings)
-    sink.discharges;
-  List.sort
-    (fun (a : Lint_engine.finding) b ->
-      compare (a.file, a.line, a.col) (b.file, b.line, b.col))
-    sink.findings
-
-(* {1 Per-file collection} *)
-
-let collect_file st ctx ~modname str =
-  let file = ctx.Lint_engine.path in
-  let anon_key () =
-    st.anon <- st.anon + 1;
-    (modname, Printf.sprintf "<capflow-anon-%d>" st.anon)
-  in
-  List.iter
-    (fun item ->
-      match item.pstr_desc with
-      | Pstr_value (_, vbs) ->
-          List.iter
-            (fun vb ->
-              let key =
-                match vb.pvb_pat.ppat_desc with
-                | Ppat_var { txt; _ }
-                | Ppat_constraint
-                    ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) ->
-                    (modname, txt)
-                | _ -> anon_key ()
-              in
-              st.fns <-
-                {
-                  f_key = key;
-                  f_ctx = ctx;
-                  f_modname = modname;
-                  f_bodies = lambda_bodies vb.pvb_expr;
-                  f_discharged = has_attr escape_attr vb.pvb_attributes;
-                  f_site = site_of vb.pvb_loc file;
-                }
-                :: st.fns)
-            vbs
-      | _ -> ())
-    str
-
-(* {1 Entry points} *)
-
-let state_of_sources sources =
-  let st = { fns = []; anon = 0 } in
-  List.iter
-    (fun (path, source) ->
-      let ctx =
-        {
-          Lint_engine.path;
-          aliases = [];
-          opens = [];
-          findings = [];
-          has_sort = false;
-          order_ok_depth = 0;
-        }
-      in
-      let lexbuf = Lexing.from_string source in
-      Lexing.set_filename lexbuf path;
-      match Parse.implementation lexbuf with
-      | str ->
-          Lint_engine.collect_bindings ctx str;
-          let modname =
-            String.capitalize_ascii
-              (Filename.remove_extension (Filename.basename path))
-          in
-          collect_file st ctx ~modname str
-      | exception _ ->
-          (* Unparseable files are E0 findings in the main lint pass. *)
-          ())
-    sources;
-  st.fns <- List.rev st.fns;
-  st
-
-let analyze_sources sources =
-  let st = state_of_sources sources in
-  check_fns st (summaries st)
-
-let tree_sources root =
-  Lint_engine.tree_files root
-  |> List.filter (fun rel -> Filename.check_suffix rel ".ml")
-  |> List.map (fun rel ->
-         (rel, Lint_engine.read_file (Filename.concat root rel)))
-
-let analyze_tree root = analyze_sources (tree_sources root)
+     nothing is dead weight that would silently excuse a future leak.
+     Discharge sites are distinct positions, so the sort below fixes the
+     order. *)
+  (Hashtbl.iter
+     (fun (site : site) count ->
+       if !count = 0 && Lint_rules.capflow.Lint_rules.applies site.s_file then
+         sink.findings <-
+           Lint_engine.finding Lint_rules.capflow site
+             (Printf.sprintf
+                "[@%s] discharges nothing: no capability escape under this \
+                 annotation — remove it so it cannot excuse a future leak"
+                escape_attr)
+           :: sink.findings)
+     sink.discharges [@ufork.order_independent]);
+  Lint_engine.sort_findings sink.findings

@@ -8,7 +8,7 @@
    the mechanism", never a blanket opt-out. *)
 
 type t = {
-  id : string;  (* stable short id: "D1".."D12", "E0" *)
+  id : string;  (* stable short id: "D1".."D13", "E0" *)
   name : string;  (* kebab-case slug *)
   severity : string;  (* "critical" | "error" — mirrors Invariant.severity *)
   summary : string;  (* one line, shown next to findings *)
@@ -237,9 +237,8 @@ let all =
 
 (* {1 Catalogue rendering}
 
-   Shared by both drivers ([ufork_lint --list] and [ufork_sim lint
-   --list]) so the rule table cannot drift between them; [--md] emits
-   the table DESIGN.md checks in. *)
+   What [ufork_sim lint --list] prints; [--md] emits the table DESIGN.md
+   checks in. *)
 
 let print_catalogue ~md () =
   if md then begin

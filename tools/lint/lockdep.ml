@@ -1,9 +1,9 @@
 (* Rule D10: interprocedural static lock-order analysis.
 
-   Walks every .ml under lib|bin|bench, resolves calls to the
-   acquisition helpers (the [Kernel.with_*] family and
-   [Sync.Rlock.with_lock] / [Sync.Lock.with_lock]) through the same
-   alias/open machinery as rules D1-D9, and builds the
+   Reads every parsed .ml of the program (Lint_engine), resolves calls
+   to the acquisition helpers (the [Kernel.with_*] family and
+   [Sync.Rlock.with_lock] / [Sync.Lock.with_lock]) through the engine's
+   alias/open scope and call resolution, and builds the
    may-hold-while-acquiring graph over named lock CLASSES: an edge
    a -> b means some code path may acquire b while holding a. The
    16 page-table shards collapse to the one class [lock.pt_shard] with
@@ -107,19 +107,19 @@ let builtin_names =
 
 (* {1 Analysis state} *)
 
-type site = { s_file : string; s_line : int; s_col : int }
+type site = Lint_engine.site
 
 type acq = { a_held : lock list; a_lock : lock; a_site : site }
 
-type callrec = { callee : string * string; c_held : lock list; c_site : site }
+type callrec = { callee : Lint_engine.key; c_held : lock list; c_site : site }
 
 type fn_info = { mutable acqs : acq list; mutable calls : callrec list }
 
 type decl = { d_from : string; d_to : string; d_site : site }
 
 type state = {
-  fns : (string * string, fn_info) Hashtbl.t;
-  mutable fn_order : (string * string) list;  (* reverse definition order *)
+  fns : (Lint_engine.key, fn_info) Hashtbl.t;
+  mutable fn_order : Lint_engine.key list;  (* reverse definition order *)
   mutable decls : decl list;
   mutable anon : int;
 }
@@ -136,15 +136,6 @@ let fn_info st key =
       st.fn_order <- key :: st.fn_order;
       i
 
-let site_of (loc : Location.t) file =
-  {
-    s_file = file;
-    s_line = loc.Location.loc_start.Lexing.pos_lnum;
-    s_col =
-      loc.Location.loc_start.Lexing.pos_cnum
-      - loc.Location.loc_start.Lexing.pos_bol;
-  }
-
 (* {1 Attributes} *)
 
 let payload_string = function
@@ -159,9 +150,6 @@ let payload_string = function
       ] ->
       Some s
   | _ -> None
-
-let has_attr name attrs =
-  List.exists (fun a -> a.attr_name.Location.txt = name) attrs
 
 (* "lock.a < lock.b < lock.c" -> [(a,b); (b,c)] *)
 let order_pairs s =
@@ -181,18 +169,13 @@ let record_decls st file attrs =
             List.iter
               (fun (d_from, d_to) ->
                 st.decls <-
-                  { d_from; d_to; d_site = site_of a.attr_loc file }
+                  { d_from; d_to; d_site = Lint_engine.site_of a.attr_loc file }
                   :: st.decls)
               (order_pairs s)
         | None -> ())
     attrs
 
 (* {1 Per-file pass} *)
-
-let ident_path e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (Longident.flatten txt)
-  | _ -> None
 
 let const_int e =
   match e.pexp_desc with
@@ -202,17 +185,17 @@ let const_int e =
 (* Collect [let x = Rlock.create ~name:"..." ()] and
    [{ field = Rlock.create ~name:"..." (); ... }] bindings so lock
    expressions resolve to their registered names. *)
-let collect_lock_registry ctx str =
+let collect_lock_registry scope str =
   let registry : (string, lock) Hashtbl.t = Hashtbl.create 16 in
   let create_name e =
     match e.pexp_desc with
     | Pexp_apply (f, args) -> (
-        match ident_path f with
+        match Lint_engine.ident_path f with
         | Some p
           when Lint_engine.ends_with ~suffix:[ "Rlock"; "create" ]
-                 (Lint_engine.resolve ctx p)
+                 (Lint_engine.resolve scope p)
                || Lint_engine.ends_with ~suffix:[ "Lock"; "create" ]
-                    (Lint_engine.resolve ctx p) ->
+                    (Lint_engine.resolve scope p) ->
             List.find_map
               (fun (lbl, a) ->
                 match (lbl, a.pexp_desc) with
@@ -258,7 +241,7 @@ let collect_lock_registry ctx str =
 (* The lock named by a [with_lock] first argument: a registered
    variable, a registered or conventionally named record field, or an
    [a.(i)] shard array subscript (constant index kept). *)
-let rec resolve_lock_expr ctx registry e =
+let rec resolve_lock_expr scope registry e =
   let by_name n =
     match Hashtbl.find_opt registry n with
     | Some l -> Some l
@@ -277,55 +260,28 @@ let rec resolve_lock_expr ctx registry e =
       | [] -> None)
   | Pexp_apply (f, args) -> (
       (* [arr.(i)] parses as [Array.get arr i]. *)
-      match ident_path f with
+      match Lint_engine.ident_path f with
       | Some p
         when Lint_engine.ends_with ~suffix:[ "Array"; "get" ]
-               (Lint_engine.resolve ctx p) -> (
-          match List.filter_map
-                  (fun (lbl, a) ->
-                    if lbl = Asttypes.Nolabel then Some a else None)
-                  args
-          with
+               (Lint_engine.resolve scope p) -> (
+          match Lint_engine.positional args with
           | arr :: idx :: _ -> (
-              match resolve_lock_expr ctx registry arr with
+              match resolve_lock_expr scope registry arr with
               | Some { cls; _ } when cls = "lock.pt_shard" ->
                   Some { cls; index = const_int idx }
               | other -> other)
           | _ -> None)
       | _ -> None)
-  | Pexp_constraint (e, _) -> resolve_lock_expr ctx registry e
+  | Pexp_constraint (e, _) -> resolve_lock_expr scope registry e
   | _ -> None
 
-(* Unroll [f @@ x] and [x |> f] into plain applications so helper calls
-   match regardless of application style. *)
-let rec normalize_apply e =
-  match e.pexp_desc with
-  | Pexp_apply (op, [ (Asttypes.Nolabel, f); (Asttypes.Nolabel, x) ])
-    when ident_path op = Some [ "@@" ] -> (
-      match normalize_apply f with
-      | Some (fn, args) -> Some (fn, args @ [ (Asttypes.Nolabel, x) ])
-      | None -> Some (f, [ (Asttypes.Nolabel, x) ]))
-  | Pexp_apply (op, [ (Asttypes.Nolabel, x); (Asttypes.Nolabel, f) ])
-    when ident_path op = Some [ "|>" ] -> (
-      match normalize_apply f with
-      | Some (fn, args) -> Some (fn, args @ [ (Asttypes.Nolabel, x) ])
-      | None -> Some (f, [ (Asttypes.Nolabel, x) ]))
-  | Pexp_apply (f, args) -> Some (f, args)
-  | _ -> None
-
-let helper_of ctx path =
-  let resolved = Lint_engine.resolve ctx path in
+(* The helper a call path names, if any. Inside kernel.ml a bare
+   [with_stats] is the kernel's own helper; elsewhere a function that
+   merely shares a helper's name is an ordinary call. *)
+let helper_of prog src resolved =
+  let names = Lint_engine.names prog src resolved in
   List.find_map
-    (fun (target, kind) ->
-      let bare_kernel_helper =
-        (* Self-module calls inside kernel.ml: [with_uproc_table t f]. *)
-        match (target, resolved) with
-        | [ "Kernel"; f ], [ f' ] -> f = f'
-        | _ -> false
-      in
-      if Lint_engine.matches ctx resolved target || bare_kernel_helper then
-        Some (target, kind)
-      else None)
+    (fun (target, kind) -> if names target then Some kind else None)
     helpers
 
 let is_lambda e =
@@ -333,223 +289,126 @@ let is_lambda e =
   | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> true
   | _ -> false
 
-(* The innermost body of a lambda (parameters stripped); [Pexp_function]
-   case bodies are walked by the caller via [lambda_bodies]. *)
-let rec lambda_bodies e =
-  match e.pexp_desc with
-  | Pexp_fun (_, _, _, body) -> lambda_bodies body
-  | Pexp_newtype (_, body) -> lambda_bodies body
-  | Pexp_function cases -> List.concat_map (fun c -> lambda_bodies c.pc_rhs) cases
-  | _ -> [ e ]
-
-let analyze_file st ctx ~modname str =
-  let file = ctx.Lint_engine.path in
-  (* Nested deferred closures get fresh unreachable keys: their
-     acquisitions are still order-checked, but never attributed to the
-     enclosing function's summary (that would manufacture edges from
-     contexts that do not run them). *)
+let analyze_file st prog (src : Lint_engine.source) =
+  let file = src.path and scope = src.scope in
+  (* Deferred closures get fresh unreachable keys: their acquisitions
+     are still order-checked, but never attributed to the enclosing
+     function's summary (that would manufacture edges from contexts
+     that do not run them). *)
   let anon_key () =
     st.anon <- st.anon + 1;
-    (modname, Printf.sprintf "<closure-%d>" st.anon)
+    (file, Printf.sprintf "<closure-%d>" st.anon)
   in
-  let registry = collect_lock_registry ctx str in
+  let registry = collect_lock_registry scope src.str in
   let rec walk info ~held ~ignored e =
-    let ignored = ignored || has_attr ignore_attr e.pexp_attributes in
+    let ignored =
+      ignored || Lint_engine.has_attr ignore_attr e.pexp_attributes
+    in
     record_decls st file e.pexp_attributes;
-    match normalize_apply e with
-    | Some (f, args) -> (
-        let nolabel =
-          List.filter_map
-            (fun (lbl, a) -> if lbl = Asttypes.Nolabel then Some a else None)
-            args
+    match Lint_engine.normalize_apply e with
+    | Some (f, args) ->
+        let site = Lint_engine.site_of e.pexp_loc file in
+        let positional = Lint_engine.positional args in
+        let lock =
+          match Lint_engine.ident_path f with
+          | None -> None
+          | Some p -> (
+              let resolved = Lint_engine.resolve scope p in
+              match helper_of prog src resolved with
+              | Some (`Fixed cls) -> Some { cls; index = None }
+              | Some `From_arg ->
+                  (* A with_lock whose lock expression we cannot name
+                     records nothing; its lambda is analyzed like any
+                     deferred closure. *)
+                  Option.bind (List.nth_opt positional 0)
+                    (resolve_lock_expr scope registry)
+              | None ->
+                  (match Lint_engine.callee prog src resolved with
+                  | Some callee when not ignored ->
+                      info.calls <-
+                        { callee; c_held = held; c_site = site } :: info.calls
+                  | _ -> ());
+                  None)
         in
-        let walk_args ~body_of_helper held' =
-          List.iter
-            (fun (_, a) ->
-              if Some a == body_of_helper then ()
-              else if is_lambda a then
-                (* Deferred closure under an unknown callee. *)
-                let ak = anon_key () in
-                let ai = fn_info st ak in
-                List.iter
-                  (fun b -> walk ai ~held:[] ~ignored b)
-                  (lambda_bodies a)
-              else walk info ~held:held' ~ignored a)
-            args
+        Option.iter
+          (fun lock ->
+            if not ignored then
+              info.acqs <-
+                { a_held = held; a_lock = lock; a_site = site } :: info.acqs)
+          lock;
+        (* A helper runs its last positional lambda now, under the lock;
+           every other argument is evaluated now, lambdas among them
+           deferred. *)
+        let body =
+          match (lock, List.rev positional) with
+          | Some lock, last :: _ when is_lambda last -> Some (lock, last)
+          | _ -> None
         in
-        match Option.bind (ident_path f) (fun p -> Some (p, helper_of ctx p))
-        with
-        | Some (_, Some (_, kind)) -> (
-            let lock =
-              match kind with
-              | `Fixed cls -> Some { cls; index = None }
-              | `From_arg -> (
-                  match nolabel with
-                  | arg0 :: _ -> resolve_lock_expr ctx registry arg0
-                  | [] -> None)
-            in
-            match lock with
-            | Some lock ->
-                if not ignored then
-                  info.acqs <-
-                    { a_held = held; a_lock = lock; a_site = site_of e.pexp_loc file }
-                    :: info.acqs;
-                let body =
-                  match List.rev nolabel with
-                  | last :: _ when is_lambda last -> Some last
-                  | _ -> None
-                in
-                walk_args ~body_of_helper:body held;
-                Option.iter
-                  (fun b ->
-                    List.iter
-                      (fun bb -> walk info ~held:(lock :: held) ~ignored bb)
-                      (lambda_bodies b))
-                  body
-            | None ->
-                (* A with_lock whose lock expression we cannot name:
-                   nothing to record, but the body still runs now. *)
-                walk_args ~body_of_helper:None held)
-        | Some (p, None) ->
-            (let resolved = Lint_engine.resolve ctx p in
-             let callee =
-               match List.rev resolved with
-               | [ fname ] -> Some (modname, fname)
-               | fname :: m :: _ when m <> "" && m.[0] >= 'A' && m.[0] <= 'Z'
-                 ->
-                   Some (m, fname)
-               | _ -> None
-             in
-             match callee with
-             | Some callee when not ignored ->
-                 info.calls <-
-                   { callee; c_held = held; c_site = site_of e.pexp_loc file }
-                   :: info.calls
-             | _ -> ());
-            walk_args ~body_of_helper:None held;
-            walk info ~held ~ignored f
-        | None ->
-            (* Applying a field or a complex expression: arguments are
-               evaluated now; lambdas among them are deferred. *)
-            walk_args ~body_of_helper:None held;
-            walk info ~held ~ignored f)
+        List.iter
+          (fun (_, a) ->
+            match body with
+            | Some (_, b) when b == a -> ()
+            | _ -> walk info ~held ~ignored a)
+          args;
+        Option.iter
+          (fun (lock, b) ->
+            List.iter
+              (walk info ~held:(lock :: held) ~ignored)
+              (Lint_engine.lambda_bodies b))
+          body;
+        walk info ~held ~ignored f
     | None -> (
         match e.pexp_desc with
         | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ ->
-            (* A lambda outside any call: a stored hook or a binding's
-               body — deferred, empty held set. *)
-            let ak = anon_key () in
-            let ai = fn_info st ak in
-            List.iter (fun b -> walk ai ~held:[] ~ignored b) (lambda_bodies e)
+            (* A lambda no helper runs — an argument to an unknown
+               callee, a stored hook, a record field — is a deferred
+               closure, analyzed with an empty held set. *)
+            let closure = fn_info st (anon_key ()) in
+            List.iter
+              (walk closure ~held:[] ~ignored)
+              (Lint_engine.lambda_bodies e)
         | Pexp_let (_, vbs, body) ->
             List.iter
               (fun vb ->
                 record_decls st file vb.pvb_attributes;
                 let ignored' =
-                  ignored || has_attr ignore_attr vb.pvb_attributes
+                  ignored || Lint_engine.has_attr ignore_attr vb.pvb_attributes
                 in
                 walk info ~held ~ignored:ignored' vb.pvb_expr)
               vbs;
             walk info ~held ~ignored body
-        | Pexp_sequence (a, b) ->
-            walk info ~held ~ignored a;
-            walk info ~held ~ignored b
-        | Pexp_ifthenelse (c, t, f) ->
-            walk info ~held ~ignored c;
-            walk info ~held ~ignored t;
-            Option.iter (walk info ~held ~ignored) f
-        | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
-            walk info ~held ~ignored scrut;
-            List.iter (fun c -> walk info ~held ~ignored c.pc_rhs) cases
-        | Pexp_constraint (e, _) | Pexp_open (_, e) | Pexp_letmodule (_, _, e)
-          ->
-            walk info ~held ~ignored e
-        | Pexp_record (fields, base) ->
-            List.iter
-              (fun (_, fe) ->
-                if is_lambda fe then begin
-                  let ak = anon_key () in
-                  let ai = fn_info st ak in
-                  List.iter
-                    (fun b -> walk ai ~held:[] ~ignored b)
-                    (lambda_bodies fe)
-                end
-                else walk info ~held ~ignored fe)
-              fields;
-            Option.iter (walk info ~held ~ignored) base
-        | Pexp_tuple es | Pexp_array es ->
-            List.iter (walk info ~held ~ignored) es
-        | Pexp_construct (_, arg) | Pexp_variant (_, arg) ->
-            Option.iter (walk info ~held ~ignored) arg
-        | Pexp_field (e, _) -> walk info ~held ~ignored e
-        | Pexp_setfield (a, _, b) ->
-            walk info ~held ~ignored a;
-            walk info ~held ~ignored b
-        | Pexp_lazy e | Pexp_assert e -> walk info ~held ~ignored e
-        | _ -> ())
+        | _ ->
+            List.iter (walk info ~held ~ignored) (Lint_engine.subexpressions e))
   in
   List.iter
-    (fun item ->
-      match item.pstr_desc with
-      | Pstr_value (_, vbs) ->
-          List.iter
-            (fun vb ->
-              record_decls st file vb.pvb_attributes;
-              let ignored = has_attr ignore_attr vb.pvb_attributes in
-              match vb.pvb_pat.ppat_desc with
-              | Ppat_var { txt; _ } ->
-                  let info = fn_info st (modname, txt) in
-                  List.iter
-                    (fun b -> walk info ~held:[] ~ignored b)
-                    (lambda_bodies vb.pvb_expr)
-              | _ ->
-                  let info = fn_info st (anon_key ()) in
-                  List.iter
-                    (fun b -> walk info ~held:[] ~ignored b)
-                    (lambda_bodies vb.pvb_expr))
-            vbs
-      | _ -> ())
-    str
+    (fun vb ->
+      record_decls st file vb.pvb_attributes;
+      let ignored = Lint_engine.has_attr ignore_attr vb.pvb_attributes in
+      let key =
+        match Lint_engine.binder vb with
+        | Some name -> (file, name)
+        | None -> anon_key ()
+      in
+      List.iter
+        (walk (fn_info st key) ~held:[] ~ignored)
+        (Lint_engine.lambda_bodies vb.pvb_expr))
+    (Lint_engine.top_bindings src.str)
 
 (* {1 Whole-program summaries and checks} *)
 
+module Classes = Set.Make (String)
+
 (* Transitive acquisition classes per function: A(F) = direct classes
-   plus A(G) for every known callee G, to a fixpoint. *)
+   plus A(G) for every known callee G. *)
 let summaries st =
-  let a : (string * string, string list ref) Hashtbl.t = Hashtbl.create 64 in
-  let keys = List.rev st.fn_order in
-  List.iter
-    (fun k ->
+  Lint_engine.fixpoint ~bottom:Classes.empty ~equal:Classes.equal
+    ~step:(fun get k ->
       let info = Hashtbl.find st.fns k in
-      let direct =
-        List.sort_uniq String.compare
-          (List.map (fun acq -> acq.a_lock.cls) info.acqs)
-      in
-      Hashtbl.replace a k (ref direct))
-    keys;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun k ->
-        let info = Hashtbl.find st.fns k in
-        let mine = Hashtbl.find a k in
-        List.iter
-          (fun c ->
-            match Hashtbl.find_opt a c.callee with
-            | Some theirs ->
-                List.iter
-                  (fun cls ->
-                    if not (List.mem cls !mine) then begin
-                      mine := cls :: !mine;
-                      changed := true
-                    end)
-                  !theirs
-            | None -> ())
-          info.calls)
-      keys
-  done;
-  a
+      List.fold_left
+        (fun a c -> Classes.union a (get c.callee))
+        (Classes.of_list (List.map (fun acq -> acq.a_lock.cls) info.acqs))
+        info.calls)
+    (List.rev st.fn_order)
 
 type edge = {
   e_src : lock;
@@ -559,64 +418,46 @@ type edge = {
 }
 
 let edges_of st =
-  let a = summaries st in
-  let edges = ref [] in
-  List.iter
+  let get = summaries st in
+  List.concat_map
     (fun k ->
       let info = Hashtbl.find st.fns k in
-      List.iter
+      List.concat_map
         (fun acq ->
-          List.iter
+          List.map
             (fun h ->
-              edges :=
-                { e_src = h; e_dst = acq.a_lock; e_site = acq.a_site;
-                  e_via = None }
-                :: !edges)
+              { e_src = h; e_dst = acq.a_lock; e_site = acq.a_site;
+                e_via = None })
             acq.a_held)
-        (List.rev info.acqs);
-      List.iter
-        (fun c ->
-          if c.c_held <> [] then
-            match Hashtbl.find_opt a c.callee with
-            | Some classes ->
-                List.iter
-                  (fun cls ->
-                    List.iter
-                      (fun h ->
-                        edges :=
-                          {
-                            e_src = h;
-                            e_dst = { cls; index = None };
-                            e_site = c.c_site;
-                            e_via = Some (snd c.callee);
-                          }
-                          :: !edges)
-                      c.c_held)
-                  !classes
-            | None -> ())
-        (List.rev info.calls))
-    (List.rev st.fn_order);
-  List.rev !edges
-
-let finding ~site ~message =
-  {
-    Lint_engine.rule = Lint_rules.lockdep;
-    file = site.s_file;
-    line = site.s_line;
-    col = site.s_col;
-    message;
-  }
+        (List.rev info.acqs)
+      @ List.concat_map
+          (fun c ->
+            List.concat_map
+              (fun cls ->
+                List.map
+                  (fun h ->
+                    {
+                      e_src = h;
+                      e_dst = { cls; index = None };
+                      e_site = c.c_site;
+                      e_via = Some (snd c.callee);
+                    })
+                  c.c_held)
+              (Classes.elements (get c.callee)))
+          (List.rev info.calls))
+    (List.rev st.fn_order)
 
 let analyze_state st =
   let edges = edges_of st in
   let declared_pairs = List.map (fun d -> (d.d_from, d.d_to)) st.decls in
   let findings = ref [] in
   let seen = Hashtbl.create 16 in
-  let report_once key site message =
+  let report_once key (site : site) message =
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.add seen key ();
       if Lint_rules.lockdep.Lint_rules.applies site.s_file then
-        findings := finding ~site ~message :: !findings
+        findings :=
+          Lint_engine.finding Lint_rules.lockdep site message :: !findings
     end
   in
   (* Declared orders are checked against the hierarchy, not trusted. *)
@@ -714,13 +555,7 @@ let analyze_state st =
               nestings take these locks in opposite orders"
              src dst dst src))
     edges;
-  let findings =
-    List.sort
-      (fun (a : Lint_engine.finding) b ->
-        compare (a.file, a.line, a.col) (b.file, b.line, b.col))
-      !findings
-  in
-  (findings, edges, declared_pairs)
+  (Lint_engine.sort_findings !findings, edges, declared_pairs)
 
 (* {1 Graph export} *)
 
@@ -782,48 +617,13 @@ let to_json g =
 
 (* {1 Entry points} *)
 
-let state_of_sources sources =
+let state_of prog =
   let st = new_state () in
-  List.iter
-    (fun (path, source) ->
-      let ctx =
-        {
-          Lint_engine.path;
-          aliases = [];
-          opens = [];
-          findings = [];
-          has_sort = false;
-          order_ok_depth = 0;
-        }
-      in
-      let lexbuf = Lexing.from_string source in
-      Lexing.set_filename lexbuf path;
-      match Parse.implementation lexbuf with
-      | str ->
-          Lint_engine.collect_bindings ctx str;
-          let modname =
-            String.capitalize_ascii
-              (Filename.remove_extension (Filename.basename path))
-          in
-          analyze_file st ctx ~modname str
-      | exception _ ->
-          (* Unparseable files are E0 findings in the main lint pass;
-             nothing for the lock analysis to see. *)
-          ())
-    sources;
+  List.iter (analyze_file st prog) prog.Lint_engine.sources;
   st
 
-let analyze_sources sources =
-  let st = state_of_sources sources in
-  let findings, _, _ = analyze_state st in
+let check prog =
+  let findings, _, _ = analyze_state (state_of prog) in
   findings
 
-let tree_sources root =
-  Lint_engine.tree_files root
-  |> List.filter (fun rel -> Filename.check_suffix rel ".ml")
-  |> List.map (fun rel ->
-         (rel, Lint_engine.read_file (Filename.concat root rel)))
-
-let analyze_tree root = analyze_sources (tree_sources root)
-let graph_of_sources sources = graph_of (state_of_sources sources)
-let graph_of_tree root = graph_of_sources (tree_sources root)
+let graph prog = graph_of (state_of prog)
