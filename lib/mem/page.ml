@@ -1,5 +1,35 @@
 module Capability = Ufork_cheri.Capability
 
+(* Spare storage that pages sharing the pool hand back when they drop
+   it (clear, or a copy from an unwritten source) and take on their next
+   first store or copy: byte buffers of arbitrary contents, and tag
+   tables with every slot already [Capability.null]. Each stack holds at
+   most [bound] entries; what does not fit is left to the GC. *)
+type pool = {
+  bound : int;
+  buffers : Bytes.t array;
+  mutable n_buffers : int;
+  tables : Capability.t array array;
+  mutable n_tables : int;
+}
+
+let pool ~bound =
+  let bound = max 0 bound in
+  {
+    bound;
+    buffers = Array.make bound Bytes.empty;
+    n_buffers = 0;
+    tables = Array.make bound [||];
+    n_tables = 0;
+  }
+
+(* Pages made without a pool share this one, which keeps nothing (so
+   sharing it across domains is safe). *)
+let no_pool = pool ~bound:0
+let pool_bound p = p.bound
+let spare_buffers p = p.n_buffers
+let spare_tables p = p.n_tables
+
 type t = {
   (* [Bytes.empty] until the first store: an unwritten page reads as
      zeros without owning 4 KiB. *)
@@ -9,9 +39,11 @@ type t = {
      until the first tagged store. *)
   mutable caps : Capability.t array;
   mutable tagged : int; (* number of set slots *)
+  pool : pool;
 }
 
-let create () = { data = Bytes.empty; caps = [||]; tagged = 0 }
+let create_in pool = { data = Bytes.empty; caps = [||]; tagged = 0; pool }
+let create () = create_in no_pool
 let written t = Bytes.length t.data > 0
 
 let copy t =
@@ -19,11 +51,66 @@ let copy t =
     data = (if written t then Bytes.copy t.data else Bytes.empty);
     caps = (if t.tagged > 0 then Array.copy t.caps else [||]);
     tagged = t.tagged;
+    pool = t.pool;
   }
+
+(* A spare byte buffer, or a fresh one when the pool is empty; contents
+   arbitrary: callers overwrite it whole. *)
+let take_buffer p =
+  if p.n_buffers = 0 then Bytes.create Addr.page_size
+  else begin
+    let n = p.n_buffers - 1 in
+    let b = p.buffers.(n) in
+    p.buffers.(n) <- Bytes.empty;
+    p.n_buffers <- n;
+    b
+  end
+
+(* A tag table with every slot null. *)
+let take_table p =
+  if p.n_tables = 0 then Array.make Addr.granules_per_page Capability.null
+  else begin
+    let n = p.n_tables - 1 in
+    let tbl = p.tables.(n) in
+    p.tables.(n) <- [||];
+    p.n_tables <- n;
+    tbl
+  end
+
+(* Give up the page's bytes (back to reading zeros), to the pool while
+   it has room. *)
+let drop_data t =
+  if written t then begin
+    let p = t.pool in
+    if p.n_buffers < p.bound then begin
+      p.buffers.(p.n_buffers) <- t.data;
+      p.n_buffers <- p.n_buffers + 1
+    end;
+    t.data <- Bytes.empty
+  end
+
+(* Give up the tag table (every tag clear), nulled, to the pool while it
+   has room. A table with no set slot is already all null. *)
+let drop_caps t =
+  if Array.length t.caps > 0 then begin
+    let p = t.pool in
+    if p.n_tables < p.bound then begin
+      if t.tagged > 0 then
+        Array.fill t.caps 0 Addr.granules_per_page Capability.null;
+      p.tables.(p.n_tables) <- t.caps;
+      p.n_tables <- p.n_tables + 1
+    end;
+    t.caps <- [||]
+  end;
+  t.tagged <- 0
 
 (* The page's bytes, zero-filled on the first store. *)
 let storage t =
-  if not (written t) then t.data <- Bytes.make Addr.page_size '\000';
+  if not (written t) then begin
+    let b = take_buffer t.pool in
+    Bytes.fill b 0 Addr.page_size '\000';
+    t.data <- b
+  end;
   t.data
 
 let check_range off len =
@@ -39,8 +126,7 @@ let clear_slot t g =
   end
 
 let set_slot t g cap =
-  if Array.length t.caps = 0 then
-    t.caps <- Array.make Addr.granules_per_page Capability.null;
+  if Array.length t.caps = 0 then t.caps <- take_table t.pool;
   if not (Capability.tag t.caps.(g)) then t.tagged <- t.tagged + 1;
   t.caps.(g) <- cap
 
@@ -132,24 +218,24 @@ let tagged_granules t =
 
 let tagged_count t = t.tagged
 
-let clear_all_tags t =
-  t.caps <- [||];
-  t.tagged <- 0
+let clear_all_tags = drop_caps
 
 (* Back to the fresh-page state: frame reuse from a freelist must be
    indistinguishable from a fresh allocation. *)
 let clear t =
-  t.data <- Bytes.empty;
-  clear_all_tags t
+  drop_data t;
+  drop_caps t
 
 let copy_into ~src ~dst =
-  if not (written src) then dst.data <- Bytes.empty
-  else if written dst then Bytes.blit src.data 0 dst.data 0 Addr.page_size
-  else dst.data <- Bytes.copy src.data;
-  if src.tagged = 0 then clear_all_tags dst
+  if not (written src) then drop_data dst
   else begin
-    if Array.length dst.caps = 0 then dst.caps <- Array.copy src.caps
-    else Array.blit src.caps 0 dst.caps 0 Addr.granules_per_page;
+    if not (written dst) then dst.data <- take_buffer dst.pool;
+    Bytes.blit src.data 0 dst.data 0 Addr.page_size
+  end;
+  if src.tagged = 0 then drop_caps dst
+  else begin
+    if Array.length dst.caps = 0 then dst.caps <- take_table dst.pool;
+    Array.blit src.caps 0 dst.caps 0 Addr.granules_per_page;
     dst.tagged <- src.tagged
   end
 

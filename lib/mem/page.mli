@@ -19,23 +19,51 @@
       {!clear} the page is back in the {!create} state, storage
       included.
 
+    Pages may share a bounded {!pool} of spare storage: a page that
+    drops its bytes or tag table ({!clear}, {!clear_all_tags}, a
+    {!copy_into} from an unwritten or untagged source) hands them to
+    its pool while the pool has room, and its next first store or copy
+    takes one back instead of allocating. A reused buffer is
+    zero-filled (or overwritten whole by a copy) and a reused table is
+    all clear, so neither contract can tell.
+
     The first 8 bytes of a capability granule mirror the capability's cursor
     so that integer reads of a stored pointer see a plausible address, as
     they would on hardware. *)
 
 type t
 
+type pool
+(** Spare byte buffers and tag tables, at most [bound] of each. One
+    pool serves every page of one machine and is not shared across
+    domains. *)
+
+val pool : bound:int -> pool
+val pool_bound : pool -> int
+
+val spare_buffers : pool -> int
+(** Byte buffers the pool holds now (at most {!pool_bound}). *)
+
+val spare_tables : pool -> int
+(** Tag tables the pool holds now (at most {!pool_bound}). *)
+
 val create : unit -> t
-(** A page reading as zeros with all tags clear; owns no storage. *)
+(** A page reading as zeros with all tags clear; owns no storage. Its
+    storage goes to the GC when dropped (a pool of bound 0). *)
+
+val create_in : pool -> t
+(** As {!create}, for a page that takes and returns storage through
+    [pool]. *)
 
 val clear : t -> unit
 (** Back to the {!create} state: the bytes read as zeros again, every
-    tag is clear and the storage is released. Frame reuse from a
-    freelist goes through this so a recycled page is indistinguishable
-    from a fresh one. *)
+    tag is clear and the storage is released (to the page's pool while
+    it has room). Frame reuse from a freelist goes through this so a
+    recycled page is indistinguishable from a fresh one. *)
 
 val copy : t -> t
-(** Deep copy: bytes and all tagged capabilities. *)
+(** Deep copy: bytes and all tagged capabilities, in fresh storage; the
+    copy shares [t]'s pool. *)
 
 val copy_into : src:t -> dst:t -> unit
 (** Overwrite [dst] with [src]: one copy of the bytes and of the tag

@@ -1,12 +1,14 @@
 module Hb = Ufork_util.Hb
 
-(* Two-level radix table: [dir.(vpn lsr leaf_bits)] is a 512-slot leaf,
-   allocated on the first map into it and kept for the table's life (4 KiB
-   of host memory per 2 MiB of simulated address space); absent leaves
-   share the empty array. The directory grows by doubling to cover the
-   highest mapped vpn. Lookups are index arithmetic and every walk visits
-   vpns in ascending order, skipping absent leaves whole. *)
-let leaf_bits = 9
+(* Two-level radix table: [dir.(vpn lsr leaf_bits)] is a 256-slot leaf,
+   allocated on the first map into it and kept for the table's life (2 KiB
+   of host memory per 1 MiB of simulated address space); absent leaves
+   share the empty array. A leaf is minor-heap sized, so the entries a
+   short-lived machine maps die young with it instead of being promoted
+   through a major-heap array. The directory grows by doubling to cover
+   the highest mapped vpn. Lookups are index arithmetic and every walk
+   visits vpns in ascending order, skipping absent leaves whole. *)
+let leaf_bits = 8
 let leaf_size = 1 lsl leaf_bits
 let leaf_mask = leaf_size - 1
 
@@ -71,18 +73,18 @@ let leaf_for_map t vpn =
     leaf
   end
 
-(* Install [pte] at an unmapped [vpn]. *)
-let install t vpn pte site =
+(* Install [slot] (a [Some pte]) at an unmapped [vpn]. *)
+let install t vpn slot site =
   let leaf = leaf_for_map t vpn in
   note t vpn site;
   let i = vpn land leaf_mask in
   (match leaf.(i) with None -> t.count <- t.count + 1 | Some _ -> ());
-  leaf.(i) <- Some pte
+  leaf.(i) <- slot
 
 let map t ~vpn pte =
   if is_mapped t ~vpn then
     invalid_arg (Printf.sprintf "Page_table.map: vpn %#x already mapped" vpn);
-  install t vpn pte "Page_table.map"
+  install t vpn (Some pte) "Page_table.map"
 
 let map_shared t ~vpn pte =
   Phys.retain t.phys pte.Pte.frame;
@@ -141,8 +143,9 @@ let map_range t ~vpn ~count f =
     if not (is_mapped t ~vpn:v) then
       match f v with
       | None -> ()
-      | Some pte ->
-          install t v pte "Page_table.map_range";
+      | Some _ as slot ->
+          (* Stored as returned: no second option box per page. *)
+          install t v slot "Page_table.map_range";
           incr mapped
   done;
   !mapped

@@ -6,11 +6,11 @@
     unmapping releases.
 
     It is a two-level radix array, like the hardware tables it models:
-    512-slot leaves (2 MiB of address space each), allocated on the first
-    map into them, under a directory indexed by [vpn lsr 9] that grows by
-    doubling. Lookups and single-entry updates are index arithmetic, and
-    every walk visits vpns in ascending order, skipping absent leaves
-    whole. *)
+    256-slot leaves (1 MiB of address space each, small enough for the
+    minor heap), allocated on the first map into them, under a directory
+    indexed by [vpn lsr 8] that grows by doubling. Lookups and
+    single-entry updates are index arithmetic, and every walk visits
+    vpns in ascending order, skipping absent leaves whole. *)
 
 type t
 

@@ -33,8 +33,11 @@ type t = {
   mutable total : int;
   mutable next_id : int;
   (* Every frame ever carved, frame [fid] at index [fid - 1]: ids are
-     dense, so the registry is a growable array iterated in id order. *)
-  mutable registry : frame array;
+     dense, so the registry is iterated in id order. It is chunked so
+     each piece stays in the minor heap: a frame stored into a
+     major-heap array is promoted at the next minor collection even when
+     its machine is already garbage. *)
+  mutable registry : frame array array;
   local_free : frame list array; (* per-core freelist caches, LIFO *)
   local_len : int array;
   mutable global_free : frame list; (* the shared pool of free frames *)
@@ -45,16 +48,31 @@ type t = {
      the default runs the transfer unguarded (single-threaded unit
      tests, chaos lockless mode). *)
   mutable pool_guard : (unit -> unit) -> unit;
+  (* The calling thread's core, or negative outside any thread. The
+     kernel passes its engine's identity field; without one every caller
+     funnels through slot 0. *)
+  core : unit -> int;
+  (* Spare page storage shared by every frame carved here. *)
+  storage : Page.pool;
 }
 
 exception Out_of_memory
 
-(* Fills the registry's unused tail. A long-lived value on purpose:
-   [Array.make] with a freshly allocated filler forces a minor
-   collection when the array lands in the major heap. *)
+(* Fills a registry chunk's unused tail; one shared long-lived value. *)
 let vacant = { fid = 0; refcount = 0; page = Page.create () }
 
-let create ?limit_frames ?(cores = 1) () =
+(* Spare buffers and tag tables kept per machine: two per core, the
+   pages a fork-and-exit cycle on each core frees and writes again
+   (fork-storm's child dirties two), so steady churn recycles storage
+   while a machine pins at most 2 x cores x 4 KiB of spare bytes. *)
+let spare_per_core = 2
+
+(* Registry chunks of 128 frames (129 words: minor-heap sized). *)
+let chunk_bits = 7
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+
+let create ?limit_frames ?(cores = 1) ?(core = fun () -> -1) () =
   let cores = max 1 cores in
   {
     limit_frames;
@@ -69,16 +87,22 @@ let create ?limit_frames ?(cores = 1) () =
     refills = 0;
     drains = 0;
     pool_guard = (fun f -> f ());
+    core;
+    storage = Page.pool ~bound:(spare_per_core * cores);
   }
 
 let set_pool_guard t g = t.pool_guard <- g
+let storage_pool t = t.storage
 
-(* The core whose freelist serves the calling thread: the engine
-   installs the provider; outside any simulated thread (boot, unit
-   tests) everything funnels through slot 0. *)
+(* The core whose freelist serves the calling thread; outside any
+   simulated thread (boot, unit tests) everything funnels through slot
+   0. A single-core pool never asks. *)
 let core_slot t =
-  let c = Hb.core () in
-  if c < 0 then 0 else c mod Array.length t.local_free
+  let n = Array.length t.local_free in
+  if n = 1 then 0
+  else
+    let c = t.core () in
+    if c < 0 then 0 else c mod n
 
 let local_free_frames t = t.local_len.(core_slot t)
 let refills t = t.refills
@@ -128,13 +152,20 @@ let alloc t =
         f
     | [] ->
         t.next_id <- t.next_id + 1;
-        let f = { fid = t.next_id; refcount = 1; page = Page.create () } in
-        if f.fid > Array.length t.registry then begin
-          let grown = Array.make (max 1024 (2 * f.fid)) vacant in
-          Array.blit t.registry 0 grown 0 (Array.length t.registry);
+        let f =
+          { fid = t.next_id; refcount = 1; page = Page.create_in t.storage }
+        in
+        let i = f.fid - 1 in
+        let c = i lsr chunk_bits in
+        let n = Array.length t.registry in
+        if c >= n then begin
+          let grown = Array.make (max 4 (2 * n)) [||] in
+          Array.blit t.registry 0 grown 0 n;
           t.registry <- grown
         end;
-        t.registry.(f.fid - 1) <- f;
+        if i land chunk_mask = 0 then
+          t.registry.(c) <- Array.make chunk_size vacant;
+        t.registry.(c).(i land chunk_mask) <- f;
         f
   in
   note f.fid "Phys.alloc";
@@ -155,7 +186,8 @@ let release t f =
        valid capabilities — the tag bits are invalidated with the frame
        (what CHERI hardware guarantees on reuse, and what the state
        sanitizer's free-frame invariant checks). The bytes go with them,
-       so a free frame holds no page storage. *)
+       so a free frame holds no page storage: both go to the machine's
+       spare pool, for the next first write or page copy. *)
     Page.clear f.page;
     let slot = core_slot t in
     t.local_free.(slot) <- f :: t.local_free.(slot);
@@ -192,7 +224,7 @@ let reset_peak t = t.peak <- t.in_use
 let iter_frames t f =
   let registry = t.registry and n = t.next_id in
   for i = 0 to n - 1 do
-    f registry.(i)
+    f registry.(i lsr chunk_bits).(i land chunk_mask)
   done
 
 let fold_frames t ~init ~f =

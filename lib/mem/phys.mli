@@ -11,12 +11,18 @@ type frame
 
 exception Out_of_memory
 
-val create : ?limit_frames:int -> ?cores:int -> unit -> t
+val create :
+  ?limit_frames:int -> ?cores:int -> ?core:(unit -> int) -> unit -> t
 (** A fresh physical memory. [limit_frames] bounds the pool (default:
     unlimited); exceeding it raises {!Out_of_memory}. [cores] (default
     1) sizes the per-core freelists: freed frames return to the
     releasing core's cache and refill/drain against the shared pool in
-    batches, so most alloc/release pairs never touch shared state. *)
+    batches, so most alloc/release pairs never touch shared state.
+    [core] tells the pool the calling thread's core (negative outside
+    any simulated thread), which picks the freelist; the kernel passes
+    its engine's [Engine.running_core], so no alloc or release performs
+    an effect. The default answers negative: every caller uses the
+    first freelist. A single-core pool never asks. *)
 
 val set_pool_guard : t -> ((unit -> unit) -> unit) -> unit
 (** Install the critical-section wrapper run around every batched
@@ -27,6 +33,11 @@ val set_pool_guard : t -> ((unit -> unit) -> unit) -> unit
     {!Ufork_util.Hb.Pool} write on the happens-before bus, so the race
     detector (R1) and lock-order checker (R2) cover the frame fast
     path. *)
+
+val storage_pool : t -> Page.pool
+(** The spare page storage every frame of this pool shares: a released
+    frame's byte buffer and tag table go here (up to two per core) and
+    the next first write or page copy takes them back. *)
 
 val alloc : t -> frame
 (** A zeroed frame with refcount 1 — recycled from the calling core's
@@ -56,7 +67,8 @@ val release : t -> frame -> unit
     its page is {!Page.clear}ed: the capability tags are wiped
     (reclamation hygiene — CHERI invalidates tags with the frame, so a
     later reuse can never yield a stale valid capability) and the page
-    storage is released. Raises [Invalid_argument] if already free. *)
+    storage is released to {!storage_pool}. Raises [Invalid_argument]
+    if already free. *)
 
 val refcount : frame -> int
 val page : frame -> Page.t

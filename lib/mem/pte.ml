@@ -13,6 +13,9 @@ let make ?(read = true) ?(write = true) ?(exec = false)
     ?(cap_load_fault = false) ?(share = Private) frame =
   { frame; read; write; exec; cap_load_fault; share }
 
+let private_page ~read ~write ~exec frame =
+  { frame; read; write; exec; cap_load_fault = false; share = Private }
+
 let pp_share ppf = function
   | Private -> Format.pp_print_string ppf "private"
   | Cow_shared -> Format.pp_print_string ppf "cow"

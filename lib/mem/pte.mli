@@ -38,5 +38,10 @@ val make :
 (** Defaults: readable, writable, non-executable, no capability-load fault,
     private. *)
 
+val private_page : read:bool -> write:bool -> exec:bool -> Phys.frame -> t
+(** [make]'s private entry with no capability-load fault, taking no
+    optional argument: dune's dev profile builds with [-opaque], so a
+    cross-module call boxes each optional argument it passes. *)
+
 val pp_share : Format.formatter -> share -> unit
 val pp : Format.formatter -> t -> unit

@@ -91,29 +91,39 @@ type t = {
          only way into kernel code without a trap (§4.2, §4.4). *)
 }
 
-let make_locks ~frame_pool = function
-  | Config.Big_kernel_lock -> Big (Sync.Rlock.create ~name:"lock.kernel.big" ())
+(* Built once: every sharded boot names its shards with these. *)
+let pt_shard_names =
+  Array.init pt_shard_count (Printf.sprintf "lock.pt_shard.%02d")
+
+let make_locks ~engine ~frame_pool = function
+  | Config.Big_kernel_lock ->
+      Big (Sync.Rlock.create ~engine ~name:"lock.kernel.big" ())
   | Config.Sharded_locks ->
       Sharded
         {
           frame_pool;
-          uproc_table = Sync.Rlock.create ~name:"lock.uproc_table" ();
-          fd_tables = Sync.Rlock.create ~name:"lock.fd_tables" ();
-          stats = Sync.Rlock.create ~name:"lock.stats" ();
+          uproc_table = Sync.Rlock.create ~engine ~name:"lock.uproc_table" ();
+          fd_tables = Sync.Rlock.create ~engine ~name:"lock.fd_tables" ();
+          stats = Sync.Rlock.create ~engine ~name:"lock.stats" ();
           pt_shards =
-            Array.init pt_shard_count (fun i ->
-                Sync.Rlock.create
-                  ~name:(Printf.sprintf "lock.pt_shard.%02d" i)
-                  ());
+            Array.map
+              (fun name -> Sync.Rlock.create ~engine ~name ())
+              pt_shard_names;
         }
 
 let create ~engine ~costs ~config ~multi_address_space () =
-  let phys = Phys.create ~cores:(Engine.cores engine) () in
+  let phys =
+    Phys.create ~cores:(Engine.cores engine)
+      ~core:(fun () -> Engine.running_core engine)
+      ()
+  in
   (* One frame-pool lock regardless of regime: under [Sharded] it is the
      sharded frame_pool resource itself; under [Big] it additionally
      serializes the batched freelist refill/drain transfers Phys runs
      against the shared pool (installed as the pool guard below). *)
-  let frame_pool_lock = Sync.Rlock.create ~name:"lock.frame_pool" () in
+  let frame_pool_lock =
+    Sync.Rlock.create ~engine ~name:"lock.frame_pool" ()
+  in
   let root = Capability.root () in
   let entry_cap =
     (* Points at the system-call handler in the kernel region, executable
@@ -132,7 +142,8 @@ let create ~engine ~costs ~config ~multi_address_space () =
     trace = Trace.create ~engine ~costs ();
     phys;
     vfs = Vfs.create ();
-    locks = make_locks ~frame_pool:frame_pool_lock config.Config.lock_mode;
+    locks =
+      make_locks ~engine ~frame_pool:frame_pool_lock config.Config.lock_mode;
     stats_lock_disabled = false;
     procs = Hashtbl.create 64;
     next_pid = 0;
@@ -474,7 +485,7 @@ let map_zero_pages t u ~base ~bytes ?(read = true) ?(write = true)
   with_frame_pool t ~frames:pages (fun () ->
       let mapped =
         Page_table.map_range u.Uproc.pt ~vpn:vpn0 ~count:pages (fun _v ->
-            Some (Pte.make ~read ~write ~exec (Phys.alloc t.phys)))
+            Some (Pte.private_page ~read ~write ~exec (Phys.alloc t.phys)))
       in
       (* One batched charge for the whole range (same cycles and counts as
          the old per-page loop: page_alloc cost is linear). *)
@@ -1176,7 +1187,7 @@ and build_api t ?(reloc = fun c -> c) (u : Uproc.t) : Api.t =
   }
 
 and spawn_process t ?affinity ?reloc (u : Uproc.t) main =
-  let name = Printf.sprintf "%s.%d" u.Uproc.image.Image.name u.Uproc.pid in
+  let name = u.Uproc.image.Image.name ^ "." ^ string_of_int u.Uproc.pid in
   ignore
     (Engine.spawn ?affinity ~name t.engine (fun () ->
          let api = build_api t ?reloc u in

@@ -16,9 +16,11 @@ module Heap = struct
 
   let nop () = ()
 
+  (* Small at boot (a machine is created per experiment point and many
+     never hold more than a few timers); [grow] doubles. *)
   let create () =
-    { time = Array.make 256 0; seq = Array.make 256 0;
-      action = Array.make 256 nop; len = 0 }
+    { time = Array.make 16 0; seq = Array.make 16 0;
+      action = Array.make 16 nop; len = 0 }
 
   let grow h =
     let n = Array.length h.time in
@@ -571,10 +573,6 @@ let () =
   Hb.set_tid_provider (fun () ->
       match Effect.perform Get_tid with
       | tid -> tid
-      | exception Effect.Unhandled _ -> -1);
-  Hb.set_core_provider (fun () ->
-      match Effect.perform Get_core with
-      | core -> core
       | exception Effect.Unhandled _ -> -1)
 
 let sleep n =

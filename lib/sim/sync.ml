@@ -1,15 +1,27 @@
 module Hb = Ufork_util.Hb
 
 module Lock = struct
+  (* A lock's contention counters, in their own record: the registry
+     below keeps every named lock's counters until
+     [reset_lock_contention], and a registered lock would keep its
+     engine, and so its whole machine, alive that long. *)
+  type counters = {
+    cname : string;  (** [""] for an unnamed lock *)
+    mutable acquires : int;
+    mutable waits : int;
+    mutable wait_holders : (int, int) Hashtbl.t option;
+        (** holder tid at wait → count; built on the first wait *)
+  }
+
   type t = {
     id : int;
-    name : string option;
+    engine : Engine.t;
+        (** the machine whose threads take the lock: who is running is
+            read from its identity fields, not asked by effect *)
     mutable held : bool;
     queue : Engine.waker Queue.t;
     mutable holder : int;  (** tid of the current holder while [held] *)
-    mutable acquires : int;
-    mutable waits : int;
-    wait_holders : (int, int) Hashtbl.t;  (** holder tid at wait → count *)
+    counters : counters;
   }
 
   (* Lock identity for the happens-before bus: release-to-acquire edges
@@ -17,75 +29,92 @@ module Lock = struct
      sharded kernel resources) additionally register the name with the
      bus so race reports and trace exports can say which resource a
      lock protects. *)
-  let next_id = ref 0
+  let next_id = Atomic.make 0
 
-  (* Named locks also register here, newest first, so the contention
-     surface ([Sync.lock_contention]) can enumerate them after a run.
-     Plain counters: they charge no cycles and touch no engine state, so
-     golden accounting and scheduling are unchanged. One mutex covers
-     the id counter and the registry: locks are created at machine boot,
-     and the bench harness boots machines from several domains at once
-     ([Experiments.parmap]). Ids stay unique (their only contract);
-     contention readouts aggregate by name and sort, so registration
-     order never shows. *)
-  let registry : t list ref = ref []
+  (* Named locks' counters also register here, newest first, so the
+     contention surface ([Sync.lock_contention]) can enumerate them after
+     a run. Plain counters: they charge no cycles and touch no engine
+     state, so golden accounting and scheduling are unchanged. The mutex
+     covers the registry and the bus's name table in one round trip:
+     locks are created at machine boot, and the bench harness boots
+     machines from several domains at once ([Experiments.parmap]). Ids
+     stay unique (their only contract); contention readouts aggregate by
+     name and sort, so registration order never shows. *)
+  let registry : counters list ref = ref []
   let registry_mutex = Mutex.create ()
 
-  let create ?name () =
-    let id =
-      Mutex.protect registry_mutex (fun () ->
-          incr next_id;
-          !next_id)
-    in
-    Option.iter (Hb.set_lock_name id) name;
-    let t =
+  let create ~engine ?name () =
+    let id = Atomic.fetch_and_add next_id 1 + 1 in
+    let counters =
       {
-        id;
-        name;
-        held = false;
-        queue = Queue.create ();
-        holder = min_int;
+        cname = Option.value ~default:"" name;
         acquires = 0;
         waits = 0;
-        wait_holders = Hashtbl.create 7;
+        wait_holders = None;
       }
     in
-    if name <> None then
-      Mutex.protect registry_mutex (fun () -> registry := t :: !registry);
-    t
+    (match name with
+    | None -> ()
+    | Some n ->
+        Mutex.protect registry_mutex (fun () ->
+            Hb.set_lock_name id n;
+            registry := counters :: !registry));
+    {
+      id;
+      engine;
+      held = false;
+      queue = Queue.create ();
+      holder = min_int;
+      counters;
+    }
 
   let id t = t.id
-  let name t = t.name
+  let name t = match t.counters.cname with "" -> None | n -> Some n
 
-  let acquire t =
-    t.acquires <- t.acquires + 1;
+  (* The calling thread, read from the creating engine's mirror field. *)
+  let current_tid t = Engine.running_tid t.engine
+
+  let count_wait c holder =
+    c.waits <- c.waits + 1;
+    let tbl =
+      match c.wait_holders with
+      | Some tbl -> tbl
+      | None ->
+          let tbl = Hashtbl.create 7 in
+          c.wait_holders <- Some tbl;
+          tbl
+    in
+    Hashtbl.replace tbl holder
+      (1 + Option.value ~default:0 (Hashtbl.find_opt tbl holder))
+
+  let acquire_as t tid =
+    let c = t.counters in
+    c.acquires <- c.acquires + 1;
     (if not t.held then t.held <- true
      else begin
-       t.waits <- t.waits + 1;
        let blocking_holder = t.holder in
-       Hashtbl.replace t.wait_holders blocking_holder
-         (1 + Option.value ~default:0
-                (Hashtbl.find_opt t.wait_holders blocking_holder));
+       count_wait c blocking_holder;
        if Hb.on () then
-         Hb.emit
-           (Hb.Contend { tid = Hb.tid (); lock = t.id; holder = blocking_holder });
+         Hb.emit (Hb.Contend { tid; lock = t.id; holder = blocking_holder });
        Engine.suspend (fun w -> Queue.push w t.queue)
      end);
-    t.holder <- Hb.tid ();
+    t.holder <- tid;
     (* Emitted after the lock is really held (a contended acquire
        suspends first): the detector joins the releaser's clock here. *)
-    if Hb.on () then Hb.emit (Hb.Acquire { tid = Hb.tid (); lock = t.id })
+    if Hb.on () then Hb.emit (Hb.Acquire { tid; lock = t.id })
+
+  let acquire t = acquire_as t (current_tid t)
 
   let release t =
     if not t.held then invalid_arg "Lock.release: not held";
-    if Hb.on () then Hb.emit (Hb.Release { tid = Hb.tid (); lock = t.id });
+    if Hb.on () then Hb.emit (Hb.Release { tid = current_tid t; lock = t.id });
     match Queue.take_opt t.queue with
     | Some w ->
         (* Ownership transfers directly to the woken thread. *)
         if Hb.on () then
           Hb.emit
             (Hb.Handoff
-               { from_ = Hb.tid (); to_ = Engine.waker_tid w; lock = t.id });
+               { from_ = current_tid t; to_ = Engine.waker_tid w; lock = t.id });
         Engine.wake w
     | None -> t.held <- false
 
@@ -118,20 +147,17 @@ type contention = {
 let lock_contention () =
   let by_name = Hashtbl.create 16 in
   List.iter
-    (fun (l : Lock.t) ->
-      match l.Lock.name with
-      | None -> ()
-      | Some n ->
-          let acquires, waits, holders =
-            Option.value ~default:(0, 0, []) (Hashtbl.find_opt by_name n)
-          in
-          let own =
-            Hashtbl.fold (fun h c acc -> (h, c) :: acc) l.Lock.wait_holders []
-          in
-          Hashtbl.replace by_name n
-            ( acquires + l.Lock.acquires,
-              waits + l.Lock.waits,
-              own @ holders ))
+    (fun (c : Lock.counters) ->
+      let acquires, waits, holders =
+        Option.value ~default:(0, 0, []) (Hashtbl.find_opt by_name c.Lock.cname)
+      in
+      let own =
+        match c.Lock.wait_holders with
+        | None -> []
+        | Some tbl -> Hashtbl.fold (fun h n acc -> (h, n) :: acc) tbl []
+      in
+      Hashtbl.replace by_name c.Lock.cname
+        (acquires + c.Lock.acquires, waits + c.Lock.waits, own @ holders))
     !Lock.registry;
   Hashtbl.fold (fun n v acc -> (n, v) :: acc) by_name []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -198,14 +224,14 @@ module Rlock = struct
 
   let no_owner = min_int
 
-  let create ?name () =
-    { lock = Lock.create ?name (); owner = no_owner; depth = 0 }
+  let create ~engine ?name () =
+    { lock = Lock.create ~engine ?name (); owner = no_owner; depth = 0 }
 
   let acquire t =
-    let tid = Hb.tid () in
+    let tid = Lock.current_tid t.lock in
     if t.depth > 0 && t.owner = tid then t.depth <- t.depth + 1
     else begin
-      Lock.acquire t.lock;
+      Lock.acquire_as t.lock tid;
       t.owner <- tid;
       t.depth <- 1
     end
@@ -230,7 +256,7 @@ module Rlock = struct
 
   let id t = Lock.id t.lock
   let name t = Lock.name t.lock
-  let held_by_self t = t.depth > 0 && t.owner = Hb.tid ()
+  let held_by_self t = t.depth > 0 && t.owner = Lock.current_tid t.lock
 end
 
 module Cond = struct

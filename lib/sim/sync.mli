@@ -7,10 +7,14 @@
 module Lock : sig
   type t
 
-  val create : ?name:string -> unit -> t
-  (** [name] registers a stable resource name for the lock's id with the
+  val create : engine:Engine.t -> ?name:string -> unit -> t
+  (** [engine] is the machine whose threads take the lock: acquire and
+      release read the running thread from its identity fields
+      ({!Engine.running_tid}) instead of performing an effect. [name]
+      registers a stable resource name for the lock's id with the
       happens-before bus ({!Ufork_util.Hb.set_lock_name}), so race
-      reports and trace exports name the resource, not a number. *)
+      reports and trace exports name the resource, not a number; pass a
+      string built once, not per machine. *)
 
   val acquire : t -> unit
   (** Blocks (suspending the calling engine thread) until available. *)
@@ -36,7 +40,9 @@ end
     which thread held it each time a waiter blocked. Plain counters: no
     cycles are charged and no engine state is touched, so scheduling and
     golden accounting are unchanged. Aggregated by resource name across
-    every named lock created so far (several booted machines sum). *)
+    every named lock created so far (several booted machines sum). The
+    registry holds each lock's counters, not the lock, so it keeps no
+    machine alive. *)
 
 type contention = {
   lock : string;  (** the resource name passed to [create ~name] *)
@@ -65,7 +71,9 @@ val reset_lock_contention : unit -> unit
 module Rlock : sig
   type t
 
-  val create : ?name:string -> unit -> t
+  val create : engine:Engine.t -> ?name:string -> unit -> t
+  (** As {!Lock.create}. *)
+
   val acquire : t -> unit
   val release : t -> unit
   val with_lock : t -> (unit -> 'a) -> 'a

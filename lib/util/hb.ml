@@ -65,32 +65,47 @@ type event =
 let enabled = ref false
 let listener : (event -> unit) ref = ref ignore
 let tid_provider : (unit -> int) ref = ref (fun () -> -1)
-let core_provider : (unit -> int) ref = ref (fun () -> -1)
 
 let set_tid_provider f = tid_provider := f
 let tid () = !tid_provider ()
-let set_core_provider f = core_provider := f
-let core () = !core_provider ()
 let on () = !enabled
 
 (* Stable resource names for lock ids (the sharded kernel locks register
    here), so race reports and trace exports can name the resource a lock
    protects instead of printing a bare number. Process-global like the
-   id counter itself: ids are never reused within a run. *)
-let lock_names : (int, string) Hashtbl.t = Hashtbl.create 64
+   id counter itself: ids are never reused within a run. Ids that
+   [Sync] hands out are dense and non-negative, so naming one is a
+   store into an id-indexed array ([""] = unnamed) that doubles as ids
+   outgrow it; the negative ids tests feed by hand keep a small table.
 
-(* Lock creation happens on every machine boot, and the bench harness
-   boots machines from several domains at once ([Experiments.parmap]);
-   a bare Hashtbl would be a host-level data race. Detectors only ever
-   run single-domain, so reads stay cheap. *)
-let lock_names_mutex = Mutex.create ()
+   Not synchronised: [Sync] registers names under its own registration
+   mutex (machines boot from several domains at once,
+   [Experiments.parmap]), and tests name ids from one domain. Readers
+   are the detectors, which run single-domain. *)
+let lock_names = ref (Array.make 64 "")
+let negative_lock_names : (int, string) Hashtbl.t = Hashtbl.create 8
 
 let set_lock_name id name =
-  Mutex.protect lock_names_mutex (fun () ->
-      Hashtbl.replace lock_names id name)
+  if id < 0 then Hashtbl.replace negative_lock_names id name
+  else begin
+    let names = !lock_names in
+    let n = Array.length names in
+    if id >= n then begin
+      let grown = Array.make (max (2 * n) (id + 1)) "" in
+      Array.blit names 0 grown 0 n;
+      grown.(id) <- name;
+      lock_names := grown
+    end
+    else names.(id) <- name
+  end
 
 let lock_name id =
-  Mutex.protect lock_names_mutex (fun () -> Hashtbl.find_opt lock_names id)
+  if id < 0 then Hashtbl.find_opt negative_lock_names id
+  else
+    let names = !lock_names in
+    if id < Array.length names && String.length names.(id) > 0 then
+      Some names.(id)
+    else None
 
 let pp_lock ppf id =
   match lock_name id with

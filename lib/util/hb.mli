@@ -46,20 +46,18 @@ val set_tid_provider : (unit -> int) -> unit
     negative value outside any simulated thread. *)
 
 val tid : unit -> int
-(** The current simulated thread id via the installed provider. *)
-
-val set_core_provider : (unit -> int) -> unit
-(** Installed once by the engine: the core the current simulated thread
-    occupies, or a negative value outside any simulated thread. Lets
-    publishers below lib/sim (e.g. the frame pool's per-core freelists)
-    pick a core bucket without a dependency cycle. *)
-
-val core : unit -> int
-(** The current core via the installed provider. *)
+(** The current simulated thread id via the installed provider. Asking
+    costs an effect round trip (and a caught [Effect.Unhandled] outside
+    any engine thread), so it serves bus publishers under {!on}; a
+    machine's locks and frame pool read their engine's identity fields
+    instead. *)
 
 val set_lock_name : int -> string -> unit
 (** Register a stable resource name for a lock id (e.g.
-    ["lock.frame_pool"]). Named locks appear by name in race reports. *)
+    ["lock.frame_pool"]). Named locks appear by name in race reports.
+    Non-negative ids are one array store; [""] leaves an id unnamed.
+    Not synchronised: callers on several domains serialise themselves
+    ([Sync] registers under its own mutex). *)
 
 val lock_name : int -> string option
 

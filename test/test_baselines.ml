@@ -227,6 +227,101 @@ let test_vm_child_memory_is_whole_image () =
   in
   Alcotest.(check bool) "clone costs >1 MB" true (mb > 1.0 && mb < 3.0)
 
+(* --- All three machines: boot cost --- *)
+
+module Hb = Ufork_util.Hb
+module Engine = Ufork_sim.Engine
+module System = Ufork_core.System
+module Os = Ufork_core.Os
+module Hello = Ufork_apps.Hello
+
+let flavours =
+  [
+    ("uFork", fun () -> Os.system (Os.boot ~cores:4 ()));
+    ("CheriBSD", fun () -> Monolithic.system (Monolithic.boot ~cores:4 ()));
+    ("Nephele", fun () -> Vmclone.system (Vmclone.boot ~cores:4 ()));
+  ]
+
+(* What the engine installs as the bus's tid provider. *)
+let ask_tid () =
+  match Engine.current_tid () with
+  | tid -> tid
+  | exception Effect.Unhandled _ -> -1
+
+(* How often [f] asks the provider who is running; the plain provider
+   is back afterwards, exception included. *)
+let count_tid_asks f =
+  let asks = ref 0 in
+  Hb.set_tid_provider (fun () ->
+      incr asks;
+      ask_tid ());
+  Fun.protect
+    ~finally:(fun () -> Hb.set_tid_provider ask_tid)
+    (fun () ->
+      f ();
+      !asks)
+
+(* Boot, start hello, and fork + wait once. *)
+let boot_hello_fork (label, boot) =
+  let sys = boot () in
+  let reaped = ref false in
+  ignore
+    (System.start sys ~image:Image.hello (fun api ->
+         ignore (Hello.fork_once api);
+         Hello.reap api;
+         reaped := true));
+  System.run sys;
+  if not !reaped then Alcotest.failf "%s: hello never reaped" label
+
+(* A machine's locks and frame pool read who is running from its engine:
+   with the bus off, booting, starting hello and one fork + wait ask the
+   effect provider nothing. *)
+let test_identity_is_read () =
+  Alcotest.(check bool) "bus off" false (Hb.on ());
+  List.iter
+    (fun ((label, _) as flavour) ->
+      Alcotest.(check int) (label ^ ": tid asks") 0
+        (count_tid_asks (fun () -> boot_hello_fork flavour)))
+    flavours;
+  (* The counter sees asks where they still happen: with the bus on, its
+     publishers ask on the same run. *)
+  let asks =
+    count_tid_asks (fun () ->
+        Hb.subscribe ignore;
+        Fun.protect ~finally:Hb.unsubscribe (fun () ->
+            boot_hello_fork (List.hd flavours)))
+  in
+  Alcotest.(check bool) "bus publishers ask" true (asks > 0);
+  Alcotest.(check int) "provider restored" (-1) (Hb.tid ())
+
+(* Minor words to boot each machine and start hello (threads that never
+   run): about 3.5k for uFork and CheriBSD and 13.8k for Nephele, whose
+   start maps the whole 368-page unikernel image. Each includes one
+   256-slot page-table leaf. Before locks read identity from their
+   engine and the registry and leaves were sized for the minor heap,
+   the same boots took 5.4k and 21.7k, not counting their 512-slot
+   leaves, which went straight to the major heap. *)
+let boot_budgets = [ ("uFork", 4_000); ("CheriBSD", 4_000); ("Nephele", 15_500) ]
+
+let test_boot_allocation () =
+  List.iter
+    (fun (label, boot) ->
+      let boot_start () =
+        ignore (System.start (boot ()) ~image:Image.hello (fun _ -> ()))
+      in
+      boot_start ();
+      let rounds = 20 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to rounds do
+        boot_start ()
+      done;
+      let words = (Gc.minor_words () -. w0) /. float_of_int rounds in
+      let budget = List.assoc label boot_budgets in
+      if words > float_of_int budget then
+        Alcotest.failf "%s: boot + start hello allocates %.0f words (budget %d)"
+          label words budget)
+    flavours
+
 let suite =
   [
     ("mono same VA", `Quick, test_mono_same_va);
@@ -241,4 +336,6 @@ let suite =
     ("vm fork semantics", `Quick, test_vm_fork_semantics);
     ("vm domain cost", `Quick, test_vm_fork_latency_dominated_by_domain);
     ("vm child memory", `Quick, test_vm_child_memory_is_whole_image);
+    ("boot identity is read, not asked", `Quick, test_identity_is_read);
+    ("boot allocation budget", `Quick, test_boot_allocation);
   ]

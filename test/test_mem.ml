@@ -317,21 +317,41 @@ let page_agrees page m =
   bytes_ok && granules_ok && loads_ok && iter_ok
   && Page.written page = written
 
-let prop_page_model =
-  QCheck.Test.make ~name:"page = bytes + granule-map model" ~count:300
+(* [fresh ()] gives, for one op list, the page constructor and a check
+   to run after every op on top of agreement with the model. *)
+let page_model_test ~name fresh =
+  QCheck.Test.make ~name ~count:300
     (QCheck.make ~shrink:QCheck.Shrink.list
        ~print:(fun ops -> String.concat "; " (List.map show_page_op ops))
        QCheck.Gen.(list_size (1 -- 30) gen_page_op))
     (fun ops ->
-      let pages = Array.init model_pages (fun _ -> Page.create ()) in
+      let make, invariant = fresh () in
+      let pages = Array.init model_pages (fun _ -> make ()) in
       let models = Array.init model_pages (fun _ -> model_create ()) in
       List.for_all
         (fun op ->
           apply_page_op pages models op;
-          List.for_all
-            (fun i -> page_agrees pages.(i) models.(i))
-            (List.init model_pages Fun.id))
+          invariant ()
+          && List.for_all
+               (fun i -> page_agrees pages.(i) models.(i))
+               (List.init model_pages Fun.id))
         ops)
+
+let prop_page_model =
+  page_model_test ~name:"page = bytes + granule-map model" (fun () ->
+      (Page.create, fun () -> true))
+
+(* The same model over pages that share one small spare pool: clears,
+   untagged copies and copies from unwritten pages hand storage to the
+   pool, and the next first store or copy on any page takes it back, so
+   buffers and tag tables move between pages. A reused one must read as
+   fresh, and the pool never holds more than its bound. *)
+let prop_page_model_pooled =
+  page_model_test ~name:"page = model, pages sharing a spare pool" (fun () ->
+      let pool = Page.pool ~bound:2 in
+      ( (fun () -> Page.create_in pool),
+        fun () -> Page.spare_buffers pool <= 2 && Page.spare_tables pool <= 2
+      ))
 
 let test_page_unwritten () =
   (* Reads of a never-written page see zeros and allocate nothing; a
@@ -377,6 +397,58 @@ let test_phys_limit () =
   let _ = Phys.alloc t and _ = Phys.alloc t in
   Alcotest.check_raises "oom" Phys.Out_of_memory (fun () ->
       ignore (Phys.alloc t))
+
+(* A released frame's storage goes to the machine's spare pool, and a
+   later first store takes it back reading as fresh: zeros, no tags. *)
+let test_phys_storage_reuse () =
+  let t = Phys.create ~cores:2 () in
+  let pool = Phys.storage_pool t in
+  let bound = Page.pool_bound pool in
+  Alcotest.(check int) "two spares per core" 4 bound;
+  let f = Phys.alloc t in
+  let p = Phys.page f in
+  Page.write_bytes p ~off:0 (Bytes.make 4096 '\xa5');
+  Page.store_cap p ~off:64 (mk_cap ());
+  Page.store_cap p ~off:4080 (mk_cap ());
+  Phys.release t f;
+  Alcotest.(check int) "buffer pooled" 1 (Page.spare_buffers pool);
+  Alcotest.(check int) "table pooled" 1 (Page.spare_tables pool);
+  (* The freelist hands the frame straight back, owning no storage. *)
+  let g = Phys.alloc t in
+  Alcotest.(check int) "same frame" (Phys.id f) (Phys.id g);
+  let q = Phys.page g in
+  Alcotest.(check bool) "recycled frame unwritten" false (Page.written q);
+  Alcotest.(check int) "recycled frame untagged" 0 (Page.tagged_count q);
+  (* Its first store takes the pooled buffer and table back. *)
+  Page.write_u8 q ~off:100 7;
+  Alcotest.(check int) "buffer taken" 0 (Page.spare_buffers pool);
+  let expect = Bytes.make 4096 '\000' in
+  Bytes.set expect 100 '\007';
+  Alcotest.(check bool) "reused buffer reads zeros" true
+    (Bytes.equal expect (Page.read_bytes q ~off:0 ~len:4096));
+  Page.store_cap q ~off:32 (mk_cap ());
+  Alcotest.(check int) "table taken" 0 (Page.spare_tables pool);
+  Alcotest.(check (list int)) "reused table holds one tag" [ 2 ]
+    (Page.tagged_granules q);
+  Alcotest.(check bool) "old tag gone" false (Page.tag_at q ~off:64);
+  (* Releasing more frames than the bound keeps the pool at its bound. *)
+  let frames =
+    List.init ((3 * bound) + 1) (fun i ->
+        let f = Phys.alloc t in
+        Page.write_u8 (Phys.page f) ~off:i 1;
+        Page.store_cap (Phys.page f) ~off:0 (mk_cap ());
+        f)
+  in
+  List.iter (Phys.release t) (g :: frames);
+  Alcotest.(check int) "buffers at bound" bound (Page.spare_buffers pool);
+  Alcotest.(check int) "tables at bound" bound (Page.spare_tables pool);
+  Phys.iter_frames t (fun f ->
+      if Phys.refcount f = 0 then begin
+        Alcotest.(check bool) "free frame owns no bytes" false
+          (Page.written (Phys.page f));
+        Alcotest.(check int) "free frame has no tags" 0
+          (Page.tagged_count (Phys.page f))
+      end)
 
 let test_phys_peak () =
   let t = Phys.create () in
@@ -917,6 +989,7 @@ let suite =
     ("phys refcount", `Quick, test_phys_refcount);
     ("phys limit", `Quick, test_phys_limit);
     ("phys peak", `Quick, test_phys_peak);
+    ("phys storage reuse reads fresh", `Quick, test_phys_storage_reuse);
     ("pt map/unmap", `Quick, test_pt_map_unmap);
     ("pt double map", `Quick, test_pt_double_map);
     ("pt share/replace", `Quick, test_pt_share_and_replace);
@@ -939,6 +1012,7 @@ let suite =
     qt prop_align;
     qt prop_page_write_preserves_other_bytes;
     qt prop_page_model;
+    qt prop_page_model_pooled;
     qt prop_vas_roundtrip;
     qt prop_pt_map_range_fills_holes;
     qt prop_pt_fold_range_matches_fold;

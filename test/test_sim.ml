@@ -299,7 +299,7 @@ let test_waker_pending () =
 
 let test_lock_mutual_exclusion () =
   let e = Engine.create ~cores:4 () in
-  let l = Sync.Lock.create () in
+  let l = Sync.Lock.create ~engine:e () in
   let inside = ref 0 and max_inside = ref 0 in
   for _ = 1 to 8 do
     ignore
@@ -316,7 +316,7 @@ let test_lock_mutual_exclusion () =
 
 let test_lock_fifo () =
   let e = Engine.create ~cores:1 () in
-  let l = Sync.Lock.create () in
+  let l = Sync.Lock.create ~engine:e () in
   let order = ref [] in
   for i = 1 to 4 do
     ignore
@@ -328,14 +328,56 @@ let test_lock_fifo () =
   Engine.run e;
   Alcotest.(check (list int)) "fifo" [ 1; 2; 3; 4 ] (List.rev !order)
 
+(* A lock made on an engine reads who holds it from that engine: the
+   contention counters attribute a wait to the holder's tid, and
+   [held_by_self] answers per thread. Its name is registered by id. *)
+let test_lock_engine_identity () =
+  Sync.reset_lock_contention ();
+  let e = Engine.create ~cores:2 () in
+  let l = Sync.Rlock.create ~engine:e ~name:"lock.test.engine" () in
+  let holder = ref (-1) and seen = ref [] in
+  let worker () =
+    Sync.Rlock.with_lock l (fun () ->
+        if !holder < 0 then holder := Engine.current_tid ();
+        seen := Sync.Rlock.held_by_self l :: !seen;
+        Engine.advance 10L)
+  in
+  ignore (Engine.spawn e worker);
+  ignore (Engine.spawn e worker);
+  Engine.run e;
+  Alcotest.(check (list bool)) "held by self inside" [ true; true ] !seen;
+  Alcotest.(check bool) "not held outside" false (Sync.Rlock.held_by_self l);
+  (match Sync.lock_contention () with
+  | [ c ] ->
+      Alcotest.(check int) "acquires" 2 c.Sync.acquires;
+      Alcotest.(check int) "waits" 1 c.Sync.waits;
+      Alcotest.(check (list (pair int int))) "wait attributed to holder"
+        [ (!holder, 1) ] c.Sync.wait_holders
+  | rows -> Alcotest.failf "expected one contention row, got %d" (List.length rows));
+  Alcotest.(check (option string)) "name by id" (Some "lock.test.engine")
+    (Ufork_util.Hb.lock_name (Sync.Rlock.id l));
+  let named =
+    List.init 300 (fun i ->
+        let name = "lock.test.n" ^ string_of_int i in
+        (Sync.Lock.create ~engine:e ~name (), name))
+  in
+  List.iter
+    (fun (l, name) ->
+      Alcotest.(check (option string)) "each name by id" (Some name)
+        (Ufork_util.Hb.lock_name (Sync.Lock.id l)))
+    named;
+  Alcotest.(check (option string)) "unnamed" None
+    (Ufork_util.Hb.lock_name (Sync.Lock.id (Sync.Lock.create ~engine:e ())));
+  Sync.reset_lock_contention ()
+
 let test_lock_release_unheld () =
-  let l = Sync.Lock.create () in
+  let l = Sync.Lock.create ~engine:(Engine.create ~cores:1 ()) () in
   Alcotest.check_raises "release unheld"
     (Invalid_argument "Lock.release: not held") (fun () -> Sync.Lock.release l)
 
 let test_lock_released_on_exception () =
   let e = Engine.create ~cores:1 () in
-  let l = Sync.Lock.create () in
+  let l = Sync.Lock.create ~engine:e () in
   let ok = ref false in
   let _ =
     Engine.spawn e (fun () ->
@@ -668,7 +710,7 @@ let schedule_log ~cores ~seed =
   let g = Prng.create ~seed:(Int64.of_int ((cores * 1000) + seed)) in
   let e = Engine.create ~cores () in
   let tr = Trace.create ~engine:e ~costs:Costs.ufork () in
-  let locks = Array.init sched_locks (fun _ -> Sync.Lock.create ()) in
+  let locks = Array.init sched_locks (fun _ -> Sync.Lock.create ~engine:e ()) in
   let conds = Array.init sched_conds (fun _ -> Sync.Cond.create ()) in
   let b = Buffer.create 4096 in
   let rec body ops () =
@@ -754,6 +796,7 @@ let suite =
     ("waker pending", `Quick, test_waker_pending);
     ("lock mutual exclusion", `Quick, test_lock_mutual_exclusion);
     ("lock fifo", `Quick, test_lock_fifo);
+    ("lock reads identity from its engine", `Quick, test_lock_engine_identity);
     ("lock release unheld", `Quick, test_lock_release_unheld);
     ("lock release on exception", `Quick, test_lock_released_on_exception);
     ("cond signal order", `Quick, test_cond_signal_order);
