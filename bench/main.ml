@@ -727,32 +727,39 @@ let smp_sweep () =
        contention);
   (* Cross-check + export: the causal collector's per-lock wait counts
      and Sync's contention counters observe the same Contend events, so
-     they must agree (±5% guards future sampling); then write the
-     critical-path blame for the point as JSON. *)
+     they must be equal for every lock either side names; then write
+     the critical-path blame for the point as JSON. *)
   (match (!smp_explain_out, graph) with
   | Some path, Some g ->
       let module Causal = Ufork_analysis.Causal in
       let report = Causal.analyze g ~t0:0L ~t1:(Causal.horizon g) () in
+      let sync_waits lock =
+        match
+          List.find_opt (fun (c : Sync.contention) -> c.Sync.lock = lock)
+            contention
+        with
+        | Some c -> c.Sync.waits
+        | None -> 0
+      in
+      let causal_waits lock =
+        match
+          List.find_opt (fun (n, _, _) -> n = lock) report.Causal.r_lock_waits
+        with
+        | Some (_, w, _) -> w
+        | None -> 0
+      in
       List.iter
-        (fun (c : Sync.contention) ->
-          if c.Sync.waits > 0 then (
-            let causal_waits =
-              match
-                List.find_opt
-                  (fun (n, _, _) -> n = c.Sync.lock)
-                  report.Causal.r_lock_waits
-              with
-              | Some (_, w, _) -> w
-              | None -> 0
-            in
-            let diff = abs (causal_waits - c.Sync.waits) in
-            if float_of_int diff > 0.05 *. float_of_int c.Sync.waits then (
-              Printf.eprintf
-                "smp: causal wait count for %s (%d) diverges >5%% from the \
-                 lock counters (%d)\n"
-                c.Sync.lock causal_waits c.Sync.waits;
-              exit 1)))
-        contention;
+        (fun lock ->
+          let counted = sync_waits lock and causal = causal_waits lock in
+          if causal <> counted then (
+            Printf.eprintf
+              "smp: causal wait count for %s (%d) differs from the lock \
+               counters (%d)\n"
+              lock causal counted;
+            exit 1))
+        (List.sort_uniq String.compare
+           (List.map (fun (c : Sync.contention) -> c.Sync.lock) contention
+           @ List.map (fun (n, _, _) -> n) report.Causal.r_lock_waits));
       E.write_artifact path (fun oc ->
           output_string oc (Causal.to_json report));
       note "wrote %s (critical-path blame at the %d-core point)\n" path top
@@ -1088,8 +1095,8 @@ let cmd =
     let doc =
       "Arm the causal collector on the $(b,smp) target's top-point rerun \
        and write the whole-run critical-path blame (JSON) to $(docv); \
-       fails if the causal per-lock wait counts diverge from the lock \
-       contention counters by more than 5%."
+       fails unless the causal per-lock wait counts equal the lock \
+       contention counters, lock for lock."
     in
     Arg.(
       value

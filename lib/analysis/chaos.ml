@@ -22,21 +22,28 @@ type scenario = {
 
 (* {1 State-injection scaffolding}
 
-   A small healthy SASOS: two μprocesses with their initial images
-   eagerly mapped, nothing running. Built outside any engine thread —
-   the event bus counts the setup but charges no cycles. *)
+   A small healthy machine: two unrelated μprocesses with their initial
+   images eagerly mapped, nothing running. Built outside any engine
+   thread — the event bus counts the setup but charges no cycles. The
+   SASOS shares one page table between them; the CheriBSD kernel gives
+   each its own, at the same addresses. *)
 
-let sas_machine () =
+let machine ~costs ~config ~multi_address_space () =
   let engine = Engine.create ~cores:1 () in
-  let k =
-    Kernel.create ~engine ~costs:Costs.ufork ~config:Config.ufork_fast
-      ~multi_address_space:false ()
-  in
+  let k = Kernel.create ~engine ~costs ~config ~multi_address_space () in
   let u1 = Kernel.create_uproc k ~image:Image.hello () in
   Kernel.map_initial_image k u1;
   let u2 = Kernel.create_uproc k ~image:Image.hello () in
   Kernel.map_initial_image k u2;
   (k, u1, u2)
+
+let sas_machine =
+  machine ~costs:Costs.ufork ~config:Config.ufork_fast
+    ~multi_address_space:false
+
+let cheribsd_machine =
+  machine ~costs:Costs.cheribsd ~config:Config.cheribsd_default
+    ~multi_address_space:true
 
 let data_pte (u : Uproc.t) =
   Page_table.lookup_exn u.Uproc.pt
@@ -52,16 +59,33 @@ let user_cap k ~base ~length =
   Capability.mint ~parent:(Kernel.root_cap k) ~base ~length
     ~perms:Perms.user_data
 
-let state name expected inject =
+let state ?(machine = sas_machine) name expected inject =
   {
     name;
     expected;
     detect =
       (fun () ->
-        let k, u1, u2 = sas_machine () in
+        let k, u1, u2 = machine () in
         inject k u1 u2;
         Checker.sweep k);
   }
+
+(* The injections that also run on the CheriBSD machine. *)
+
+let leaked_retain k u1 _ =
+  (* An extra reference nothing maps: the census cannot explain it. *)
+  Phys.retain (Kernel.phys k) (data_pte u1).Pte.frame
+
+let tag_on_free_frame k u1 _ =
+  (* Use-after-free of the tag side table: a capability materializes in
+     a frame that is back in the pool. *)
+  let phys = Kernel.phys k in
+  let f = Phys.alloc phys in
+  Phys.release phys f;
+  Page.store_cap (Phys.page f) ~off:0
+    (user_cap k ~base:u1.Uproc.regions.Uproc.data_base ~length:16)
+
+let skewed_accounting k _ _ = Phys.chaos_skew_in_use (Kernel.phys k) 3
 
 (* {1 Protocol-injection scaffolding} *)
 
@@ -83,17 +107,8 @@ let protocol name expected evs =
 
 let scenarios =
   [
-    state "S1-leaked-retain" Invariant.Refcount_mismatch (fun k u1 _ ->
-        (* An extra reference nothing maps: the census cannot explain it. *)
-        Phys.retain (Kernel.phys k) (data_pte u1).Pte.frame);
-    state "S2-tag-on-free-frame" Invariant.Free_frame_state (fun k u1 _ ->
-        (* Use-after-free of the tag side table: a capability materializes
-           in a frame that is back in the pool. *)
-        let phys = Kernel.phys k in
-        let f = Phys.alloc phys in
-        Phys.release phys f;
-        Page.store_cap (Phys.page f) ~off:0
-          (user_cap k ~base:u1.Uproc.regions.Uproc.data_base ~length:16));
+    state "S1-leaked-retain" Invariant.Refcount_mismatch leaked_retain;
+    state "S2-tag-on-free-frame" Invariant.Free_frame_state tag_on_free_frame;
     state "S3-wild-cap" Invariant.Cap_bounds (fun k u1 _ ->
         (* A stored capability pointing at unowned address space. *)
         Page.store_cap
@@ -131,8 +146,7 @@ let scenarios =
         Page_table.map u1.Uproc.pt
           ~vpn:(Addr.vpn_of_addr (beyond_areas k))
           (Pte.make (Phys.alloc (Kernel.phys k))));
-    state "S9-skewed-accounting" Invariant.Phys_accounting (fun k _ _ ->
-        Phys.chaos_skew_in_use (Kernel.phys k) 3);
+    state "S9-skewed-accounting" Invariant.Phys_accounting skewed_accounting;
     state "S10-cross-area-cap" Invariant.Cross_area_cap (fun k u1 u2 ->
         (* A capability in pid 1's memory granting access to pid 2's
            area — the isolation breach μFork's relocation must prevent.
@@ -189,8 +203,29 @@ let scenarios =
       ];
   ]
 
+let cheribsd_scenarios =
+  [
+    state ~machine:cheribsd_machine "S1-leaked-retain-cheribsd"
+      Invariant.Refcount_mismatch leaked_retain;
+    state ~machine:cheribsd_machine "S2-tag-on-free-frame-cheribsd"
+      Invariant.Free_frame_state tag_on_free_frame;
+    state ~machine:cheribsd_machine "S7-private-alias-cheribsd"
+      Invariant.Private_aliased (fun _ u1 u2 ->
+        (* One frame mapped Private in two processes' tables: the census
+           must add up mappings across tables. *)
+        Page_table.map_shared u2.Uproc.pt
+          ~vpn:(Addr.vpn_of_addr u2.Uproc.regions.Uproc.heap_base)
+          (Pte.make (data_pte u1).Pte.frame));
+    state ~machine:cheribsd_machine "S9-skewed-accounting-cheribsd"
+      Invariant.Phys_accounting skewed_accounting;
+  ]
+
 let clean_machine () =
   let k, _, _ = sas_machine () in
+  Checker.sweep k
+
+let clean_cheribsd_machine () =
+  let k, _, _ = cheribsd_machine () in
   Checker.sweep k
 
 let clean_protocol () =

@@ -21,8 +21,17 @@ val scenarios : scenario list
 (** One injection per invariant: S1–S11 against {!Checker.sweep} on a
     live kernel, L1–L5 against {!Lint.run} on a hand-built stream. *)
 
+val cheribsd_scenarios : scenario list
+(** S1, S2, S7 and S9 again on a CheriBSD (multi-address-space)
+    machine, where each process has its own page table; the S7 alias
+    spans two of them. *)
+
 val clean_machine : unit -> Invariant.violation list
 (** The uninjected two-process machine the S-scenarios start from;
+    expected [[]]. *)
+
+val clean_cheribsd_machine : unit -> Invariant.violation list
+(** The same on the CheriBSD machine {!cheribsd_scenarios} start from;
     expected [[]]. *)
 
 val clean_protocol : unit -> Invariant.violation list

@@ -11,12 +11,18 @@ module Trace = Ufork_sim.Trace
 
 open Invariant
 
-(* One page-table mapping, with enough context to attribute it. *)
-type mapping = {
-  vpn : int;
-  pte : Pte.t;
-  table_owner : Uproc.t option;  (* the table's process on multi-AS *)
-}
+(* The census lives on the frames ({!Phys.census}): one int each, the
+   number of mappings aliasing the frame above two flag bits. A sweep
+   zeroes every frame's tally before counting, so nothing carries over
+   from the last one, and the census costs no table and no allocation
+   per frame or per mapping. *)
+let named_bit = 1 (* a kernel named-segment table references the frame *)
+let shared_bit = 2 (* some mapping of the frame is not Private *)
+let one_mapping = 4
+
+let mappings f = Phys.census f lsr 2
+let is_named f = Phys.census f land named_bit <> 0
+let all_private f = Phys.census f land shared_bit = 0
 
 let sweep ?(capflow = false) k =
   let phys = Kernel.phys k in
@@ -24,14 +30,17 @@ let sweep ?(capflow = false) k =
   let isolation_on =
     (Kernel.config k).Config.isolation <> Config.No_isolation
   in
-  let violations = ref [] in
-  (* Subjects are formatted only once a violation is recorded: the sweep
-     checks every frame, mapping and tagged granule, and almost all of
-     them pass. *)
-  let add invariant subject detail =
-    violations := { invariant; subject; detail } :: !violations
+  (* Report order: frames (S1, S2, then S9), mappings by table and
+     ascending vpn, aliases (S7). One walk both counts and checks the
+     mappings, and the frame pass that follows needs its counts, so each
+     part collects in its own list. Subjects are formatted only once a
+     violation is recorded: the sweep checks every frame, mapping and
+     tagged granule, and almost all of them pass. *)
+  let frame_vs = ref [] and mapping_vs = ref [] and alias_vs = ref [] in
+  let record into invariant subject detail =
+    into := { invariant; subject; detail } :: !into
   in
-  let frame_subject fid = Printf.sprintf "frame %d" fid in
+  let frame_subject f = Printf.sprintf "frame %d" (Phys.id f) in
   let mapping_subject owner_area vpn =
     match owner_area with
     | Some (_, _, pid) -> Printf.sprintf "pid %d vpn %#x" pid vpn
@@ -40,95 +49,81 @@ let sweep ?(capflow = false) k =
   let granule_subject owner_area vpn g =
     Printf.sprintf "%s granule %d" (mapping_subject owner_area vpn) g
   in
-  (* The distinct page tables: the one shared table in the SASOS, one per
-     process (live, zombie or reaped) on the multi-AS baselines. *)
+  (* The distinct page tables that map anything: the one shared table in
+     the SASOS, one per process (live, zombie or reaped) on the multi-AS
+     baselines. *)
   let tables =
     Kernel.fold_uprocs k ~init:[] ~f:(fun acc (u : Uproc.t) ->
-        if List.exists (fun (pt, _) -> pt == u.Uproc.pt) acc then acc
+        if
+          Page_table.mapped_count u.Uproc.pt = 0
+          || List.exists (fun (pt, _) -> pt == u.Uproc.pt) acc
+        then acc
         else (u.Uproc.pt, u) :: acc)
     |> List.rev
   in
-  (* Census: frame id -> every mapping aliasing it, newest first. *)
-  let census : (int, mapping list) Hashtbl.t = Hashtbl.create 256 in
+  (* Census, first part: which frames the kernel's named-segment tables
+     reference (one kernel reference each, on top of any mappings). The
+     walk below adds the mappings. *)
+  Phys.iter_frames phys (fun f -> Phys.set_census f 0);
+  let named = Kernel.named_segment_frames k in
   List.iter
-    (fun (pt, owner) ->
-      Page_table.fold pt ~init:() ~f:(fun vpn pte () ->
-          let m =
-            { vpn; pte; table_owner = (if multi_as then Some owner else None) }
-          in
-          let fid = Phys.id pte.Pte.frame in
-          let prev =
-            Option.value (Hashtbl.find_opt census fid) ~default:[]
-          in
-          Hashtbl.replace census fid (m :: prev)))
-    tables;
-  let mappings_rev fid =
-    Option.value (Hashtbl.find_opt census fid) ~default:[]
+    (fun (_, frames) ->
+      Array.iter (fun f -> Phys.set_census f (Phys.census f lor named_bit))
+        frames)
+    named;
+  (* The segment naming a frame, the last one listing it; read only to
+     word an S6 report. *)
+  let segment_of f =
+    List.fold_left
+      (fun acc (nm, frames) ->
+        if Array.exists (fun g -> g == f) frames then nm else acc)
+      "" named
   in
-  (* Frames the kernel's named-segment tables reference (one kernel
-     reference each, on top of any mappings). *)
-  let named : (int, string) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (nm, frames) ->
-      Array.iter (fun f -> Hashtbl.replace named (Phys.id f) nm) frames)
-    (Kernel.named_segment_frames k);
-  let areas = Kernel.areas k in
-  let area_of_addr addr =
-    List.find_opt (fun (b, s, _) -> addr >= b && addr < b + s) areas
+  (* Each area with its option box, built once: the owner lookup runs
+     per mapping. *)
+  let areas =
+    List.map (fun ((b, s, _) as area) -> (b, s, Some area)) (Kernel.areas k)
   in
-  (* pid -> parent pid, for the S10/S11 direction split. *)
-  let parent_of : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  Kernel.fold_uprocs k ~init:() ~f:(fun () (u : Uproc.t) ->
-      match u.Uproc.parent_pid with
-      | Some p -> Hashtbl.replace parent_of u.Uproc.pid p
-      | None -> ());
+  let rec area_of_addr addr = function
+    | [] -> None
+    | (b, s, area) :: rest ->
+        if addr >= b && addr < b + s then area else area_of_addr addr rest
+  in
   let area_holding_cap cap =
-    List.find_opt
-      (fun (b, s, _) -> Capability.in_range cap ~lo:b ~hi:(b + s))
+    List.find_map
+      (fun (b, s, area) ->
+        if Capability.in_range cap ~lo:b ~hi:(b + s) then area else None)
       areas
   in
+  (* For the S10/S11 direction split. *)
+  let is_child_of ~parent pid =
+    match Kernel.find_uproc k pid with
+    | Some { Uproc.parent_pid = Some p; _ } -> p = parent
+    | Some _ | None -> false
+  in
+  let add = record mapping_vs in
 
-  (* {2 S1, S2, S9: the frame pool} *)
-  let live = ref 0 in
-  Phys.iter_frames phys (fun f ->
-      let fid = Phys.id f in
-      let rc = Phys.refcount f in
-      let maps = List.length (mappings_rev fid) in
-      if rc > 0 then begin
-        incr live;
-        let expected = maps + if Hashtbl.mem named fid then 1 else 0 in
-        if rc <> expected then
-          add Refcount_mismatch (frame_subject fid)
-            (Printf.sprintf
-               "refcount %d but %d mapping(s)%s — %s" rc maps
-               (if Hashtbl.mem named fid then " + 1 named-segment reference"
-                else "")
-               (if rc > expected then "leaked reference"
-                else "mapping without a reference"))
-      end
-      else begin
-        if maps > 0 then
-          add Free_frame_state (frame_subject fid)
-            (Printf.sprintf "free (refcount %d) but still mapped %d time(s)"
-               rc maps);
-        let tags = Page.tagged_count (Phys.page f) in
-        if tags > 0 then
-          add Free_frame_state (frame_subject fid)
-            (Printf.sprintf
-               "free but %d granule(s) still hold valid capabilities" tags)
-      end);
-  if !live <> Phys.frames_in_use phys then
-    add Phys_accounting "phys pool"
-      (Printf.sprintf "frames_in_use reports %d; census of live frames is %d"
-         (Phys.frames_in_use phys) !live);
-
-  (* {2 Per-mapping checks: S3, S4, S5, S6, S8, S10} *)
+  (* {2 Census and per-mapping checks: S3, S4, S5, S6, S8, S10, S11} *)
   List.iter
     (fun (pt, (owner : Uproc.t)) ->
-      Page_table.fold pt ~init:() ~f:(fun vpn (pte : Pte.t) () ->
+      (* On multi-AS the table's process owns what lies in its area,
+         unless it is reaped. *)
+      let table_area =
+        if multi_as && owner.Uproc.state <> Uproc.Reaped then
+          Some
+            (owner.Uproc.area_base, owner.Uproc.area_bytes, owner.Uproc.pid)
+        else None
+      in
+      Page_table.iter pt (fun vpn (pte : Pte.t) ->
+          let frame = pte.Pte.frame in
+          let census = Phys.census frame in
+          let shared =
+            match pte.Pte.share with Pte.Private -> 0 | _ -> shared_bit
+          in
+          Phys.set_census frame ((census + one_mapping) lor shared);
+          let is_named = census land named_bit <> 0 in
           let addr = Addr.addr_of_vpn vpn in
-          let fid = Phys.id pte.Pte.frame in
-          let is_named = Hashtbl.mem named fid in
+          let fid = Phys.id frame in
           (* Owner attribution: the area containing the address in the
              single address space; the table's process on multi-AS. *)
           let owner_area =
@@ -136,14 +131,12 @@ let sweep ?(capflow = false) k =
               if
                 addr >= owner.Uproc.area_base
                 && addr < owner.Uproc.area_base + owner.Uproc.area_bytes
-                && owner.Uproc.state <> Uproc.Reaped
-              then Some (owner.Uproc.area_base, owner.Uproc.area_bytes,
-                         owner.Uproc.pid)
+              then table_area
               else None
-            else area_of_addr addr
+            else area_of_addr addr areas
           in
           (* S8: no mapping outside a live-or-zombie process area. *)
-          if owner_area = None then
+          if Option.is_none owner_area then
             add Orphan_mapping (mapping_subject owner_area vpn)
               (if multi_as && owner.Uproc.state = Uproc.Reaped then
                  Printf.sprintf "mapping of frame %d survives pid %d's reap"
@@ -185,7 +178,7 @@ let sweep ?(capflow = false) k =
                 (Printf.sprintf
                    "named-segment frame %d (%s) mapped %s — deliberate \
                     sharing must never be privately copied"
-                   fid (Hashtbl.find named fid)
+                   fid (segment_of frame)
                    (Format.asprintf "%a" Pte.pp_share pte.Pte.share))
           | _ -> ());
           (* S3/S10: stored capabilities. Only granules a process could
@@ -193,15 +186,17 @@ let sweep ?(capflow = false) k =
              CoPA cap-load trap (those are pending relocation), and not
              deliberate shared memory (windows alias across areas by
              design). *)
+          let page = Phys.page frame in
           if
             isolation_on && pte.Pte.read
             && (not pte.Pte.cap_load_fault)
             && pte.Pte.share <> Pte.Shm_shared
+            && Page.tagged_count page > 0
           then
             match owner_area with
             | None -> () (* reported as S8 above *)
             | Some (base, bytes, opid) ->
-                Page.iter_caps (Phys.page pte.Pte.frame) (fun g cap ->
+                Page.iter_caps page (fun g cap ->
                     if not (Capability.is_sealed cap) then
                       (* R4 (capflow armed): the provenance stamp must
                          match the holding area — the taint diagnosis
@@ -228,8 +223,7 @@ let sweep ?(capflow = false) k =
                           if multi_as then None else area_holding_cap cap
                         with
                         | Some (_, _, pid2)
-                          when pid2 <> opid
-                               && Hashtbl.find_opt parent_of pid2 = Some opid
+                          when pid2 <> opid && is_child_of ~parent:opid pid2
                           ->
                             (* S11: the reverse-direction fork leak — a
                                parent page still grants authority over
@@ -259,24 +253,58 @@ let sweep ?(capflow = false) k =
                                  base (base + bytes)))))
     tables;
 
-  (* {2 S7: aliased frames where every mapping believes it is private} *)
+  (* {2 The frame pool: S1, S2, S7, S9} *)
+  let live = ref 0 in
   Phys.iter_frames phys (fun f ->
-      let fid = Phys.id f in
-      if Phys.refcount f > 0 && not (Hashtbl.mem named fid) then
-        match mappings_rev fid with
-        | [] | [ _ ] -> ()
-        | ms when List.for_all (fun m -> m.pte.Pte.share = Pte.Private) ms ->
-            let ms = List.rev ms in
-            add Private_aliased (frame_subject fid)
-              (Printf.sprintf
-                 "mapped %d times (vpns %s) yet every mapping is Private — \
-                  a write through one alias would silently leak to the \
-                  others"
-                 (List.length ms)
-                 (String.concat ", "
-                    (List.map (fun m -> Printf.sprintf "%#x" m.vpn) ms)))
-        | _ -> ());
-  List.rev !violations
+      let rc = Phys.refcount f in
+      let maps = mappings f in
+      if rc > 0 then begin
+        incr live;
+        let expected = maps + if is_named f then 1 else 0 in
+        if rc <> expected then
+          record frame_vs Refcount_mismatch (frame_subject f)
+            (Printf.sprintf
+               "refcount %d but %d mapping(s)%s — %s" rc maps
+               (if is_named f then " + 1 named-segment reference"
+                else "")
+               (if rc > expected then "leaked reference"
+                else "mapping without a reference"));
+        (* S7: an aliased frame where every mapping believes it is
+           private. Only such a frame has its aliases listed: tables in
+           order, ascending vpn. *)
+        if maps > 1 && all_private f && not (is_named f) then begin
+          let vpns = ref [] in
+          List.iter
+            (fun (pt, _) ->
+              Page_table.iter pt (fun vpn (pte : Pte.t) ->
+                  if pte.Pte.frame == f then vpns := vpn :: !vpns))
+            tables;
+          let vpns = List.rev !vpns in
+          record alias_vs Private_aliased (frame_subject f)
+            (Printf.sprintf
+               "mapped %d times (vpns %s) yet every mapping is Private — a \
+                write through one alias would silently leak to the others"
+               (List.length vpns)
+               (String.concat ", " (List.map (Printf.sprintf "%#x") vpns)))
+        end
+      end
+      else begin
+        if maps > 0 then
+          record frame_vs Free_frame_state (frame_subject f)
+            (Printf.sprintf "free (refcount %d) but still mapped %d time(s)"
+               rc maps);
+        let tags = Page.tagged_count (Phys.page f) in
+        if tags > 0 then
+          record frame_vs Free_frame_state (frame_subject f)
+            (Printf.sprintf
+               "free but %d granule(s) still hold valid capabilities" tags)
+      end);
+  if !live <> Phys.frames_in_use phys then
+    record frame_vs Phys_accounting "phys pool"
+      (Printf.sprintf "frames_in_use reports %d; census of live frames is %d"
+         (Phys.frames_in_use phys) !live);
+  List.rev_append !frame_vs
+    (List.rev_append !mapping_vs (List.rev !alias_vs))
 
 let sweep_and_lint ?capflow k =
   let trace = Kernel.trace k in

@@ -37,13 +37,7 @@ let do_fork k (parent : Uproc.t) child_main =
           (* The entire VM image — unikernel included — is copied
              eagerly, verbatim: same permissions, no relocation (each
              clone is its own address space). *)
-          let pvpns =
-            Page_table.fold parent.Uproc.pt ~init:[] ~f:(fun vpn _ acc ->
-                vpn :: acc)
-            |> List.rev
-          in
-          Memops.copy_range k ~parent ~child ~delta_pages:0
-            ~mode:Memops.Verbatim pvpns);
+          Memops.copy_all k ~parent ~child);
     }
   in
   Fork_spine.run k hooks parent child_main

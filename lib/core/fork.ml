@@ -78,8 +78,7 @@ let duplicate k ~strategy ~proactive ~(parent : Uproc.t) ~(child : Uproc.t) =
             ~exec:ppte.Pte.exec ~share:Pte.Shm_shared ppte.Pte.frame)
         (List.rev !shm)
       |> ignore;
-      Memops.copy_range k ~parent ~child ~delta_pages
-        ~mode:Memops.Relocate_to_child (List.rev !eager);
+      Memops.copy_range k ~parent ~child ~delta_pages (List.rev !eager);
       match strategy with
       | Strategy.Full_copy -> assert (!lazily = [])
       | Strategy.Coa | Strategy.Copa ->
@@ -121,8 +120,7 @@ let duplicate k ~strategy ~proactive ~(parent : Uproc.t) ~(child : Uproc.t) =
         let pr = parent.Uproc.regions in
         Memops.map_zero_range k parent ~base:pr.Uproc.heap_base
           ~bytes:pr.Uproc.heap_bytes ();
-        Memops.copy_range k ~parent ~child ~delta_pages
-          ~mode:Memops.Relocate_to_child !missing
+        Memops.copy_range k ~parent ~child ~delta_pages !missing
       end
   | Strategy.Coa | Strategy.Copa -> ()
 

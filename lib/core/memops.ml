@@ -65,10 +65,19 @@ let share_range k ~(parent : Uproc.t) ~(child : Uproc.t) ~delta_pages
           downgraded)
         false pvpns
 
-type copy_mode = Verbatim | Relocate_to_child
+(* One eager page copy: the child's fresh frame takes the parent page's
+   bytes and tags and is mapped at [cvpn] with the parent's
+   permissions. *)
+let copy_page (child : Uproc.t) ~cvpn (ppte : Pte.t) fresh =
+  copy_page_contents ~src:(Phys.page ppte.Pte.frame) ~dst:(Phys.page fresh);
+  let cpte =
+    Pte.private_page ~read:ppte.Pte.read ~write:ppte.Pte.write
+      ~exec:ppte.Pte.exec fresh
+  in
+  Page_table.map child.Uproc.pt ~vpn:cvpn cpte;
+  cpte
 
-let copy_range k ~(parent : Uproc.t) ~(child : Uproc.t) ~delta_pages ~mode
-    pvpns =
+let copy_range k ~(parent : Uproc.t) ~(child : Uproc.t) ~delta_pages pvpns =
   match pvpns with
   | [] -> ()
   | _ ->
@@ -83,33 +92,38 @@ let copy_range k ~(parent : Uproc.t) ~(child : Uproc.t) ~delta_pages ~mode
       let scanned = ref 0 and relocated = ref 0 in
       List.iter2
         (fun pvpn fresh ->
-          let ppte = Page_table.lookup_exn parent.Uproc.pt ~vpn:pvpn in
           let cvpn = pvpn + delta_pages in
-          copy_page_contents ~src:(Phys.page ppte.Pte.frame)
-            ~dst:(Phys.page fresh);
           let cpte =
-            Pte.make ~read:ppte.Pte.read ~write:ppte.Pte.write
-              ~exec:ppte.Pte.exec fresh
+            copy_page child ~cvpn
+              (Page_table.lookup_exn parent.Uproc.pt ~vpn:pvpn)
+              fresh
           in
-          Page_table.map child.Uproc.pt ~vpn:cvpn cpte;
-          match mode with
-          | Verbatim -> ()
-          | Relocate_to_child ->
-              let outcome =
-                Relocate.relocate_page ~owner_area:(owner_area k)
-                  ~child_base:child.Uproc.area_base
-                  ~child_bytes:child.Uproc.area_bytes (Phys.page fresh)
-              in
-              scanned := !scanned + outcome.Relocate.granules_scanned;
-              relocated := !relocated + outcome.Relocate.relocated;
-              restore_perms child ~vpn:cvpn cpte)
+          let outcome =
+            Relocate.relocate_page ~owner_area:(owner_area k)
+              ~child_base:child.Uproc.area_base
+              ~child_bytes:child.Uproc.area_bytes (Phys.page fresh)
+          in
+          scanned := !scanned + outcome.Relocate.granules_scanned;
+          relocated := !relocated + outcome.Relocate.relocated;
+          restore_perms child ~vpn:cvpn cpte)
         pvpns frames;
-      (match mode with
-      | Relocate_to_child ->
-          Kernel.with_span k ~name:"reloc.scan" (fun () ->
-              Kernel.emit ~proc:child k (Event.Granule_scan !scanned);
-              Kernel.emit ~proc:child k (Event.Cap_relocate !relocated))
-      | Verbatim -> ())
+      Kernel.with_span k ~name:"reloc.scan" (fun () ->
+          Kernel.emit ~proc:child k (Event.Granule_scan !scanned);
+          Kernel.emit ~proc:child k (Event.Cap_relocate !relocated))
+
+let copy_all k ~(parent : Uproc.t) ~(child : Uproc.t) =
+  let n = Page_table.mapped_count parent.Uproc.pt in
+  if n > 0 then begin
+    Kernel.with_span k ~name:"pte_copy" (fun () ->
+        Kernel.emit ~proc:child k (Event.Pte_copy n));
+    (* Each frame is taken as the walk reaches its page: the clone
+       builds no list of vpns and none of frames. *)
+    Kernel.with_span k ~name:"page_copy" (fun () ->
+        Kernel.emit ~proc:child k (Event.Page_copy_eager n);
+        Kernel.with_fresh_frames k child n (fun take ->
+            Page_table.iter parent.Uproc.pt (fun vpn ppte ->
+                ignore (copy_page child ~cvpn:vpn ppte (take ())))))
+  end
 
 let map_zero_range k u ~base ~bytes ?read ?write ?exec () =
   Kernel.map_zero_pages k u ~base ~bytes ?read ?write ?exec ()

@@ -64,25 +64,31 @@ val share_range :
     any parent entry was actually downgraded — the caller decides
     whether a TLB shootdown is owed. *)
 
-type copy_mode =
-  | Verbatim  (** Child entry copies the parent's permissions as-is. *)
-  | Relocate_to_child
-      (** μFork §4.2: scan the copy's granules, relocate area-internal
-          capabilities by the child displacement, then restore the
-          region's natural permissions. One batched
-          [Granule_scan]/[Cap_relocate] pair per range. *)
-
 val copy_range :
   Ufork_sas.Kernel.t ->
   parent:Ufork_sas.Uproc.t ->
   child:Ufork_sas.Uproc.t ->
   delta_pages:int ->
-  mode:copy_mode ->
   int list ->
   unit
-(** Eagerly copy a batch of parent pages into the child: one
-    [Pte_copy n] + [Page_copy_eager n] + [Page_alloc n] charge, then a
-    per-page contents copy and map. *)
+(** Eagerly copy a batch of parent pages into the child at
+    [parent_vpn + delta_pages]: one [Pte_copy n] + [Page_copy_eager n] +
+    [Page_alloc n] charge, then a per-page contents copy and map. Each
+    copy is relocated (μFork §4.2): its granules are scanned,
+    area-internal capabilities move by the child displacement, and the
+    region's natural permissions are restored. One batched
+    [Granule_scan]/[Cap_relocate] pair per range. *)
+
+val copy_all :
+  Ufork_sas.Kernel.t -> parent:Ufork_sas.Uproc.t -> child:Ufork_sas.Uproc.t ->
+  unit
+(** A VM clone's duplicate: copy every page the parent maps to the same
+    vpn in the child, which must have its own table. One [Pte_copy n] +
+    [Page_copy_eager n] + [Page_alloc n] charge; each child entry keeps
+    its parent's permissions and the bytes and tags are copied as they
+    are, with no relocation. The parent's table is walked in ascending
+    vpn order and each frame is taken as the walk reaches its page, so
+    no list of vpns or frames is built. *)
 
 val map_zero_range :
   Ufork_sas.Kernel.t ->

@@ -119,7 +119,7 @@ let walk t ~first ~last f =
   let v = ref first in
   while !v <= last do
     let di = !v lsr leaf_bits in
-    let stop = min last ((di lsl leaf_bits) lor leaf_mask) in
+    let stop = Int.min last ((di lsl leaf_bits) lor leaf_mask) in
     (if di < Array.length t.dir then
        let leaf = t.dir.(di) in
        if Array.length leaf > 0 then
@@ -160,3 +160,5 @@ let mapped_count t = t.count
 
 let fold t ~init ~f =
   fold_range t ~vpn:0 ~count:(Array.length t.dir * leaf_size) ~init ~f
+
+let iter t f = walk t ~first:0 ~last:((Array.length t.dir * leaf_size) - 1) f

@@ -65,3 +65,7 @@ val mapped_count : t -> int
 
 val fold : t -> init:'a -> f:(int -> Pte.t -> 'a -> 'a) -> 'a
 (** Fold over every mapped page, ascending vpn. *)
+
+val iter : t -> (int -> Pte.t -> unit) -> unit
+(** Apply to every mapped page, ascending vpn; the walk itself
+    allocates nothing. *)

@@ -1,6 +1,11 @@
 module Hb = Ufork_util.Hb
 
-type frame = { fid : int; mutable refcount : int; page : Page.t }
+type frame = {
+  fid : int;
+  mutable refcount : int;
+  page : Page.t;
+  mutable census : int;
+}
 
 (* Frame state (refcount, pool membership) is shared between every
    thread that forks, faults or exits: publish each mutation so the
@@ -48,6 +53,7 @@ type t = {
      the default runs the transfer unguarded (single-threaded unit
      tests, chaos lockless mode). *)
   mutable pool_guard : (unit -> unit) -> unit;
+  mutable guard_empty : bool; (* run the guard for a refill of nothing *)
   (* The calling thread's core, or negative outside any thread. The
      kernel passes its engine's identity field; without one every caller
      funnels through slot 0. *)
@@ -59,7 +65,7 @@ type t = {
 exception Out_of_memory
 
 (* Fills a registry chunk's unused tail; one shared long-lived value. *)
-let vacant = { fid = 0; refcount = 0; page = Page.create () }
+let vacant = { fid = 0; refcount = 0; page = Page.create (); census = 0 }
 
 (* Spare buffers and tag tables kept per machine: two per core, the
    pages a fork-and-exit cycle on each core frees and writes again
@@ -87,11 +93,14 @@ let create ?limit_frames ?(cores = 1) ?(core = fun () -> -1) () =
     refills = 0;
     drains = 0;
     pool_guard = (fun f -> f ());
+    guard_empty = true;
     core;
     storage = Page.pool ~bound:(spare_per_core * cores);
   }
 
-let set_pool_guard t g = t.pool_guard <- g
+let set_pool_guard t ?(guard_empty = true) g =
+  t.pool_guard <- g;
+  t.guard_empty <- guard_empty
 let storage_pool t = t.storage
 
 (* The core whose freelist serves the calling thread; outside any
@@ -131,6 +140,29 @@ let refill t slot =
           t.local_len.(slot) <- len;
           t.refills <- t.refills + 1)
 
+(* A frame never handed out before, registered under the next id. *)
+let carve t =
+  t.next_id <- t.next_id + 1;
+  let f =
+    {
+      fid = t.next_id;
+      refcount = 1;
+      page = Page.create_in t.storage;
+      census = 0;
+    }
+  in
+  let i = f.fid - 1 in
+  let c = i lsr chunk_bits in
+  let n = Array.length t.registry in
+  if c >= n then begin
+    let grown = Array.make (max 4 (2 * n)) [||] in
+    Array.blit t.registry 0 grown 0 n;
+    t.registry <- grown
+  end;
+  if i land chunk_mask = 0 then t.registry.(c) <- Array.make chunk_size vacant;
+  t.registry.(c).(i land chunk_mask) <- f;
+  f
+
 let alloc t =
   (match t.limit_frames with
   | Some l when t.in_use >= l -> raise Out_of_memory
@@ -139,7 +171,8 @@ let alloc t =
   t.total <- t.total + 1;
   if t.in_use > t.peak then t.peak <- t.in_use;
   let slot = core_slot t in
-  if t.local_len.(slot) = 0 then refill t slot;
+  if t.local_len.(slot) = 0 && (t.guard_empty || t.global_free != []) then
+    refill t slot;
   let f =
     match t.local_free.(slot) with
     | f :: rest ->
@@ -150,23 +183,7 @@ let alloc t =
         Page.clear f.page;
         f.refcount <- 1;
         f
-    | [] ->
-        t.next_id <- t.next_id + 1;
-        let f =
-          { fid = t.next_id; refcount = 1; page = Page.create_in t.storage }
-        in
-        let i = f.fid - 1 in
-        let c = i lsr chunk_bits in
-        let n = Array.length t.registry in
-        if c >= n then begin
-          let grown = Array.make (max 4 (2 * n)) [||] in
-          Array.blit t.registry 0 grown 0 n;
-          t.registry <- grown
-        end;
-        if i land chunk_mask = 0 then
-          t.registry.(c) <- Array.make chunk_size vacant;
-        t.registry.(c).(i land chunk_mask) <- f;
-        f
+    | [] -> carve t
   in
   note f.fid "Phys.alloc";
   f
@@ -232,4 +249,6 @@ let fold_frames t ~init ~f =
   iter_frames t (fun frame -> acc := f !acc frame);
   !acc
 
+let census f = f.census
+let set_census f n = f.census <- n
 let chaos_skew_in_use t delta = t.in_use <- t.in_use + delta

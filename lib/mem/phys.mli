@@ -24,7 +24,8 @@ val create :
     an effect. The default answers negative: every caller uses the
     first freelist. A single-core pool never asks. *)
 
-val set_pool_guard : t -> ((unit -> unit) -> unit) -> unit
+val set_pool_guard :
+  t -> ?guard_empty:bool -> ((unit -> unit) -> unit) -> unit
 (** Install the critical-section wrapper run around every batched
     refill/drain transfer against the shared global pool. lib/mem cannot
     depend on lib/sim, so the kernel injects its frame-pool lock here
@@ -32,7 +33,9 @@ val set_pool_guard : t -> ((unit -> unit) -> unit) -> unit
     unguarded. Each guarded transfer additionally publishes a
     {!Ufork_util.Hb.Pool} write on the happens-before bus, so the race
     detector (R1) and lock-order checker (R2) cover the frame fast
-    path. *)
+    path. With [~guard_empty:false] (default [true]) an empty freelist
+    whose refill would find the shared pool empty too skips the guard
+    and carves at once: a refill of nothing then takes no lock. *)
 
 val storage_pool : t -> Page.pool
 (** The spare page storage every frame of this pool shares: a released
@@ -95,6 +98,17 @@ val iter_frames : t -> (frame -> unit) -> unit
 (** Every frame ever allocated, free ones included, in allocation order. *)
 
 val fold_frames : t -> init:'a -> f:('a -> frame -> 'a) -> 'a
+
+(** {1 Census}
+
+    One integer per frame for a whole-memory sweep to tally in: the state
+    sanitizer counts each frame's mappings here, so its census needs no
+    table keyed by frame id and allocates nothing per frame. Nothing
+    else reads or writes it, and a sweep sets every frame's value before
+    it reads any, so one sweep at a time per pool. *)
+
+val census : frame -> int
+val set_census : frame -> int -> unit
 
 val chaos_skew_in_use : t -> int -> unit
 (** Fault injection only: desynchronize the [frames_in_use] counter from

@@ -169,8 +169,20 @@ let create ~engine ~costs ~config ~multi_address_space () =
      Phys (under whatever lock the caller holds — or none, on the fault
      path), so the pool lock is injected rather than taken by a kernel
      helper. Re-entry from {!with_frame_pool} is free: the Rlock only
-     touches the underlying lock on the outermost acquire. *)
-  Phys.set_pool_guard phys (fun f ->
+     touches the underlying lock on the outermost acquire. Under the big
+     lock the frame-pool lock is only ever held inside these guards,
+     which never yield, so a refill that would find the shared pool
+     empty skips the guard without changing the schedule: a fresh carve
+     takes no lock round trip. The sharded kernel keeps the guard, whose
+     acquire there can be an outermost one that waits (a thread that
+     yields inside {!fresh_frame}'s emit can resume on a core with an
+     empty freelist). *)
+  Phys.set_pool_guard phys
+    ~guard_empty:
+      (match config.Config.lock_mode with
+      | Config.Big_kernel_lock -> false
+      | Config.Sharded_locks -> true)
+    (fun f ->
       match t.locks with
       | No_locks -> f ()
       | Big _ | Sharded _ -> Sync.Rlock.with_lock frame_pool_lock f);
@@ -352,22 +364,44 @@ let enable_stat_sampling t ~interval =
 let account_private _t (u : Uproc.t) ~bytes =
   u.Uproc.private_bytes <- u.Uproc.private_bytes + bytes
 
+(* The charge for [n] fresh frames, paid under the frame-pool lock: one
+   [Page_alloc n] emission and one accounting update stand for [n]
+   per-page calls — identical cycles and counts (the cost is linear in
+   [n]), far fewer trace records. *)
+let charge_fresh_frames t u n =
+  emit ~proc:u t (Event.Page_alloc n);
+  account_private t u ~bytes:(n * Addr.page_size)
+
+(* [charge_fresh_frames t u 1], spelled out so that [Page_alloc 1] is a
+   constant the compiler allocates statically: this is the fault path,
+   one call per copied page. *)
 let fresh_frame t u =
   with_frame_pool t ~frames:1 (fun () ->
       emit ~proc:u t (Event.Page_alloc 1);
       account_private t u ~bytes:Addr.page_size;
       Phys.alloc t.phys)
 
-(* Batched allocation: one [Page_alloc n] emission and one accounting
-   update stand for [n] per-page calls — identical cycles and counts
-   (the cost is linear in [n]), far fewer trace records. *)
 let fresh_frames t u n =
   if n <= 0 then []
   else
     with_frame_pool t ~frames:n (fun () ->
-        emit ~proc:u t (Event.Page_alloc n);
-        account_private t u ~bytes:(n * Addr.page_size);
+        charge_fresh_frames t u n;
         List.init n (fun _ -> Phys.alloc t.phys))
+
+(* The same charge, with the frames taken one at a time by the body,
+   still under the frame-pool lock, so no list of them is built. *)
+let with_fresh_frames t u n fill =
+  if n > 0 then
+    with_frame_pool t ~frames:n (fun () ->
+        charge_fresh_frames t u n;
+        let left = ref n in
+        fill (fun () ->
+            if !left = 0 then
+              invalid_arg "Kernel.with_fresh_frames: more frames than charged";
+            decr left;
+            Phys.alloc t.phys);
+        if !left > 0 then
+          invalid_arg "Kernel.with_fresh_frames: fewer frames than charged")
 
 (* {1 Areas} *)
 
@@ -487,12 +521,8 @@ let map_zero_pages t u ~base ~bytes ?(read = true) ?(write = true)
         Page_table.map_range u.Uproc.pt ~vpn:vpn0 ~count:pages (fun _v ->
             Some (Pte.private_page ~read ~write ~exec (Phys.alloc t.phys)))
       in
-      (* One batched charge for the whole range (same cycles and counts as
-         the old per-page loop: page_alloc cost is linear). *)
-      if mapped > 0 then begin
-        emit ~proc:u t (Event.Page_alloc mapped);
-        account_private t u ~bytes:(mapped * Addr.page_size)
-      end)
+      (* One batched charge for the whole range. *)
+      if mapped > 0 then charge_fresh_frames t u mapped)
 
 let map_initial_image t u =
   let r = u.Uproc.regions in

@@ -122,6 +122,13 @@ val fresh_frames : t -> Uproc.t -> int -> Ufork_mem.Phys.frame list
     accounting update — same cycles and counts as [n] {!fresh_frame}
     calls (the cost is linear), one trace record. [n <= 0] is a no-op. *)
 
+val with_fresh_frames :
+  t -> Uproc.t -> int -> ((unit -> Ufork_mem.Phys.frame) -> unit) -> unit
+(** {!fresh_frames}'s charge without the list: [with_fresh_frames t u n
+    fill] runs [fill take] under the frame-pool lock, where each
+    [take ()] allocates one of the [n] frames. [fill] must take exactly
+    [n] ([Invalid_argument] otherwise). [n <= 0] is a no-op. *)
+
 val account_private : t -> Uproc.t -> bytes:int -> unit
 
 val emit : ?proc:Uproc.t -> t -> Ufork_sim.Event.t -> unit

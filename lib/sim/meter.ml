@@ -14,7 +14,7 @@ type t = {
   mutable n : int; (* interned ids; live prefix of the arrays *)
 }
 
-let initial_capacity = 64
+let initial_capacity = 32
 
 let create () =
   {

@@ -212,7 +212,7 @@ let create ~engine ~costs ?(ring_capacity = default_ring_capacity) () =
     syscall_kids = Hashtbl.create 16;
     sys_slots = Slots.create ();
     syscall_agg_kid = -1;
-    entries = Array.init 64 (fun _ -> fresh_entry ());
+    entries = [||];
     total_cycles = 0;
     emits = 0;
     ring_capacity = cap;
@@ -227,12 +227,12 @@ let create ~engine ~costs ?(ring_capacity = default_ring_capacity) () =
     ring_len = 0;
     dropped = 0;
     recording = false;
-    roots = Hashtbl.create 64;
-    path_names = Array.make 64 "";
-    path_parents = Array.make 64 (-1);
-    path_aggs = Array.make 64 dummy_agg;
-    path_children = Array.make 64 dummy_children;
-    path_hists = Array.make 64 dummy_hist;
+    roots = Hashtbl.create 16;
+    path_names = [||];
+    path_parents = [||];
+    path_aggs = [||];
+    path_children = [||];
+    path_hists = [||];
     n_paths = 0;
     unattr_id = -1;
     path_slots = Slots.create ();
@@ -307,11 +307,16 @@ let syscall_agg_kid t =
     k
   end
 
+(* The audit and span tables start empty and grow on first use to
+   [table_min] slots, about what one hello machine touches (some twenty
+   keys and paths): a machine pays for the keys and paths it uses. *)
+let table_min = 32
+
 let acc_entry t kid =
   if kid >= Array.length t.entries then begin
     let old = t.entries in
     let n = Array.length old in
-    let cap = max (2 * n) (kid + 1) in
+    let cap = max table_min (max (2 * n) (kid + 1)) in
     t.entries <-
       Array.init cap (fun i -> if i < n then old.(i) else fresh_entry ())
   end;
@@ -323,7 +328,7 @@ let unattributed_name = "(unattributed)"
 
 let grow_paths t =
   let n = Array.length t.path_names in
-  let cap = 2 * n in
+  let cap = max table_min (2 * n) in
   let names = Array.make cap "" in
   Array.blit t.path_names 0 names 0 n;
   t.path_names <- names;

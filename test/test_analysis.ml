@@ -1,7 +1,9 @@
 (* The sanitizer/linter test suite has four legs:
    - catalogue sanity: stable ids, one chaos scenario per invariant;
-   - precision via fault injection: every Chaos scenario is detected, and
-     every violation it reports carries exactly the intended invariant;
+   - precision via fault injection: every Chaos scenario (and its
+     CheriBSD variant, where one exists) is detected, and every
+     violation it reports carries exactly the intended invariant; the
+     full reports are pinned in test/sweep/reports.expected;
    - the run-time controls: every injection of [Chaos.injections] judged
      by a detector fails its run with exactly one violation of its
      invariant, and a run plan leaves nothing armed behind it;
@@ -45,7 +47,9 @@ let test_scenarios_cover_catalogue () =
 
 let test_clean_machine () =
   Alcotest.(check string) "uninjected machine sweeps clean" ""
-    (Invariant.report (Chaos.clean_machine ()))
+    (Invariant.report (Chaos.clean_machine ()));
+  Alcotest.(check string) "uninjected CheriBSD machine sweeps clean" ""
+    (Invariant.report (Chaos.clean_cheribsd_machine ()))
 
 let test_clean_protocol () =
   Alcotest.(check string) "well-formed stream lints clean" ""
@@ -226,7 +230,7 @@ let suite =
     ("clean machine", `Quick, test_clean_machine);
     ("clean protocol", `Quick, test_clean_protocol);
   ]
-  @ List.map scenario_case Chaos.scenarios
+  @ List.map scenario_case (Chaos.scenarios @ Chaos.cheribsd_scenarios)
   @ [
       ("chaos controls fail with exactly their invariant", `Quick,
        test_controls_fail_exactly);

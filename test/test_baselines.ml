@@ -295,13 +295,13 @@ let test_identity_is_read () =
   Alcotest.(check int) "provider restored" (-1) (Hb.tid ())
 
 (* Minor words to boot each machine and start hello (threads that never
-   run): about 3.5k for uFork and CheriBSD and 13.8k for Nephele, whose
+   run): about 2.8k for uFork and CheriBSD and 9.4k for Nephele, whose
    start maps the whole 368-page unikernel image. Each includes one
-   256-slot page-table leaf. Before locks read identity from their
-   engine and the registry and leaves were sized for the minor heap,
-   the same boots took 5.4k and 21.7k, not counting their 512-slot
-   leaves, which went straight to the major heap. *)
-let boot_budgets = [ ("uFork", 4_000); ("CheriBSD", 4_000); ("Nephele", 15_500) ]
+   256-slot page-table leaf. A trace builds its audit and span tables on
+   first use, and under the big kernel lock a fresh frame carved from an
+   empty pool takes no lock round trip; before, the same boots took 3.5k
+   and 13.8k. *)
+let boot_budgets = [ ("uFork", 3_200); ("CheriBSD", 3_200); ("Nephele", 10_500) ]
 
 let test_boot_allocation () =
   List.iter
@@ -322,6 +322,71 @@ let test_boot_allocation () =
           label words budget)
     flavours
 
+module Checker = Ufork_analysis.Checker
+module Invariant = Ufork_analysis.Invariant
+
+(* Minor words for Nephele's hello run, that is one fork and reap (the
+   fork clones all 368 pages, the reap frees the child's), and for one
+   sanitizer sweep of the machine afterwards. The clone allocates per
+   page only the child's frame, page and entry, and the sweep keeps its
+   census on the frames: about 13.4k and 0.2k words. Before, a run took
+   22.5k and a sweep 14.6k. *)
+let nephele_run_budget = 15_000
+let nephele_sweep_budget = 1_000
+
+let test_nephele_run_and_sweep_allocation () =
+  let rounds = 10 in
+  let run_words = ref 0. and sweep_words = ref 0. in
+  (* Round 0 warms up. *)
+  for round = 0 to rounds do
+    let sys = Vmclone.system (Vmclone.boot ~cores:4 ()) in
+    ignore
+      (System.start sys ~image:Image.hello (fun api ->
+           ignore (Hello.fork_once api);
+           Hello.reap api));
+    let w0 = Gc.minor_words () in
+    System.run sys;
+    let w1 = Gc.minor_words () in
+    let vs = Checker.sweep (System.kernel sys) in
+    let w2 = Gc.minor_words () in
+    if vs <> [] then Alcotest.fail (Invariant.report vs);
+    if round > 0 then begin
+      run_words := !run_words +. (w1 -. w0);
+      sweep_words := !sweep_words +. (w2 -. w1)
+    end
+  done;
+  let per r = !r /. float_of_int rounds in
+  if per run_words > float_of_int nephele_run_budget then
+    Alcotest.failf "Nephele hello fork + reap allocates %.0f words (budget %d)"
+      (per run_words) nephele_run_budget;
+  if per sweep_words > float_of_int nephele_sweep_budget then
+    Alcotest.failf "Nephele sweep allocates %.0f words (budget %d)"
+      (per sweep_words) nephele_sweep_budget
+
+module Sync = Ufork_sim.Sync
+
+(* Under the big kernel lock a fresh frame carved from an empty shared
+   pool runs no pool guard: Nephele's start (368 frames) takes
+   lock.frame_pool no times and its fork + reap 10 times, once per batch
+   the reap drains back to the shared pool. The guard used to take the
+   lock for every carved frame: 368 and 746. *)
+let test_nephele_frame_pool_acquires () =
+  Sync.reset_lock_contention ();
+  let acquires () =
+    List.fold_left
+      (fun n (c : Sync.contention) ->
+        if c.Sync.lock = "lock.frame_pool" then n + c.Sync.acquires else n)
+      0 (Sync.lock_contention ())
+  in
+  let sys = Vmclone.system (Vmclone.boot ~cores:4 ()) in
+  ignore
+    (System.start sys ~image:Image.hello (fun api ->
+         ignore (Hello.fork_once api);
+         Hello.reap api));
+  Alcotest.(check int) "after start" 0 (acquires ());
+  System.run sys;
+  Alcotest.(check int) "after fork + reap" 10 (acquires ())
+
 let suite =
   [
     ("mono same VA", `Quick, test_mono_same_va);
@@ -338,4 +403,10 @@ let suite =
     ("vm child memory", `Quick, test_vm_child_memory_is_whole_image);
     ("boot identity is read, not asked", `Quick, test_identity_is_read);
     ("boot allocation budget", `Quick, test_boot_allocation);
+    ( "Nephele run and sweep allocation budget",
+      `Quick,
+      test_nephele_run_and_sweep_allocation );
+    ( "Nephele takes the frame-pool lock only to drain",
+      `Quick,
+      test_nephele_frame_pool_acquires );
   ]

@@ -510,7 +510,7 @@ let check_ident ctx loc path =
      happened through their APIs (Sync, Engine, Trace spans) instead of \
      emitting directly";
   banned Lint_rules.page_copy page_copy_targets
-    "use Memops.copy_range / Memops.duplicate_frame / \
+    "use Memops.copy_range / Memops.copy_all / Memops.duplicate_frame / \
      Memops.copy_page_contents";
   banned Lint_rules.fork_dup fork_dup_targets
     "fork-path duplication belongs in Fork_spine.run";
