@@ -13,7 +13,6 @@
    --cores-sweep and writes BENCH_smp.json. *)
 
 module Table = Ufork_util.Table
-module Stats = Ufork_util.Stats
 module Units = Ufork_util.Units
 module Config = Ufork_sas.Config
 module Strategy = Ufork_core.Strategy

@@ -800,13 +800,16 @@ let lint_cmd =
   let module Lint = Ufork_lint_core.Lint_engine in
   let module Lockdep = Ufork_lint_core.Lockdep in
   let module Capflow = Ufork_lint_core.Capflow in
+  let module Exports = Ufork_lint_core.Exports in
   let root =
     Arg.(
       value & pos 0 dir "."
       & info [] ~docv:"ROOT"
           ~doc:
             "Repository root to lint; scans every .ml/.mli under \
-             $(docv)/lib, $(docv)/bin, $(docv)/bench and $(docv)/tools.")
+             $(docv)/lib, $(docv)/bin, $(docv)/bench and $(docv)/tools, \
+             and reads $(docv)/test, $(docv)/perfbench and \
+             $(docv)/examples for references to lib/'s exports.")
   in
   let json =
     Arg.(
@@ -856,17 +859,19 @@ let lint_cmd =
     | None -> ());
     let findings =
       Lint.sort_findings
-        (Lint.check prog @ Lockdep.check prog @ Capflow.check prog)
+        (Lint.check prog @ Lockdep.check prog @ Capflow.check prog
+       @ Exports.check prog)
     in
     if json then print_endline (Lint.to_json findings)
     else begin
       List.iter (fun f -> Format.printf "%a@." Lint.pp_finding f) findings;
       if findings = [] then
         Printf.printf
-          "lint: clean — %d rules (D1-D13) over lib/, bin/, bench/, tools/ \
-           (%d files)\n"
+          "lint: clean — %d rules (D1-D14) over lib/, bin/, bench/, tools/ \
+           (%d files, %d reference files)\n"
           (List.length Rules.all)
           (List.length prog.Lint.files)
+          (List.length prog.Lint.refs)
     end;
     if findings <> [] then exit 1
   in

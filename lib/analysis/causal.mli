@@ -32,13 +32,13 @@ val set_now : t -> (unit -> int64) -> unit
     machine). Events folded before installation are stamped 0 — correct
     for boot-time events, which precede the first engine step. *)
 
-val events_seen : t -> int
+val events_seen : t -> int [@@ufork.test_seam]
 
 val horizon : t -> int64
 (** The latest timestamp seen on any folded event — the natural upper
     bound for a whole-run analysis interval. *)
 
-val fork_windows : t -> (int * int64 * int64) list
+val fork_windows : t -> (int * int64 * int64) list [@@ufork.test_seam]
 (** Completed fork windows — ["fork"] span open to close — as
     [(forker tid, open, close)], in completion order. This is the
     [--fork N] index space. *)

@@ -6,6 +6,7 @@ module Page_table = Ufork_mem.Page_table
 module Capability = Ufork_cheri.Capability
 module Perms = Ufork_cheri.Perms
 module Engine = Ufork_sim.Engine
+module Sync = Ufork_sim.Sync
 module Costs = Ufork_sim.Costs
 module Event = Ufork_sim.Event
 module Trace = Ufork_sim.Trace
@@ -334,6 +335,53 @@ let heap_smuggle k =
           | _ -> ());
           pid)
 
+(* {1 Lock injections}
+
+   Each works on the kernel's lock slots ({!Kernel.locks}): dropping a
+   slot removes that lock from every helper that guards with it. *)
+
+(* A kernel whose syscalls and fault path forgot every lock. *)
+let drop_all_locks k =
+  let l = Kernel.locks k in
+  Kernel.set_locks k
+    {
+      Kernel.big = None;
+      pool = None;
+      frame_pool = None;
+      uproc_table = None;
+      fd_tables = None;
+      stats = None;
+      pt_shards = Array.map (fun _ -> None) l.Kernel.pt_shards;
+    }
+
+(* Every other shard stays; only the stats lock goes. *)
+let drop_stats_lock k =
+  Kernel.set_locks k { (Kernel.locks k) with Kernel.stats = None }
+
+(* Take one pt-shard pair in DESCENDING index order, the exact inversion
+   of the ascending convention [Kernel.with_pt_shard_pair] keeps. The
+   static rule D10 is discharged here by the ignore annotation; an
+   unannotated fixture of the same shape seeds the static test. No-op
+   under the big lock (no shards to invert). *)
+let acquire_shards_descending k =
+  let shards = (Kernel.locks k).Kernel.pt_shards in
+  match (shards.(1), shards.(0)) with
+  | Some hi, Some lo ->
+      Sync.Rlock.with_lock hi (fun () -> Sync.Rlock.with_lock lo ignore)
+  | _ -> ()
+[@@ufork.lockdep_ignore]
+
+(* Sit on pt-shard 0 (the shard covering the root process's area) for
+   150k cycles without charging anything: a sleep passes wall time but
+   no busy cycles, so Trace.audit is unaffected. Every fork touching
+   that shard then queues behind a holder that is not even running.
+   No-op under the big lock. *)
+let stall_shard k =
+  match (Kernel.locks k).Kernel.pt_shards.(0) with
+  | Some shard ->
+      Sync.Rlock.with_lock shard (fun () -> Engine.sleep 150_000L)
+  | None -> ()
+
 let injections =
   [
     {
@@ -390,7 +438,7 @@ let injections =
       violates = Invariant.Data_race;
       arm =
         (fun k ->
-          Kernel.chaos_disable_biglock k;
+          drop_all_locks k;
           (* The seeded bug: one kernel-side write to the fork latency
              gauge every fork also writes, from a thread that takes no
              lock. With the big lock gone nothing orders it. *)
@@ -411,7 +459,7 @@ let injections =
       (* No bug is seeded beyond the missing lock: the race, if the
          detector is honest, is between two legitimate fork-path gauge
          writes from different forking threads. *)
-      arm = Kernel.chaos_unshard_stats;
+      arm = drop_stats_lock;
     };
     {
       injection = Invert_shard_order;
@@ -428,7 +476,7 @@ let injections =
       arm =
         (fun k ->
           rogue k "chaos-shard-invert" (fun () ->
-              Kernel.chaos_acquire_shards_descending k));
+              acquire_shards_descending k));
     };
     {
       injection = Stall_shard;
@@ -445,6 +493,6 @@ let injections =
          holder. *)
       arm =
         (fun k ->
-          rogue k "chaos-stall-shard" (fun () -> Kernel.chaos_stall_shard k));
+          rogue k "chaos-stall-shard" (fun () -> stall_shard k));
     };
   ]

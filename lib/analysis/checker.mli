@@ -22,12 +22,6 @@ val sweep : ?capflow:bool -> Ufork_sas.Kernel.t -> Invariant.violation list
     reported as R4, the {!Capflow} taint diagnosis, instead of the
     S3/S10 wild-capability fallout it also causes. *)
 
-val sweep_and_lint :
-  ?capflow:bool -> Ufork_sas.Kernel.t -> Invariant.violation list
-(** {!sweep} plus {!Lint.run} over the kernel's recorded event stream
-    (the trace ring); the lint part sees only what was recorded, so it
-    is vacuous unless recording was switched on. *)
-
 exception Unsafe of string
 (** Raised by {!assert_safe}; the message is the full
     {!Invariant.report}. *)

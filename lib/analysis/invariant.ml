@@ -112,38 +112,6 @@ let severity = function
   | Lock_stall -> Error
   | Cap_provenance -> Critical
 
-let describe = function
-  | Refcount_mismatch ->
-      "a live frame's refcount equals its mappings (+1 for named segments)"
-  | Free_frame_state -> "a free frame is unmapped and carries no tags"
-  | Cap_bounds -> "loadable stored capabilities stay inside the owner's area"
-  | Cow_writable -> "CoW-shared mappings are never writable"
-  | Share_perms -> "CoPA traps cap loads and writes; CoA traps every access"
-  | Shm_coherence -> "Shm mappings and named-segment frames coincide"
-  | Private_aliased -> "an aliased anonymous frame has a sharing-aware mapping"
-  | Orphan_mapping -> "every mapping belongs to a live or zombie area"
-  | Phys_accounting -> "frames-in-use equals the live-frame census"
-  | Cross_area_cap -> "no stored capability reaches another process's area"
-  | Parent_child_leak ->
-      "after fork, no tagged capability in a parent page targets the \
-       child's area"
-  | Cow_protocol -> "CoW write fault: classified under a fault, then resolved"
-  | Copa_protocol -> "CoPA fault resolved by child copy or in-place claim"
-  | Coa_protocol -> "CoA fault resolved by child copy or in-place claim"
-  | Tlb_flush_protocol -> "no fault traffic between PTE downgrade and shootdown"
-  | Copa_relocation -> "cap-load fault relocates (tag scan) before running on"
-  | Data_race ->
-      "conflicting shared-state writes are ordered by a happens-before edge"
-  | Lock_order ->
-      "nested lock acquisitions follow one global order (cycle-free, \
-       pt-shards ascending)"
-  | Lock_stall ->
-      "no single lock's wait edges dominate the interval's critical path"
-  | Cap_provenance ->
-      "every tagged capability reachable in a μprocess's pages carries \
-       that μprocess's provenance — never the kernel root's, never a \
-       stale parent's"
-
 type violation = { invariant : t; subject : string; detail : string }
 
 let pp_severity ppf s =

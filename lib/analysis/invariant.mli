@@ -91,17 +91,14 @@ type t =
           {!Checker.sweep} when armed ({!Capflow}); the static mirror is
           lint rule D13. *)
 
-val all : t list
+val all : t list [@@ufork.test_seam]
 (** Catalogue order: S1–S11, L1–L5, then R1–R4. *)
 
-val id : t -> string
+val id : t -> string [@@ufork.test_seam]
 (** ["S1"].."( S10"], ["L1"]..["L5"] — stable across releases. *)
 
-val name : t -> string
+val name : t -> string [@@ufork.test_seam]
 (** Stable kebab-case slug, e.g. ["refcount-mismatch"]. *)
-
-val severity : t -> severity
-val describe : t -> string
 
 (** {1 Violations} *)
 
@@ -110,10 +107,6 @@ type violation = {
   subject : string;  (** What is broken: ["frame 17"], ["pid 3 vpn 0x41"]. *)
   detail : string;  (** The counterexample: observed vs expected. *)
 }
-
-val pp_severity : Format.formatter -> severity -> unit
-val pp : Format.formatter -> t -> unit
-val pp_violation : Format.formatter -> violation -> unit
 
 val report : violation list -> string
 (** Human-readable multi-line report; [""] when the list is empty. *)

@@ -22,4 +22,5 @@ val run :
     complete from the beginning). *)
 
 val of_trace : Ufork_sim.Trace.t -> Invariant.violation list
+  [@@ufork.test_seam]
 (** [run] over the trace's buffered records with its drop count. *)

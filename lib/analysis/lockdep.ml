@@ -27,9 +27,9 @@ module Hb = Ufork_util.Hb
    Note the detector sees an [Acquire] only once the lock is truly held.
    A genuinely deadlocked ABBA pair would therefore suspend before
    publishing its second acquire — which is why the chaos injection
-   ({!Ufork_sas.Kernel.chaos_acquire_shards_descending}) runs on a rogue
-   boot thread that takes both shards while they are free: the inversion
-   is published, flagged, and the run still terminates. *)
+   behind [--chaos-invert-shard-order] runs on a rogue boot thread that
+   takes both shards while they are free: the inversion is published,
+   flagged, and the run still terminates. *)
 
 type edge = {
   src : string;

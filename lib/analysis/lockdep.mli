@@ -19,7 +19,7 @@ type t
 
 val create : unit -> t
 
-val attach : t -> unit
+val attach : t -> unit [@@ufork.test_seam]
 (** Claim the {!Ufork_util.Hb} bus (single-subscriber: this replaces any
     other listener — use {!handle} from a dispatching closure to run
     beside the race detector). *)
@@ -27,16 +27,16 @@ val attach : t -> unit
 val handle : t -> Ufork_util.Hb.event -> unit
 (** Feed one bus event directly. *)
 
-val detach : unit -> unit
+val detach : unit -> unit [@@ufork.test_seam]
 (** Release the bus (idempotent). *)
 
 val violations : t -> Invariant.violation list
 (** Every R2 violation, oldest first; at most one per ordered pair of
     lock names. *)
 
-val events_seen : t -> int
+val events_seen : t -> int [@@ufork.test_seam]
 (** Bus events processed — a sanity probe that instrumentation fired. *)
 
-val edges : t -> (string * string) list
+val edges : t -> (string * string) list [@@ufork.test_seam]
 (** The acquisition graph observed so far, as [(held, acquired)] name
     pairs, sorted — the runtime counterpart of [lint --lock-graph]. *)

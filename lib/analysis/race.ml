@@ -141,7 +141,6 @@ let handle t (ev : Hb.event) =
       ()
 
 let races t = List.rev t.races
-let events_seen t = t.events
 
 let attach t = Hb.subscribe (handle t)
 let detach () = Hb.unsubscribe ()

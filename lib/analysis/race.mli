@@ -35,7 +35,7 @@ type race = {
 
 val create : unit -> t
 
-val attach : t -> unit
+val attach : t -> unit [@@ufork.test_seam]
 (** Claim the {!Ufork_util.Hb} bus: from here every instrumentation
     event feeds this detector. *)
 
@@ -45,14 +45,11 @@ val handle : t -> Ufork_util.Hb.event -> unit
     ({!Lockdep}) installs one closure that dispatches to both [handle]s
     instead of calling {!attach}. *)
 
-val detach : unit -> unit
+val detach : unit -> unit [@@ufork.test_seam]
 (** Release the bus (idempotent). *)
 
-val races : t -> race list
+val races : t -> race list [@@ufork.test_seam]
 (** Every detected race, oldest first; at most one per location. *)
-
-val events_seen : t -> int
-(** Bus events processed — a sanity probe that instrumentation fired. *)
 
 val violations : t -> Invariant.violation list
 (** {!races} rendered as R1 {!Invariant.violation}s for

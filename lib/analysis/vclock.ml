@@ -19,10 +19,3 @@ let equal a b = leq a b && leq b a
 
 (* Strict partial order: a happened-before b. *)
 let lt a b = leq a b && not (leq b a)
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf (tid, c) -> Format.fprintf ppf "%d:%d" tid c))
-    (M.bindings t)

@@ -19,12 +19,10 @@ val incr : t -> int -> t
 val join : t -> t -> t
 (** Pointwise max — the least upper bound. *)
 
-val leq : t -> t -> bool
+val leq : t -> t -> bool [@@ufork.test_seam]
 (** Pointwise [<=]: [leq a b] means everything [a] knows, [b] knows. *)
 
-val equal : t -> t -> bool
+val equal : t -> t -> bool [@@ufork.test_seam]
 
-val lt : t -> t -> bool
+val lt : t -> t -> bool [@@ufork.test_seam]
 (** Strict: [leq] and not [equal] — a genuine happened-before. *)
-
-val pp : Format.formatter -> t -> unit

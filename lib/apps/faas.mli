@@ -24,7 +24,3 @@ val coordinator :
     child per request keeping [max_workers] in flight, reaping completions,
     until the window closes. Functions still in flight at the deadline are
     reaped but not counted. *)
-
-val run_function : Ufork_sas.Api.t -> Mpy.program -> unit
-(** What a forked worker does: validate the inherited runtime state, run
-    the program, exit 0 (exit 1 on a runtime error). *)

@@ -14,5 +14,5 @@ val fork_once : Ufork_sas.Api.t -> fork_sample
 val reap : Ufork_sas.Api.t -> unit
 (** Wait for the outstanding child. *)
 
-val main : Ufork_sas.Api.t -> unit
+val main : Ufork_sas.Api.t -> unit [@@ufork.test_seam]
 (** A full hello-world run: print-equivalent work, one fork, reap. *)

@@ -14,18 +14,6 @@
     socket-buffer delivery: the client machine costs the server nothing)
     and sleep until their response callback fires. *)
 
-val request_size : int  (** Request descriptor bytes on the listen pipe (64). *)
-
-val doc_path : string  (** Served document ("/index.html"). *)
-
-val doc_bytes : int  (** Size of the served document (1 KiB). *)
-
-val parse_cycles : int64
-(** Per-request parsing + header formatting + logging work. *)
-
-val net_wait_cycles : int64
-(** Send-completion wait per response (core yielded). *)
-
 val populate_docroot : Ufork_sas.Vfs.t -> unit
 
 (** The simulated network between wrk clients and the server. *)
@@ -54,9 +42,6 @@ module Net : sig
   (** Closed-loop connection threads; each stops issuing at the window
       end. Completions inside the window are counted in [stats]. *)
 end
-
-val worker_loop : Ufork_sas.Api.t -> listen_fd:int -> docroot_fd:int -> notify:(int -> unit) -> unit
-(** Serve until a shutdown descriptor (id 0) arrives, then exit 0. *)
 
 val master :
   Ufork_sas.Api.t ->

@@ -185,4 +185,3 @@ let iter t f =
   done
 
 let bucket_count = buckets
-let mem_used_bytes t = t.api.Api.stats_heap_used ()

@@ -5,7 +5,7 @@
     capabilities really are:
 
     - a header block (count, bucket count, capability to the bucket
-      array), published in GOT slot {!got_slot};
+      array), published in GOT slot 0;
     - a bucket array: one capability granule per bucket, pointing at the
       first entry of the chain;
     - entry blocks: next-entry capability, value-object capability, key
@@ -21,9 +21,6 @@
 
 type t
 
-val got_slot : int
-(** GOT slot where the store header capability is published (0). *)
-
 val create : Ufork_sas.Api.t -> ?buckets:int -> unit -> t
 (** Allocate the dict in the calling process's heap and publish it.
     Default 1024 buckets. *)
@@ -36,11 +33,11 @@ val set : t -> key:string -> value:bytes -> unit
 (** Insert or replace. Keys are at most 40 bytes. The value is copied
     into the store, so the caller may reuse its buffer. *)
 
-val get : t -> key:string -> bytes option
-val delete : t -> key:string -> bool
-val count : t -> int
+val get : t -> key:string -> bytes option [@@ufork.test_seam]
+val delete : t -> key:string -> bool [@@ufork.test_seam]
+val count : t -> int [@@ufork.test_seam]
 
-val bucket_count : t -> int
+val bucket_count : t -> int [@@ufork.test_seam]
 (** Current size of the bucket array; grows 4x (Redis-style rehash)
     whenever the load factor exceeds 1. *)
 
@@ -48,6 +45,3 @@ val iter : t -> (key:string -> value_len:int -> read_value:(unit -> bytes) -> un
 (** Walk every entry (bucket order). [read_value] pulls the value bytes
     lazily so callers control when the (possibly page-copying) reads
     happen. *)
-
-val mem_used_bytes : t -> int
-(** Heap bytes consumed by the store (allocator view). *)

@@ -52,9 +52,6 @@ val linpack : n:int -> program
 
 val linpack_locals : n:int -> int
 
-val cycles_per_instr : int64
-(** Interpreter dispatch cost charged per executed instruction (25). *)
-
 val run : Ufork_sas.Api.t -> ?locals:int -> program -> float
 (** Execute; returns the top of the stack (0.0 if empty). Charges
     [cycles_per_instr] per executed instruction (batched). *)
@@ -63,11 +60,10 @@ val estimated_cycles : program -> int64
 (** Cycle cost of one run, from the executed-instruction count (exact for
     the programs produced here). *)
 
-val zygote_got_slot : int
 val zygote_init : Ufork_sas.Api.t -> modules:int -> unit
 (** Warm up the runtime: allocate a module table and per-module objects in
     simulated memory (capability-linked, like real interpreter state) and
-    publish the root in {!zygote_got_slot}. This is the expensive
+    publish the root in GOT slot 1. This is the expensive
     initialization the Zygote pattern amortizes. *)
 
 val zygote_check : Ufork_sas.Api.t -> int

@@ -7,10 +7,11 @@
     reaps the child. [save_to] is the serialization itself, also usable
     in-process (Redis's synchronous SAVE). *)
 
-val magic : string
+val magic : string [@@ufork.test_seam]
 (** File header magic ("USDB0001"). *)
 
 val save_to : Ufork_sas.Api.t -> Kvstore.t -> path:string -> int
+  [@@ufork.test_seam]
 (** Serialize to a temp file, rename over [path]; returns bytes written.
     Charges the per-byte serialization work and the write syscalls.
 
@@ -21,7 +22,7 @@ val save_to : Ufork_sas.Api.t -> Kvstore.t -> path:string -> int
     footer is charged its own serialization [compute]; output goes to
     [write] in 64 KiB chunks, only the last one shorter. *)
 
-val checksum_add : int -> string -> int -> int -> int
+val checksum_add : int -> string -> int -> int -> int [@@ufork.test_seam]
 (** [checksum_add acc s off len] adds the bytes [s.[off]] ..
     [s.[off + len - 1]] to [acc], modulo 2{^32}: the dump checksum. *)
 

@@ -34,10 +34,7 @@ val system : t -> Ufork_core.System.t
 (** The underlying {!Ufork_core.System.t} (engine + kernel + lifecycle). *)
 
 val kernel : t -> Ufork_sas.Kernel.t
-val engine : t -> Ufork_sim.Engine.t
-
-val trace : t -> Ufork_sim.Trace.t
-(** The kernel's mechanism-event bus. *)
+val engine : t -> Ufork_sim.Engine.t [@@ufork.test_seam]
 
 val start :
   t ->
@@ -48,5 +45,5 @@ val start :
 
 val run : ?until:int64 -> t -> unit
 
-val last_fork_latency : t -> int64
+val last_fork_latency : t -> int64 [@@ufork.test_seam]
 (** Cycles inside the most recent fork call. *)

@@ -79,4 +79,3 @@ let engine = System.engine
 let start = System.start
 let run = System.run
 let last_fork_latency = System.last_fork_latency
-let trace = System.trace

@@ -25,12 +25,10 @@ val system : t -> Ufork_core.System.t
 (** The underlying {!Ufork_core.System.t} (engine + kernel + lifecycle). *)
 
 val kernel : t -> Ufork_sas.Kernel.t
-val engine : t -> Ufork_sim.Engine.t
-
-val trace : t -> Ufork_sim.Trace.t
-(** The kernel's mechanism-event bus. *)
+val engine : t -> Ufork_sim.Engine.t [@@ufork.test_seam]
 
 val unikernel_image : Ufork_sas.Image.t -> Ufork_sas.Image.t
+  [@@ufork.test_seam]
 (** Extend an application image with the unikernel kernel's own text and
     data (cloned along with the app under this design). *)
 
@@ -43,4 +41,4 @@ val start :
 (** [image] is wrapped with {!unikernel_image} internally. *)
 
 val run : ?until:int64 -> t -> unit
-val last_fork_latency : t -> int64
+val last_fork_latency : t -> int64 [@@ufork.test_seam]

@@ -50,7 +50,7 @@ let length t = t.length
 let limit t = t.base + t.length
 let cursor t = t.cursor
 let perms t = t.perms
-let otype t = t.otype
+
 let is_sealed t = Otype.is_sealed t.otype
 let tag t = t.tag
 let prov t = t.prov

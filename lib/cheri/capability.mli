@@ -50,8 +50,7 @@ val limit : t -> addr
 (** [limit c] is [base c + length c] (one past the last addressable byte). *)
 
 val cursor : t -> addr
-val perms : t -> Perms.t
-val otype : t -> Otype.t
+val perms : t -> Perms.t [@@ufork.test_seam]
 val is_sealed : t -> bool
 val tag : t -> bool
 
@@ -84,7 +83,7 @@ val with_cursor : t -> addr -> t
 val incr_cursor : t -> int -> t
 (** [incr_cursor c n] is [with_cursor c (cursor c + n)]. *)
 
-val restrict_perms : t -> Perms.t -> t
+val restrict_perms : t -> Perms.t -> t [@@ufork.test_seam]
 (** Intersect permissions (monotonic by construction). *)
 
 val set_bounds : t -> base:addr -> length:int -> t
@@ -102,7 +101,7 @@ val seal : authority:t -> t -> Otype.t -> t
     must be tagged, unsealed, and carry {!Perms.seal}.
     @raise Violation otherwise, or if [c] is already sealed. *)
 
-val unseal : authority:t -> t -> t
+val unseal : authority:t -> t -> t [@@ufork.test_seam]
 (** [unseal ~authority c] yields the unsealed twin of [c]. [authority] must
     carry {!Perms.unseal}. @raise Violation on object-type mismatch. *)
 
@@ -112,7 +111,7 @@ val check_invoke : t -> unit
     entry) runs. @raise Violation unless [t] is a tagged, sealed,
     executable capability. *)
 
-val invoke : t -> t
+val invoke : t -> t [@@ufork.test_seam]
 (** Branch-to-sealed-capability: models CHERI's sealed-entry invocation used
     for trapless syscalls. Returns the unsealed capability the CPU would
     install as PCC. @raise Violation unless [t] is a tagged, sealed,
@@ -126,7 +125,7 @@ val check_access : t -> perm:Perms.t -> addr:addr -> len:int -> unit
     [base c <= addr && addr + len <= limit c].
     @raise Violation naming the failed check. *)
 
-val contains : t -> addr -> bool
+val contains : t -> addr -> bool [@@ufork.test_seam]
 (** [contains c a] is true iff [a] is within [c]'s bounds. *)
 
 val in_range : t -> lo:addr -> hi:addr -> bool

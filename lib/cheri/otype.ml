@@ -17,5 +17,3 @@ let pp ppf t =
   if t = unsealed then Format.pp_print_string ppf "unsealed"
   else if t = syscall_entry then Format.pp_print_string ppf "syscall-entry"
   else Format.fprintf ppf "otype:%d" t
-
-let to_int t = t

@@ -13,7 +13,7 @@ val unsealed : t
 val syscall_entry : t
 (** Object type reserved for the kernel's sealed entry capabilities. *)
 
-val fresh : unit -> t
+val fresh : unit -> t [@@ufork.test_seam]
 (** A new, unused object type (monotonically allocated; never equal to
     [unsealed] or [syscall_entry]). *)
 
@@ -22,4 +22,3 @@ val is_sealed : t -> bool
 (** True for any object type other than [unsealed]. *)
 
 val pp : Format.formatter -> t -> unit
-val to_int : t -> int

@@ -22,16 +22,15 @@ val store : t
 val execute : t
 val load_cap : t
 val store_cap : t
-val system : t
+val system : t [@@ufork.test_seam]
 (** Right to execute privileged (system-register) instructions. *)
 
 val seal : t
 val unseal : t
-val global : t
 
 val union : t -> t -> t
 val intersect : t -> t -> t
-val remove : t -> t -> t
+val remove : t -> t -> t [@@ufork.test_seam]
 (** [remove p q] is [p] without the bits of [q]. *)
 
 val has : t -> t -> bool
@@ -50,7 +49,7 @@ val user_code : t
 val pp : Format.formatter -> t -> unit
 (** Renders like "[ld st ldc stc x sys sl us g]" with absent bits omitted. *)
 
-val to_int : t -> int
-val of_int : int -> t
+val to_int : t -> int [@@ufork.test_seam]
+val of_int : int -> t [@@ufork.test_seam]
 (** Raw bit representation, for storing permissions in simulated memory.
     [of_int] masks unknown bits. *)

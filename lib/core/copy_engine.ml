@@ -8,7 +8,6 @@ module Kernel = Ufork_sas.Kernel
 module Uproc = Ufork_sas.Uproc
 
 let owner_area = Memops.owner_area
-let natural_perms = Memops.natural_perms
 
 (* Relocate the page now backing [vpn] for the child and make it private. *)
 let relocate_and_privatize k (child : Uproc.t) ~vpn (pte : Pte.t)

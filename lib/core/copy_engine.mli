@@ -9,10 +9,6 @@
 
 module Capability = Ufork_cheri.Capability
 
-val owner_area : Ufork_sas.Kernel.t -> int -> (int * int) option
-(** Locate the (base, bytes) μprocess area containing an address, across
-    live and zombie processes. *)
-
 val resolve_child_copy :
   Ufork_sas.Kernel.t -> Ufork_sas.Uproc.t -> vpn:int -> unit
 (** Give the child a private, relocated copy of the shared page mapped at
@@ -29,7 +25,3 @@ val touch_write : Ufork_sas.Kernel.t -> Ufork_sas.Uproc.t -> vpn:int -> unit
 (** Simulate a user write to a page: resolves any pending share exactly as
     a write fault would (used to model post-fork working-set writes and
     the monolithic allocator's arena re-dirtying). *)
-
-val natural_perms :
-  Ufork_sas.Uproc.t -> addr:int -> read:bool ref -> write:bool ref -> exec:bool ref -> unit
-(** The region's base permissions (code r-x, everything else rw-). *)

@@ -30,6 +30,6 @@ val install :
 exception Segfault of string
 (** Raised back into application code for an unresolvable fault. *)
 
-val last_fork_latency : Ufork_sas.Kernel.t -> int64
+val last_fork_latency : Ufork_sas.Kernel.t -> int64 [@@ufork.test_seam]
 (** Simulated cycles spent inside the most recent fork call on this
     kernel (measured by the hook itself, entry to return). *)

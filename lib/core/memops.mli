@@ -19,20 +19,12 @@ val owner_area : Ufork_sas.Kernel.t -> int -> (int * int) option
     live and zombie processes (a predecessor query on the kernel's area
     index). *)
 
-val natural_perms :
-  Ufork_sas.Uproc.t ->
-  addr:int ->
-  read:bool ref ->
-  write:bool ref ->
-  exec:bool ref ->
-  unit
-(** The region's base permissions (code r-x, everything else rw-). *)
-
 val restore_perms : Ufork_sas.Uproc.t -> vpn:int -> Pte.t -> unit
 (** Reset an entry to its region's natural permissions and mark it
     private (the final step of every copy resolution). *)
 
 val copy_page_contents : src:Ufork_mem.Page.t -> dst:Ufork_mem.Page.t -> unit
+  [@@ufork.test_seam]
 (** Duplicate one page: bytes plus capability granules with tags. The
     only raw page-copy loop outside [lib/mem] (lint-enforced). *)
 

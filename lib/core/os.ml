@@ -15,6 +15,6 @@ let system t = t.sys
 let kernel t = System.kernel t.sys
 let engine t = System.engine t.sys
 let trace t = System.trace t.sys
-let strategy t = t.strategy
+
 let start t ?affinity ~image main = System.start t.sys ?affinity ~image main
 let run ?until t = System.run ?until t.sys

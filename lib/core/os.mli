@@ -24,11 +24,9 @@ val system : t -> System.t
 val kernel : t -> Ufork_sas.Kernel.t
 val engine : t -> Ufork_sim.Engine.t
 
-val trace : t -> Ufork_sim.Trace.t
+val trace : t -> Ufork_sim.Trace.t [@@ufork.test_seam]
 (** The kernel's mechanism-event bus (cycle charging, counters, optional
     record ring). *)
-
-val strategy : t -> Strategy.t
 
 val start :
   t ->

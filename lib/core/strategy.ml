@@ -5,5 +5,4 @@ let to_string = function
   | Coa -> "CoA"
   | Copa -> "CoPA"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 let all = [ Full_copy; Coa; Copa ]

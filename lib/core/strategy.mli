@@ -18,5 +18,4 @@ type t =
           relocation. Plain data reads stay shared. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val all : t list

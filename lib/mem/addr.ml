@@ -9,11 +9,6 @@ let page_offset a = a land (page_size - 1)
 
 let is_granule_aligned off = off land (granule_size - 1) = 0
 
-let granule_of_offset off =
-  if not (is_granule_aligned off) then
-    invalid_arg "Addr.granule_of_offset: not 16-byte aligned";
-  off / granule_size
-
 let align_up v a = (v + a - 1) land lnot (a - 1)
 let align_down v a = v land lnot (a - 1)
 

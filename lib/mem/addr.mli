@@ -6,8 +6,6 @@
 
 val page_size : int (** 4096 *)
 
-val page_shift : int (** 12 *)
-
 val granule_size : int (** 16 *)
 
 val granules_per_page : int (** 256 *)
@@ -21,17 +19,13 @@ val addr_of_vpn : int -> int
 val page_offset : int -> int
 (** Offset of an address within its page. *)
 
-val granule_of_offset : int -> int
-(** Granule index of a page offset. Raises [Invalid_argument] if the offset
-    is not 16-byte aligned. *)
-
 val is_granule_aligned : int -> bool
 val align_up : int -> int -> int
 (** [align_up v a] rounds [v] up to a multiple of [a] (a power of two). *)
 
 val align_down : int -> int -> int
 
-val pages_spanned : addr:int -> len:int -> int
+val pages_spanned : addr:int -> len:int -> int [@@ufork.test_seam]
 (** Number of distinct pages touched by a [len]-byte access at [addr]
     ([len = 0] touches none). *)
 

@@ -39,12 +39,12 @@ type pool
     domains. *)
 
 val pool : bound:int -> pool
-val pool_bound : pool -> int
+val pool_bound : pool -> int [@@ufork.test_seam]
 
-val spare_buffers : pool -> int
+val spare_buffers : pool -> int [@@ufork.test_seam]
 (** Byte buffers the pool holds now (at most {!pool_bound}). *)
 
-val spare_tables : pool -> int
+val spare_tables : pool -> int [@@ufork.test_seam]
 (** Tag tables the pool holds now (at most {!pool_bound}). *)
 
 val create : unit -> t
@@ -61,7 +61,7 @@ val clear : t -> unit
     it has room). Frame reuse from a freelist goes through this so a
     recycled page is indistinguishable from a fresh one. *)
 
-val copy : t -> t
+val copy : t -> t [@@ufork.test_seam]
 (** Deep copy: bytes and all tagged capabilities, in fresh storage; the
     copy shares [t]'s pool. *)
 
@@ -69,19 +69,19 @@ val copy_into : src:t -> dst:t -> unit
 (** Overwrite [dst] with [src]: one copy of the bytes and of the tag
     table. An unwritten [src] leaves [dst] unwritten (reading zeros). *)
 
-val written : t -> bool
+val written : t -> bool [@@ufork.test_seam]
 (** Whether the page owns byte storage, i.e. has been stored to since it
     was created or last {!clear}ed. Reads never make it [true]. *)
 
 (** {1 Raw data} *)
 
-val read_bytes : t -> off:int -> len:int -> bytes
+val read_bytes : t -> off:int -> len:int -> bytes [@@ufork.test_seam]
 
 val read_into : t -> off:int -> len:int -> bytes -> pos:int -> unit
 (** [read_into p ~off ~len dst ~pos] blits [len] bytes of the page at
     [off] into [dst] at [pos]: no intermediate buffer. *)
 
-val write_bytes : t -> off:int -> bytes -> unit
+val write_bytes : t -> off:int -> bytes -> unit [@@ufork.test_seam]
 (** Clears the tag of every granule the write overlaps. *)
 
 val write_from : t -> off:int -> bytes -> pos:int -> len:int -> unit
@@ -89,10 +89,10 @@ val write_from : t -> off:int -> bytes -> pos:int -> len:int -> unit
     [pos] into the page at [off], clearing overlapped tags like
     {!write_bytes}. *)
 
-val read_u8 : t -> off:int -> int
-val write_u8 : t -> off:int -> int -> unit
-val read_u64 : t -> off:int -> int64
-val write_u64 : t -> off:int -> int64 -> unit
+val read_u8 : t -> off:int -> int [@@ufork.test_seam]
+val write_u8 : t -> off:int -> int -> unit [@@ufork.test_seam]
+val read_u64 : t -> off:int -> int64 [@@ufork.test_seam]
+val write_u64 : t -> off:int -> int64 -> unit [@@ufork.test_seam]
 (** 8-byte accesses need not be aligned; tags of overlapped granules are
     cleared by writes. *)
 
@@ -109,7 +109,7 @@ val load_cap : t -> off:int -> Ufork_cheri.Capability.t
     hardware behaviour of loading a non-capability value into a capability
     register. *)
 
-val clear_tag_at : t -> off:int -> unit
+val clear_tag_at : t -> off:int -> unit [@@ufork.test_seam]
 (** Clear the tag of the (aligned) granule without touching its bytes —
     what capability revocation does. *)
 
@@ -117,15 +117,15 @@ val clear_tags : t -> off:int -> len:int -> unit
 (** Clear the tag of every granule overlapping [[off, off+len)], partly
     covered end granules included, without touching the bytes. *)
 
-val tag_at : t -> off:int -> bool
+val tag_at : t -> off:int -> bool [@@ufork.test_seam]
 (** Tag of the granule containing (aligned) [off]. *)
 
-val tagged_granules : t -> int list
+val tagged_granules : t -> int list [@@ufork.test_seam]
 (** Indices of granules holding valid capabilities, ascending. This is the
     16-byte-increment scan μFork's copy engine performs (§4.2). *)
 
 val tagged_count : t -> int
-val clear_all_tags : t -> unit
+val clear_all_tags : t -> unit [@@ufork.test_seam]
 
 val iter_caps : t -> (int -> Ufork_cheri.Capability.t -> unit) -> unit
 (** [iter_caps p f] applies [f granule cap] for each tagged granule, in

@@ -28,9 +28,6 @@ let create phys =
   incr next_id;
   { id = !next_id; phys; dir = [||]; count = 0 }
 
-let phys t = t.phys
-let id t = t.id
-
 let note t vpn site =
   if Hb.on () then
     Hb.emit

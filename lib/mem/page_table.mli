@@ -15,10 +15,6 @@
 type t
 
 val create : Phys.t -> t
-val phys : t -> Phys.t
-
-val id : t -> int
-(** Stable identity; names the table in happens-before events. *)
 
 val map : t -> vpn:int -> Pte.t -> unit
 (** Install an entry. The caller must have arranged the frame's refcount
@@ -64,6 +60,7 @@ val fold_range : t -> vpn:int -> count:int -> init:'a -> f:(int -> Pte.t -> 'a -
 val mapped_count : t -> int
 
 val fold : t -> init:'a -> f:(int -> Pte.t -> 'a -> 'a) -> 'a
+  [@@ufork.test_seam]
 (** Fold over every mapped page, ascending vpn. *)
 
 val iter : t -> (int -> Pte.t -> unit) -> unit

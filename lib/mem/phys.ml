@@ -113,7 +113,6 @@ let core_slot t =
     let c = t.core () in
     if c < 0 then 0 else c mod n
 
-let local_free_frames t = t.local_len.(core_slot t)
 let refills t = t.refills
 let drains t = t.drains
 
@@ -236,7 +235,6 @@ let id f = f.fid
 let frames_in_use t = t.in_use
 let peak_frames t = t.peak
 let total_allocated t = t.total
-let reset_peak t = t.peak <- t.in_use
 
 let iter_frames t f =
   let registry = t.registry and n = t.next_id in

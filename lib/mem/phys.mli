@@ -37,7 +37,7 @@ val set_pool_guard :
     whose refill would find the shared pool empty too skips the guard
     and carves at once: a refill of nothing then takes no lock. *)
 
-val storage_pool : t -> Page.pool
+val storage_pool : t -> Page.pool [@@ufork.test_seam]
 (** The spare page storage every frame of this pool shares: a released
     frame's byte buffer and tag table go here (up to two per core) and
     the next first write or page copy takes them back. *)
@@ -53,13 +53,10 @@ val needs_global : t -> int -> bool
     carve)? The sharded kernel takes its frame-pool lock exactly when
     this is true. *)
 
-val local_free_frames : t -> int
-(** Free frames cached on the calling core's freelist. *)
-
-val refills : t -> int
+val refills : t -> int [@@ufork.test_seam]
 (** Batched freelist refills from the shared pool so far. *)
 
-val drains : t -> int
+val drains : t -> int [@@ufork.test_seam]
 (** Batched freelist drains back to the shared pool so far. *)
 
 val retain : t -> frame -> unit
@@ -81,11 +78,9 @@ val id : frame -> int
 (** Stable identity, for tests and tracing. *)
 
 val frames_in_use : t -> int
-val peak_frames : t -> int
-val total_allocated : t -> int
+val peak_frames : t -> int [@@ufork.test_seam]
+val total_allocated : t -> int [@@ufork.test_seam]
 (** Cumulative number of [alloc] calls. *)
-
-val reset_peak : t -> unit
 
 (** {1 Frame registry}
 
@@ -98,6 +93,7 @@ val iter_frames : t -> (frame -> unit) -> unit
 (** Every frame ever allocated, free ones included, in allocation order. *)
 
 val fold_frames : t -> init:'a -> f:('a -> frame -> 'a) -> 'a
+  [@@ufork.test_seam]
 
 (** {1 Census}
 

@@ -22,11 +22,3 @@ let pp_share ppf = function
   | Coa_shared -> Format.pp_print_string ppf "coa"
   | Copa_shared -> Format.pp_print_string ppf "copa"
   | Shm_shared -> Format.pp_print_string ppf "shm"
-
-let pp ppf t =
-  Format.fprintf ppf "pte{frame=%d %s%s%s%s %a}" (Phys.id t.frame)
-    (if t.read then "r" else "-")
-    (if t.write then "w" else "-")
-    (if t.exec then "x" else "-")
-    (if t.cap_load_fault then "L" else "-")
-    pp_share t.share

@@ -44,4 +44,3 @@ val private_page : read:bool -> write:bool -> exec:bool -> Phys.frame -> t
     cross-module call boxes each optional argument it passes. *)
 
 val pp_share : Format.formatter -> share -> unit
-val pp : Format.formatter -> t -> unit

@@ -49,7 +49,7 @@ let check_span pt ~addr ~len ~access =
   let last = addr + len - 1 in
   let v0 = Addr.vpn_of_addr addr and v1 = Addr.vpn_of_addr last in
   for v = v0 to v1 do
-    check_page pt ~addr:(max addr (Addr.addr_of_vpn v)) ~access
+    check_page pt ~addr:(Int.max addr (Addr.addr_of_vpn v)) ~access
   done
 
 let page_of pt ~addr =
@@ -65,7 +65,7 @@ let iter_fragments ~addr ~len f =
   while !pos < len do
     let a = addr + !pos in
     let off = Addr.page_offset a in
-    let n = min (len - !pos) (Addr.page_size - off) in
+    let n = Int.min (len - !pos) (Addr.page_size - off) in
     f ~frag_addr:a ~off ~pos:!pos ~len:n;
     pos := !pos + n
   done
@@ -98,13 +98,6 @@ let write_u64 pt ~via ~addr v =
   let b = Bytes.create 8 in
   Bytes.set_int64_le b 0 v;
   write_bytes pt ~via ~addr b
-
-let read_u8 pt ~via ~addr =
-  let b = read_bytes pt ~via ~addr ~len:1 in
-  Char.code (Bytes.get b 0)
-
-let write_u8 pt ~via ~addr v =
-  write_bytes pt ~via ~addr (Bytes.make 1 (Char.chr (v land 0xff)))
 
 let require_granule_aligned addr =
   if not (Addr.is_granule_aligned addr) then

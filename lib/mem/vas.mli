@@ -23,8 +23,6 @@ val read_bytes : Page_table.t -> via:Ufork_cheri.Capability.t -> addr:int -> len
 val write_bytes : Page_table.t -> via:Ufork_cheri.Capability.t -> addr:int -> bytes -> unit
 val read_u64 : Page_table.t -> via:Ufork_cheri.Capability.t -> addr:int -> int64
 val write_u64 : Page_table.t -> via:Ufork_cheri.Capability.t -> addr:int -> int64 -> unit
-val read_u8 : Page_table.t -> via:Ufork_cheri.Capability.t -> addr:int -> int
-val write_u8 : Page_table.t -> via:Ufork_cheri.Capability.t -> addr:int -> int -> unit
 
 (** {1 Capability access} *)
 
@@ -45,12 +43,15 @@ val store_cap :
     faults; these helpers skip the capability check but still require a
     mapping (raising [Not_found] otherwise). *)
 
-val kernel_page : Page_table.t -> vpn:int -> Page.t
+val kernel_page : Page_table.t -> vpn:int -> Page.t [@@ufork.test_seam]
 val kernel_read_bytes : Page_table.t -> addr:int -> len:int -> bytes
+  [@@ufork.test_seam]
 val kernel_write_bytes : Page_table.t -> addr:int -> bytes -> unit
+  [@@ufork.test_seam]
 val kernel_store_cap :
   Page_table.t -> addr:int -> Ufork_cheri.Capability.t -> unit
 val kernel_load_cap : Page_table.t -> addr:int -> Ufork_cheri.Capability.t
+  [@@ufork.test_seam]
 
 val kernel_clear_tags : Page_table.t -> addr:int -> len:int -> unit
 (** Clear every capability tag in the (mapped parts of the) range — the

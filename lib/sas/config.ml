@@ -75,21 +75,7 @@ let linux_default =
     area_fit = First_fit;
   }
 
-let with_toctou toctou t = { t with toctou }
 let with_aslr seed t = { t with aslr_seed = Some seed }
 let with_area_fit area_fit t = { t with area_fit }
 let with_isolation isolation t = { t with isolation }
 let with_lock_mode lock_mode t = { t with lock_mode }
-
-let pp_isolation ppf = function
-  | No_isolation -> Format.pp_print_string ppf "none"
-  | Fault_isolation -> Format.pp_print_string ppf "fault"
-  | Full_isolation -> Format.pp_print_string ppf "full"
-
-let pp ppf t =
-  Format.fprintf ppf "isolation=%a toctou=%b entry=%s locks=%s" pp_isolation
-    t.isolation t.toctou
-    (match t.syscall_mode with Sealed_entry -> "sealed" | Trap -> "trap")
-    (match t.lock_mode with
-    | Big_kernel_lock -> "bkl"
-    | Sharded_locks -> "sharded")

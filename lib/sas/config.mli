@@ -82,13 +82,10 @@ val cheribsd_default : t
 val nephele_default : t
 val linux_default : t
 
-val with_toctou : bool -> t -> t
-val with_aslr : int64 -> t -> t
+val with_aslr : int64 -> t -> t [@@ufork.test_seam]
 val with_area_fit : area_fit -> t -> t
 val with_isolation : isolation -> t -> t
 
 val with_lock_mode : lock_mode -> t -> t
 (** The SMP bench boots the same flavour under both modes to measure
     what the big lock costs. *)
-
-val pp : Format.formatter -> t -> unit

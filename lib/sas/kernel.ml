@@ -24,18 +24,20 @@ module Area_index = Map.Make (Int)
 
 (* {1 Kernel locking}
 
-   Two disciplines, selected by {!Config.lock_mode}:
+   Two disciplines, selected by {!Config.lock_mode}, share one record of
+   lock slots; a slot the regime does not take is [None], and every
+   helper below is the one [guard] over its slot.
 
-   - [Big]: the legacy big kernel lock (Unikraft SMP, §4.5) — one
-     recursive lock serializing every syscall body across cores.
-     Recursion is needed because a fault raised inside a syscall
-     (e.g. copyout hitting a CoW page) re-enters the kernel on the
-     same thread, and a plain lock would self-deadlock the
-     cooperative engine.
-   - [Sharded]: per-resource locks. Syscall bodies run concurrently;
-     each shared structure gets its own named lock, every one
-     registered with the {!Ufork_util.Hb} bus so the FastTrack
-     detector certifies the split.
+   - [Big_kernel_lock]: the legacy big kernel lock (Unikraft SMP, §4.5)
+     — one recursive lock serializing every syscall body across cores.
+     Recursion is needed because a fault raised inside a syscall (e.g.
+     copyout hitting a CoW page) re-enters the kernel on the same
+     thread, and a plain lock would self-deadlock the cooperative
+     engine. It fills [big] and [pool].
+   - [Sharded_locks]: per-resource locks. Syscall bodies run
+     concurrently; each shared structure gets its own named lock, every
+     one registered with the {!Ufork_util.Hb} bus so the FastTrack
+     detector certifies the split. It fills every slot but [big].
 
    Lock hierarchy (outermost first):
      uproc_table > fd_tables > pt_shard > frame_pool > stats.
@@ -47,21 +49,16 @@ module Area_index = Map.Make (Int)
 
 let pt_shard_count = 16
 
-type locks =
-  | No_locks  (** chaos injection only *)
-  | Big of Ufork_sim.Sync.Rlock.t
-  | Sharded of {
-      frame_pool : Ufork_sim.Sync.Rlock.t;
-          (** shared free pool behind the per-core freelists *)
-      uproc_table : Ufork_sim.Sync.Rlock.t;
-          (** pid allocation, the process table, the area index *)
-      fd_tables : Ufork_sim.Sync.Rlock.t;
-          (** cross-process descriptor-table traffic (fork/spawn dup) *)
-      stats : Ufork_sim.Sync.Rlock.t;
-          (** shared gauges (e.g. the last-fork-latency gauge) *)
-      pt_shards : Ufork_sim.Sync.Rlock.t array;
-          (** page-table shards, indexed by μprocess area base *)
-    }
+(* Each slot is documented in kernel.mli. *)
+type locks = {
+  big : Sync.Rlock.t option;
+  pool : Sync.Rlock.t option;
+  frame_pool : Sync.Rlock.t option;
+  uproc_table : Sync.Rlock.t option;
+  fd_tables : Sync.Rlock.t option;
+  stats : Sync.Rlock.t option;
+  pt_shards : Sync.Rlock.t option array;
+}
 
 type t = {
   engine : Engine.t;
@@ -71,7 +68,6 @@ type t = {
   phys : Phys.t;
   vfs : Vfs.t;
   mutable locks : locks;
-  mutable stats_lock_disabled : bool; (* chaos: unshard the stats lock *)
   procs : (int, Uproc.t) Hashtbl.t;
   mutable next_pid : int;
   root : Capability.t;
@@ -95,34 +91,43 @@ type t = {
 let pt_shard_names =
   Array.init pt_shard_count (Printf.sprintf "lock.pt_shard.%02d")
 
-let make_locks ~engine ~frame_pool = function
+let guard slot f =
+  match slot with Some l -> Sync.Rlock.with_lock l f | None -> f ()
+
+let make_locks ~engine mode =
+  let lock name = Some (Sync.Rlock.create ~engine ~name ()) in
+  (* One frame-pool lock in both regimes: the sharded frame_pool
+     resource, and under the big lock the guard of the batched
+     freelist refill/drain transfers Phys runs against the shared
+     pool. *)
+  let pool = lock "lock.frame_pool" in
+  match mode with
   | Config.Big_kernel_lock ->
-      Big (Sync.Rlock.create ~engine ~name:"lock.kernel.big" ())
+      {
+        big = lock "lock.kernel.big";
+        pool;
+        frame_pool = None;
+        uproc_table = None;
+        fd_tables = None;
+        stats = None;
+        pt_shards = Array.make pt_shard_count None;
+      }
   | Config.Sharded_locks ->
-      Sharded
-        {
-          frame_pool;
-          uproc_table = Sync.Rlock.create ~engine ~name:"lock.uproc_table" ();
-          fd_tables = Sync.Rlock.create ~engine ~name:"lock.fd_tables" ();
-          stats = Sync.Rlock.create ~engine ~name:"lock.stats" ();
-          pt_shards =
-            Array.map
-              (fun name -> Sync.Rlock.create ~engine ~name ())
-              pt_shard_names;
-        }
+      {
+        big = None;
+        pool;
+        frame_pool = pool;
+        uproc_table = lock "lock.uproc_table";
+        fd_tables = lock "lock.fd_tables";
+        stats = lock "lock.stats";
+        pt_shards = Array.map lock pt_shard_names;
+      }
 
 let create ~engine ~costs ~config ~multi_address_space () =
   let phys =
     Phys.create ~cores:(Engine.cores engine)
       ~core:(fun () -> Engine.running_core engine)
       ()
-  in
-  (* One frame-pool lock regardless of regime: under [Sharded] it is the
-     sharded frame_pool resource itself; under [Big] it additionally
-     serializes the batched freelist refill/drain transfers Phys runs
-     against the shared pool (installed as the pool guard below). *)
-  let frame_pool_lock =
-    Sync.Rlock.create ~engine ~name:"lock.frame_pool" ()
   in
   let root = Capability.root () in
   let entry_cap =
@@ -142,9 +147,7 @@ let create ~engine ~costs ~config ~multi_address_space () =
     trace = Trace.create ~engine ~costs ();
     phys;
     vfs = Vfs.create ();
-    locks =
-      make_locks ~engine ~frame_pool:frame_pool_lock config.Config.lock_mode;
-    stats_lock_disabled = false;
+    locks = make_locks ~engine config.Config.lock_mode;
     procs = Hashtbl.create 64;
     next_pid = 0;
     root;
@@ -182,10 +185,7 @@ let create ~engine ~costs ~config ~multi_address_space () =
       (match config.Config.lock_mode with
       | Config.Big_kernel_lock -> false
       | Config.Sharded_locks -> true)
-    (fun f ->
-      match t.locks with
-      | No_locks -> f ()
-      | Big _ | Sharded _ -> Sync.Rlock.with_lock frame_pool_lock f);
+    (fun f -> guard t.locks.pool f);
   t
 
 let engine t = t.engine
@@ -201,117 +201,49 @@ let set_fork_hook t f = t.fork_hook <- Some f
 let fork_hook t = t.fork_hook
 let set_fault_hook t f = t.fault_hook <- Some f
 
-(* The legacy big-lock shim: under [Big] this is THE serialization point
-   (held for every syscall body); under sharded locking it is a no-op —
-   the per-resource helpers below do the work. Lint rule D9 bans new
-   call sites outside this module so the sharded kernel cannot quietly
-   grow back a global serialization point. *)
-let with_biglock t f =
-  match t.locks with
-  | Big l -> Sync.Rlock.with_lock l f
-  | No_locks | Sharded _ -> f ()
+let locks t = t.locks
+let set_locks t locks = t.locks <- locks
 
-(* Per-resource helpers. Under [Big] the caller already sits inside
-   {!with_biglock} (every syscall body does), so they collapse to
-   nothing rather than nest a second lock level. *)
-let with_uproc_table t f =
-  match t.locks with
-  | Sharded s -> Sync.Rlock.with_lock s.uproc_table f
-  | Big _ | No_locks -> f ()
-
-let with_fd_tables t f =
-  match t.locks with
-  | Sharded s -> Sync.Rlock.with_lock s.fd_tables f
-  | Big _ | No_locks -> f ()
-
-let with_stats t f =
-  match t.locks with
-  | Sharded s when not t.stats_lock_disabled ->
-      Sync.Rlock.with_lock s.stats f
-  | Big _ | No_locks | Sharded _ -> f ()
+(* The legacy big-lock shim: under [Big_kernel_lock] this is THE
+   serialization point (held for every syscall body); under sharded
+   locking its slot is empty and the per-resource helpers below do the
+   work. Lint rule D9 bans call sites outside this module so the sharded
+   kernel cannot quietly grow back a global serialization point. Under
+   the big lock the per-resource slots are empty instead: the caller
+   already sits inside [with_biglock], as every syscall body does. *)
+let with_biglock t f = guard t.locks.big f
+let with_uproc_table t f = guard t.locks.uproc_table f
+let with_fd_tables t f = guard t.locks.fd_tables f
+let with_stats t f = guard t.locks.stats f
 
 (* The frame-pool lock guards the shared pool behind the per-core
    freelists, so it is taken only when this allocation would actually
    touch shared state ({!Phys.needs_global}) — the common alloc/release
    pair runs entirely on the calling core's cache, lock-free. *)
 let with_frame_pool t ~frames f =
-  match t.locks with
-  | Sharded s when Phys.needs_global t.phys frames ->
-      Sync.Rlock.with_lock s.frame_pool f
-  | Big _ | No_locks | Sharded _ -> f ()
+  match t.locks.frame_pool with
+  | Some l when Phys.needs_global t.phys frames -> Sync.Rlock.with_lock l f
+  | Some _ | None -> f ()
 
 (* One μprocess area (contiguous, page-aligned base) maps to one shard,
    so a fork orders exactly two of these. *)
 let pt_shard_index ~area_base = area_base / Addr.page_size mod pt_shard_count
 
-let with_pt_shard t (u : Uproc.t) f =
-  match t.locks with
-  | Sharded s ->
-      Sync.Rlock.with_lock
-        s.pt_shards.(pt_shard_index ~area_base:u.Uproc.area_base)
-        f
-  | Big _ | No_locks -> f ()
-
 let with_pt_shard_pair t (a : Uproc.t) (b : Uproc.t) f =
-  match t.locks with
-  | Sharded s ->
-      let i = pt_shard_index ~area_base:a.Uproc.area_base in
-      let j = pt_shard_index ~area_base:b.Uproc.area_base in
-      if i = j then Sync.Rlock.with_lock s.pt_shards.(i) f
-      else
-        (* Ascending shard order: the global acquisition order that makes
-           concurrent fork pairs deadlock-free. *)
-        let lo, hi = if i < j then (i, j) else (j, i) in
-        Sync.Rlock.with_lock s.pt_shards.(lo) (fun () ->
-            Sync.Rlock.with_lock s.pt_shards.(hi) f)
-  | Big _ | No_locks -> f ()
+  let shards = t.locks.pt_shards in
+  let i = pt_shard_index ~area_base:a.Uproc.area_base in
+  let j = pt_shard_index ~area_base:b.Uproc.area_base in
+  if i = j then guard shards.(i) f
+  else
+    (* Ascending shard order: the global acquisition order that makes
+       concurrent fork pairs deadlock-free. *)
+    let lo, hi = if i < j then (i, j) else (j, i) in
+    guard shards.(lo) (fun () -> guard shards.(hi) f)
 [@@ufork.lock_order "lock.pt_shard < lock.pt_shard"]
 (* The declared self-order: nesting inside the pt-shard class is legal
    here exactly because [lo < hi] — the index-ascending side condition
    the static rule D10 checks at constant-index sites and the runtime
    checker (R2) enforces per-index on every run. *)
-
-let chaos_disable_biglock t =
-  (* Chaos-only: models a kernel whose fault path forgot every lock.
-     The race detector's job is to notice what then goes unordered. *)
-  t.locks <- No_locks
-
-let chaos_unshard_stats t =
-  (* Chaos-only: keep every other shard but drop the stats lock — the
-     minimal seeded bug for the sharded kernel. Two concurrent writers
-     of a shared gauge then race, and the detector must report exactly
-     that location. *)
-  t.stats_lock_disabled <- true
-
-let chaos_acquire_shards_descending t =
-  (* Chaos-only: take one pt-shard pair in DESCENDING index order — the
-     exact inversion of the ascending convention {!with_pt_shard_pair}
-     enforces. The harness spawns this on a rogue boot thread so the
-     runtime lock-order checker must fail the run with exactly R2. The
-     static rule D10 is discharged here by the ignore annotation; an
-     unannotated fixture of the same shape seeds the static test. *)
-  match t.locks with
-  | Sharded s ->
-      Sync.Rlock.with_lock s.pt_shards.(1) (fun () ->
-          Sync.Rlock.with_lock s.pt_shards.(0) (fun () -> ()))
-  | Big _ | No_locks -> ()
-[@@ufork.lockdep_ignore]
-
-let chaos_stall_cycles = 150_000L
-
-let chaos_stall_shard t =
-  (* Chaos-only: grab pt-shard 0 — the shard covering the root process's
-     area — and sit on it for 150k cycles without charging anything (a
-     sleep passes wall time but no busy cycles, so Trace.audit is
-     unaffected). Every fork touching that shard then queues behind a
-     holder that is not even running. The causal analyzer must report
-     this lock as the dominant critical-path edge; the harness spawns it
-     on a rogue boot thread and asserts exactly that (R3). *)
-  match t.locks with
-  | Sharded s ->
-      Sync.Rlock.with_lock s.pt_shards.(0) (fun () ->
-          Engine.sleep chaos_stall_cycles)
-  | Big _ | No_locks -> ()
 
 (* Every mechanism event — cycles, counter bump, optional trace record —
    goes through the bus. Boot-time setup (and unit tests poking at the
@@ -505,13 +437,6 @@ let find_area_of_addr t addr =
 
 let find_uproc t pid = Hashtbl.find_opt t.procs pid
 
-let live_process_count t =
-  (* Commutative count: traversal order cannot change the sum. *)
-  (Hashtbl.fold
-     (fun _ (u : Uproc.t) n ->
-       match u.Uproc.state with Uproc.Running -> n + 1 | _ -> n)
-     t.procs 0 [@ufork.order_independent])
-
 let map_zero_pages t u ~base ~bytes ?(read = true) ?(write = true)
     ?(exec = false) () =
   let pages = Addr.bytes_to_pages bytes in
@@ -696,9 +621,7 @@ let kernel_wait ?proc t cond =
   (* Under the BKL, drop one recursion level across the sleep (the
      caller sits at depth 1 inside {!with_syscall}); the sharded kernel
      holds no global lock here, so there is nothing to drop. *)
-  (match t.locks with
-  | Big l -> Sync.Rlock.release l
-  | No_locks | Sharded _ -> ());
+  Option.iter Sync.Rlock.release t.locks.big;
   (match proc with
   | None -> Sync.Cond.wait cond
   | Some (u : Uproc.t) ->
@@ -712,9 +635,7 @@ let kernel_wait ?proc t cond =
      switches page tables and flushes the TLB. *)
   emit ?proc t Event.Context_switch;
   if t.multi_as then emit ?proc t Event.Address_space_switch;
-  (match t.locks with
-  | Big l -> Sync.Rlock.acquire l
-  | No_locks | Sharded _ -> ());
+  Option.iter Sync.Rlock.acquire t.locks.big;
   match proc with
   | Some u ->
       if u.Uproc.killed && u.Uproc.state = Uproc.Running then
@@ -1233,7 +1154,6 @@ and spawn_process t ?affinity ?reloc (u : Uproc.t) main =
          | exception Api.Exited _ -> ()
          | exception Killed_signal -> finish 137))
 
-let total_frames_in_use t = Phys.frames_in_use t.phys
 let last_fork_latency t = Trace.last_fork_latency t.trace
 
 (* {1 Introspection for the state sanitizer} *)
@@ -1244,8 +1164,6 @@ let fold_uprocs t ~init ~f =
     (fun acc pid -> f acc (Hashtbl.find t.procs pid))
     init
     (List.sort compare pids)
-
-let iter_uprocs t f = fold_uprocs t ~init:() ~f:(fun () u -> f u)
 
 let chaos_leak_root t =
   (* Chaos-only: hand the kernel's root capability to a μprocess by

@@ -95,7 +95,6 @@ val spawn_process :
     close fds, mark zombie, wake the parent. *)
 
 val find_uproc : t -> int -> Uproc.t option
-val live_process_count : t -> int
 
 val find_area_of_addr : t -> int -> (int * int) option
 (** The (base, bytes) of the live-or-zombie μprocess area containing an
@@ -108,10 +107,6 @@ val find_area_of_addr : t -> int -> (int * int) option
 
 val area_cap : t -> Uproc.t -> Capability.t
 (** A kernel capability covering exactly the μprocess area. *)
-
-val alloc_area : t -> bytes_needed:int -> int
-(** Reserve a contiguous area of the shared arena (single address space
-    only); reuses reaped areas first. *)
 
 val fresh_frame : t -> Uproc.t -> Ufork_mem.Phys.frame
 (** Allocate a physical frame, charging [page_alloc] and attributing the
@@ -164,12 +159,6 @@ val map_zero_pages :
 (** Map fresh zero frames over every not-yet-mapped page of the range.
     Defaults: readable, writable, non-executable. *)
 
-val materialize_heap_range : t -> Uproc.t -> addr:int -> len:int -> unit
-(** Ensure pages backing [addr, addr+len) exist (fresh zero frames). *)
-
-val got_addr : Uproc.t -> int -> int
-(** Address of a GOT slot. Raises [Invalid_argument] on slot overflow. *)
-
 val meta_addr : Uproc.t -> int -> int
 (** Address of an allocator-metadata granule. *)
 
@@ -178,59 +167,51 @@ val touch_pages_for_write : t -> Uproc.t -> int list -> unit
     gets a write fault delivered to the flavour's fault hook (used to model
     post-fork working-set writes). *)
 
-val kernel_wait : ?proc:Uproc.t -> t -> Ufork_sim.Sync.Cond.t -> unit
-(** Block on a condition from inside a syscall: under the legacy BKL,
-    releases the lock while suspended and re-acquires it on resume;
-    the sharded kernel holds no global lock across syscalls, so there
-    is nothing to drop. Recharges the context switch (+ address-space
-    switch on multi-AS kernels) on resume. When [proc] is given and a
-    SIGKILL arrived while blocked, unwinds with {!Killed_signal}. *)
-
-type syscall
-(** A system call's static site: its span name and entry events. *)
-
-val syscall : string -> syscall
-(** The site of the named system call. Build each once, at module
-    initialisation: entering through a shared site builds no string and
-    allocates no event. *)
-
-val with_syscall :
-  t -> ?proc:Uproc.t -> ?bytes:int -> syscall -> (unit -> 'a) -> 'a
-(** Charge syscall entry (per the configured mode), argument-validation
-    work when full isolation is on, TOCTTOU buffer copies for [bytes]
-    bytes when enabled, then run the body under the locking discipline:
-    the whole body inside {!with_biglock} under
-    {!Config.Big_kernel_lock}, unserialized (resource locks taken at
-    each touch point) under {!Config.Sharded_locks}. [proc] enables
-    kill delivery at the entry check. *)
-
 exception Killed_signal
 (** Unwinds a process that received SIGKILL; converted into the exit path
     by {!spawn_process}. *)
 
 (** {1 Locking}
 
-    Two disciplines, selected by {!Config.lock_mode}. Under the legacy
-    big kernel lock, {!with_biglock} serializes whole syscall bodies
-    and every per-resource helper is a no-op. Under sharded locking,
-    {!with_biglock} is the no-op and each shared structure is guarded
-    by its own named {!Ufork_sim.Sync.Rlock} — [lock.frame_pool],
-    [lock.uproc_table], [lock.fd_tables], [lock.stats],
-    [lock.pt_shard.NN] — all registered on the {!Ufork_util.Hb} bus so
-    the race detector certifies the split and names the resource in
-    its reports.
+    Two disciplines, selected by {!Config.lock_mode}, share one record
+    of lock slots ({!locks}); a slot the regime does not take is
+    [None], and every helper below guards its body with its slot's lock
+    when there is one. Under the legacy big kernel lock, [big]
+    serializes whole syscall bodies and the per-resource slots are
+    empty. Under sharded locking, [big] is empty and each shared
+    structure is guarded by its own named {!Ufork_sim.Sync.Rlock} —
+    [lock.frame_pool], [lock.uproc_table], [lock.fd_tables],
+    [lock.stats], [lock.pt_shard.NN] — all registered on the
+    {!Ufork_util.Hb} bus so the race detector certifies the split and
+    names the resource in its reports. Both regimes fill [pool].
 
     Lock hierarchy (outermost first):
     uproc_table > fd_tables > pt_shard > frame_pool > stats. *)
 
-val with_biglock : t -> (unit -> 'a) -> 'a
-(** The legacy-BKL shim. The only legitimate call site is
-    {!with_syscall} in this module; lint rule D9 bans new ones so the
-    sharded kernel cannot quietly grow back a global serialization
-    point. *)
+type locks = {
+  big : Ufork_sim.Sync.Rlock.t option;
+      (** [lock.kernel.big], held for every syscall body *)
+  pool : Ufork_sim.Sync.Rlock.t option;
+      (** [lock.frame_pool] as the guard around {!Ufork_mem.Phys}'s
+          refill and drain of the shared pool *)
+  frame_pool : Ufork_sim.Sync.Rlock.t option;
+      (** [lock.frame_pool] as a resource lock: allocations that touch
+          the shared pool *)
+  uproc_table : Ufork_sim.Sync.Rlock.t option;
+      (** pid allocation, the process table, the area index *)
+  fd_tables : Ufork_sim.Sync.Rlock.t option;
+      (** cross-process descriptor-table traffic (fork/spawn dup) *)
+  stats : Ufork_sim.Sync.Rlock.t option;
+      (** shared gauges, e.g. the last-fork-latency gauge *)
+  pt_shards : Ufork_sim.Sync.Rlock.t option array;
+      (** page-table shards, indexed by μprocess area base *)
+}
 
-val with_uproc_table : t -> (unit -> 'a) -> 'a
-(** Pid allocation, the process table, the area index. *)
+val locks : t -> locks
+
+val set_locks : t -> locks -> unit
+(** Replace the lock slots. Chaos injections use this to drop a lock
+    the regime takes; nothing else does. *)
 
 val with_fd_tables : t -> (unit -> 'a) -> 'a
 (** Cross-process descriptor-table traffic (fork/spawn dup_all). *)
@@ -239,44 +220,10 @@ val with_stats : t -> (unit -> 'a) -> 'a
 (** Shared gauges, e.g. the last-fork-latency gauge every fork
     writes. *)
 
-val with_pt_shard : t -> Uproc.t -> (unit -> 'a) -> 'a
-(** The page-table shard covering the μprocess's area (shards are
-    indexed by area base, so one area maps to one shard). *)
-
 val with_pt_shard_pair : t -> Uproc.t -> Uproc.t -> (unit -> 'a) -> 'a
 (** Both processes' shards in ascending shard order (deadlock-free for
     concurrent forks); one acquisition when they collide. Fork's
     duplicate phase runs under this. *)
-
-val chaos_disable_biglock : t -> unit
-(** Chaos injection only: drop every kernel lock so syscalls and fault
-    handlers run unserialized. The happens-before race detector must
-    flag the shared writes that then go unordered. *)
-
-val chaos_unshard_stats : t -> unit
-(** Chaos injection only: disable just the stats shard of the sharded
-    kernel, leaving every other lock intact — the minimal seeded bug
-    for the lock split. Concurrent writers of a shared gauge then race
-    and the detector must report exactly that location (R1). *)
-
-val chaos_acquire_shards_descending : t -> unit
-(** Chaos injection only: acquire one page-table shard pair in
-    descending index order — the inversion of the ascending convention
-    {!with_pt_shard_pair} enforces. Run on a rogue thread under the
-    lock-order checker, the run must fail with exactly R2. No-op under
-    the big lock or the lockless chaos mode (nothing to invert). *)
-
-val chaos_stall_cycles : int64
-(** How long {!chaos_stall_shard} sits on the shard. *)
-
-val chaos_stall_shard : t -> unit
-(** Chaos injection only: hold page-table shard 0 (the root process's
-    shard) for {!chaos_stall_cycles} of simulated time while sleeping —
-    a deliberate long stall that serializes every fork behind a
-    non-running holder. Must be called from an engine thread. Run under
-    the causal analyzer, the analysis must report this lock as the
-    dominant critical-path edge (R3). No-op when the kernel is not
-    sharded. *)
 
 val chaos_leak_root : t -> bool
 (** Chaos injection only: store the kernel's root capability into the
@@ -286,21 +233,14 @@ val chaos_leak_root : t -> bool
     pages. [false] while no process is running yet (the harness retries
     from a rogue boot thread until it lands). *)
 
-val syscall_entry_cap : t -> Capability.t
+val syscall_entry_cap : t -> Capability.t [@@ufork.test_seam]
 (** The sealed kernel entry capability every μprocess holds: invocable
     (that is the system call), never dereferenceable or unsealable by
     user code (§4.2, §4.4). *)
 
 (** {1 The application interface} *)
 
-val build_api :
-  t -> ?reloc:(Capability.t -> Capability.t) -> Uproc.t -> Api.t
-(** The {!Api.t} for a process context. [reloc] is the fork-register
-    translation (default identity). *)
-
 (** {1 Accounting} *)
-
-val total_frames_in_use : t -> int
 
 val arena_span : t -> int
 (** High-water mark of the shared virtual arena: how much contiguous
@@ -326,8 +266,6 @@ val last_fork_latency : t -> int64
 val fold_uprocs : t -> init:'a -> f:('a -> Uproc.t -> 'a) -> 'a
 (** Every registered μprocess — running, zombie and reaped — in pid
     order. *)
-
-val iter_uprocs : t -> (Uproc.t -> unit) -> unit
 
 val areas : t -> (int * int * int) list
 (** The [(base, bytes, pid)] areas of live and zombie processes (reaped

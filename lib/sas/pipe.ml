@@ -26,7 +26,7 @@ let create ?(capacity = 64 * 1024) () =
   if capacity <= 0 then invalid_arg "Pipe.create";
   {
     capacity;
-    ring = Bytes.create (min capacity initial_ring);
+    ring = Bytes.create (Int.min capacity initial_ring);
     head = 0;
     len = 0;
     readable = Sync.Cond.create ();
@@ -35,7 +35,6 @@ let create ?(capacity = 64 * 1024) () =
     write_open = true;
   }
 
-let capacity t = t.capacity
 let available t = t.len
 
 (* The ring offset of position [i] counted from offset 0, for [i] less
@@ -46,7 +45,7 @@ let wrap t i = if i >= Bytes.length t.ring then i - Bytes.length t.ring else i
    [at], in at most two pieces. *)
 let blit_out t ~from dst ~at k =
   let size = Bytes.length t.ring in
-  let first = min k (size - from) in
+  let first = Int.min k (size - from) in
   Bytes.blit t.ring from dst at first;
   if k > first then Bytes.blit t.ring 0 dst (at + first) (k - first)
 
@@ -55,7 +54,7 @@ let blit_out t ~from dst ~at k =
 let reserve t need =
   let size = Bytes.length t.ring in
   if need > size then begin
-    let ring = Bytes.create (min t.capacity (max need (2 * size))) in
+    let ring = Bytes.create (Int.min t.capacity (Int.max need (2 * size))) in
     blit_out t ~from:t.head ring ~at:0 t.len;
     t.ring <- ring;
     t.head <- 0
@@ -67,10 +66,10 @@ let try_write t ?(off = 0) b =
   let room = t.capacity - t.len in
   if room <= 0 then Would_block
   else begin
-    let k = min room (Bytes.length b - off) in
+    let k = Int.min room (Bytes.length b - off) in
     reserve t (t.len + k);
     let tail = wrap t (t.head + t.len) in
-    let first = min k (Bytes.length t.ring - tail) in
+    let first = Int.min k (Bytes.length t.ring - tail) in
     Bytes.blit b off t.ring tail first;
     if k > first then Bytes.blit b (off + first) t.ring 0 (k - first);
     t.len <- t.len + k;
@@ -82,7 +81,7 @@ let try_read t n =
   if n < 0 then invalid_arg "Pipe.try_read";
   if t.len = 0 then if t.write_open then Empty else Eof
   else begin
-    let k = min n t.len in
+    let k = Int.min n t.len in
     let out = Bytes.create k in
     blit_out t ~from:t.head out ~at:0 k;
     t.head <- wrap t (t.head + k);

@@ -11,8 +11,7 @@ type t
 val create : ?capacity:int -> unit -> t
 (** Default capacity 64 KiB, as on most Unixes. *)
 
-val capacity : t -> int
-val available : t -> int
+val available : t -> int [@@ufork.test_seam]
 (** Bytes currently buffered. *)
 
 exception Broken_pipe
@@ -41,5 +40,5 @@ val writable : t -> Ufork_sim.Sync.Cond.t
 
 val close_read : t -> unit
 val close_write : t -> unit
-val read_open : t -> bool
-val write_open : t -> bool
+val read_open : t -> bool [@@ufork.test_seam]
+val write_open : t -> bool [@@ufork.test_seam]

@@ -123,10 +123,5 @@ let clone t ~delta =
 let used_bytes t = t.used
 let live_blocks t = Hashtbl.length t.blocks
 let heap_base t = t.base
-let heap_size t = t.size
-let high_water_meta_granules t = t.high_meta
 
-let iter_blocks t f =
-  Hashtbl.fold (fun _ b acc -> b :: acc) t.blocks []
-  |> List.sort (fun a b -> compare a.addr b.addr)
-  |> List.iter f
+let high_water_meta_granules t = t.high_meta

@@ -33,7 +33,7 @@ val free : t -> int -> block
     record (the kernel clears its metadata granule). Raises
     [Invalid_argument] for an address that is not a live block start. *)
 
-val block_of_addr : t -> int -> block option
+val block_of_addr : t -> int -> block option [@@ufork.test_seam]
 (** The live block containing (not merely starting at) the address. *)
 
 val clone : t -> delta:int -> t
@@ -41,12 +41,8 @@ val clone : t -> delta:int -> t
     mirror after μFork relocation. *)
 
 val used_bytes : t -> int
-val live_blocks : t -> int
-val heap_base : t -> int
-val heap_size : t -> int
+val live_blocks : t -> int [@@ufork.test_seam]
+val heap_base : t -> int [@@ufork.test_seam]
 val high_water_meta_granules : t -> int
 (** Highest metadata granule ever used + 1; determines how many metadata
     pages the kernel must proactively copy at fork. *)
-
-val iter_blocks : t -> (block -> unit) -> unit
-(** Ascending address order. *)

@@ -113,11 +113,3 @@ let region_of_addr t addr =
   else None
 
 let contains t addr = addr >= t.area_base && addr < t.area_base + t.area_bytes
-
-let pp ppf t =
-  Format.fprintf ppf "uproc{pid=%d %s area=[%#x,+%#x) %s}" t.pid
-    t.image.Image.name t.area_base t.area_bytes
-    (match t.state with
-    | Running -> "running"
-    | Zombie c -> Printf.sprintf "zombie(%d)" c
-    | Reaped -> "reaped")

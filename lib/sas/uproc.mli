@@ -54,7 +54,7 @@ type t = {
           wait — how a kill reaches a process sleeping in the kernel. *)
 }
 
-val layout_regions : Image.t -> area_base:int -> regions
+val layout_regions : Image.t -> area_base:int -> regions [@@ufork.test_seam]
 (** Carve the area at [area_base] into page-aligned regions with guard
     pages between them, in the order GOT, code, data, stack, metadata,
     heap. The result fits within {!Image.area_bytes}. *)
@@ -77,7 +77,5 @@ val delta : parent:t -> child:t -> int
 val region_of_addr : t -> int -> string option
 (** Region name containing the address, for diagnostics. *)
 
-val contains : t -> int -> bool
+val contains : t -> int -> bool [@@ufork.test_seam]
 (** Address lies within the μprocess area. *)
-
-val pp : Format.formatter -> t -> unit

@@ -30,14 +30,14 @@ let walk pos n f =
   let pos = ref pos and done_ = ref 0 in
   while !done_ < n do
     let boff = !pos mod block in
-    let k = min (n - !done_) (block - boff) in
+    let k = Int.min (n - !done_) (block - boff) in
     f (!pos / block) boff k !done_;
     pos := !pos + k;
     done_ := !done_ + k
   done
 
 let read_at node off n =
-  let k = max 0 (min n (node.len - off)) in
+  let k = Int.max 0 (Int.min n (node.len - off)) in
   let out = Bytes.create k in
   walk off k (fun i boff k d -> Bytes.blit node.blocks.(i) boff out d k);
   out
@@ -47,7 +47,7 @@ let write_at node pos b =
   let need = (pos + n + block - 1) / block in
   let have = Array.length node.blocks in
   if need > have then begin
-    let a = Array.make (max need (2 * have)) Bytes.empty in
+    let a = Array.make (Int.max need (2 * have)) Bytes.empty in
     Array.blit node.blocks 0 a 0 have;
     node.blocks <- a
   end;

@@ -29,11 +29,11 @@ val write : file -> bytes -> int
 (** Sequential write at the cursor, growing the file; returns the count.
     The bytes are copied into the file before [write] returns. *)
 
-val size_of : file -> int
+val size_of : file -> int [@@ufork.test_seam]
 val close : file -> unit
 
-val exists : t -> string -> bool
-val size : t -> string -> int
+val exists : t -> string -> bool [@@ufork.test_seam]
+val size : t -> string -> int [@@ufork.test_seam]
 (** Raises [Not_found]. *)
 
 val contents : t -> string -> string
@@ -46,5 +46,5 @@ val rename : t -> src:string -> dst:string -> unit
 (** Raises [Not_found] if [src] is missing; replaces [dst]. *)
 
 val unlink : t -> string -> unit
-val list : t -> string list
+val list : t -> string list [@@ufork.test_seam]
 (** Sorted file names. *)

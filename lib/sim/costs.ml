@@ -149,18 +149,4 @@ let linux_ref =
     pipe_op = 180L;
   }
 
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>%s:@,\
-     syscall=%Ld ctx=%Ld as_switch=%Ld fault=%Ld soft=%Ld@,\
-     fork=%Ld thread=%Ld exit=%Ld@,\
-     pte_copy=%Ld pte_prot=%Ld tlb_ipi=%Ld page_alloc=%Ld page_copy=%Ld@,\
-     granule=%Ld reloc=%Ld domain=%Ld@,\
-     copy/B=%.2f toctou/B=%.2f file_op=%Ld pipe_op=%Ld@]"
-    t.label t.syscall t.context_switch t.address_space_switch t.page_fault
-    t.soft_fault t.fork_fixed t.thread_create t.exit_fixed t.pte_copy
-    t.pte_protect t.tlb_ipi t.page_alloc t.page_copy t.granule_scan
-    t.cap_relocate
-    t.domain_create t.copy_per_byte t.toctou_per_byte t.file_op t.pipe_op
-
 let bytes_cost per_byte n = int_of_float ((per_byte *. float_of_int n) +. 0.5)

@@ -72,8 +72,6 @@ val linux_ref : t
 (** A reference aarch64 Linux point, used only for the context row of
     Fig. 5 (7 MB forked-Redis RSS). *)
 
-val pp : Format.formatter -> t -> unit
-
 val bytes_cost : float -> int -> int
 (** [bytes_cost per_byte n] is [per_byte * n] rounded, as cycles (a
     native int, like {!Event.cost}: an [int64] result would be boxed on

@@ -166,11 +166,11 @@ type t = {
   mutable running_name : string;
       (* The thread currently executing host code on this engine, or
          (-1, -1, "") between threads. Plain fields mirroring
-         Get_tid/Get_core/Get_name so the per-event accounting path can
-         read them without an effect dispatch. Saved and restored around
-         every resume: a running thread that calls [wake] can dispatch a
-         nested [exec] on an idle core, so plain reset to -1 would
-         clobber the outer thread's identity. *)
+         Get_tid/Get_core and the thread's name, so the per-event
+         accounting path can read them without an effect dispatch.
+         Saved and restored around every resume: a running thread that
+         calls [wake] can dispatch a nested [exec] on an idle core, so
+         plain reset to -1 would clobber the outer thread's identity. *)
 }
 
 type waker = { engine : t; thread : thread; mutable pending : bool }
@@ -187,7 +187,6 @@ type _ Effect.t +=
   | Get_time : int64 Effect.t
   | Get_tid : tid Effect.t
   | Get_core : int Effect.t
-  | Get_name : string Effect.t
 
 let max_cores = 1024
 
@@ -381,7 +380,6 @@ and start t thread body =
               Some (fun k -> Effect.Deep.continue k (Int64.of_int t.now))
           | Get_tid -> on_tid
           | Get_core -> on_core
-          | Get_name -> Some (fun k -> Effect.Deep.continue k thread.name)
           | _ -> None);
     }
 
@@ -549,7 +547,6 @@ let suspend register = Effect.perform (Suspend register)
 let current_time () = Effect.perform Get_time
 let current_tid () = Effect.perform Get_tid
 let current_core () = Effect.perform Get_core
-let current_name () = Effect.perform Get_name
 
 let waker_pending w = w.pending
 let waker_tid w = if w.pending then w.thread.tid else -1

@@ -52,8 +52,7 @@ val running_core : t -> int
     {!current_core} the same way. *)
 
 val running_name : t -> string
-(** Name of the running thread, or [""]; mirrors {!current_name}. *)
-
+(** Name of the running thread, or [""]. *)
 
 val now : t -> int64
 (** Current simulated time in cycles. *)
@@ -75,10 +74,10 @@ val run : ?until:int64 -> t -> unit
     stopped by [until], [now] moves up to [until]; a deadline already
     behind [now] leaves the clock where it is. *)
 
-val live_threads : t -> int
+val live_threads : t -> int [@@ufork.test_seam]
 (** Threads spawned and not yet finished (includes blocked ones). *)
 
-val blocked_threads : t -> int
+val blocked_threads : t -> int [@@ufork.test_seam]
 (** Threads currently suspended on a waker. *)
 
 (** {1 Operations available inside a thread}
@@ -108,12 +107,8 @@ val sleep : int64 -> unit
 (** Release the core and become runnable again after the given delay. *)
 
 val current_time : unit -> int64
-val current_tid : unit -> tid
-val current_core : unit -> int
-
-val current_name : unit -> string
-(** The current thread's name ([spawn]'s [?name], or ["t<tid>"] when none
-    was given). Trace records carry it so exports can label lanes. *)
+val current_tid : unit -> tid [@@ufork.test_seam]
+val current_core : unit -> int [@@ufork.test_seam]
 
 type waker
 (** One-shot handle that makes a suspended thread runnable again. *)

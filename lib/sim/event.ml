@@ -234,11 +234,6 @@ let linear_unit ~(costs : Costs.t) event =
 let fault_key = to_key Page_fault
 let pte_copy_key = to_key (Pte_copy 1)
 
-let pp ppf e =
-  match count e with
-  | 1 -> Format.pp_print_string ppf (to_key e)
-  | n -> Format.fprintf ppf "%s x%d" (to_key e) n
-
 let json_escape s =
   let b = Buffer.create (String.length s) in
   String.iter

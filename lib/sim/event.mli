@@ -137,13 +137,11 @@ val fault_key : string
 val pte_copy_key : string
 (** [to_key (Pte_copy 1)], likewise. *)
 
-val pp : Format.formatter -> t -> unit
-
 val json_escape : string -> string
 (** Minimal JSON string escaping (quotes, backslash, control chars). *)
 
 val to_json : t -> string
 (** One-line JSON object [{"key": ..., "n": ...}]. *)
 
-val samples : t list
+val samples : t list [@@ufork.test_seam]
 (** One representative per constructor, for exhaustiveness-style tests. *)

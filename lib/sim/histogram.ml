@@ -69,7 +69,6 @@ let is_empty t = t.n = 0
 let sum t = get t sum_at
 let min_value t = if t.n = 0 then 0L else get t min_at
 let max_value t = if t.n = 0 then 0L else get t max_at
-let mean t = if t.n = 0 then 0. else Int64.to_float (sum t) /. float_of_int t.n
 
 let quantile t p =
   if p < 0. || p > 1. then invalid_arg "Histogram.quantile: p outside [0,1]";
@@ -121,7 +120,3 @@ let to_buckets t =
     end
   done;
   !acc
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d p50=%Ld p90=%Ld p99=%Ld max=%Ld" t.n
-    (quantile t 0.5) (quantile t 0.9) (quantile t 0.99) (max_value t)

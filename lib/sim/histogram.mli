@@ -16,7 +16,7 @@ type t
 
 val create : unit -> t
 
-val record : t -> int64 -> unit
+val record : t -> int64 -> unit [@@ufork.test_seam]
 (** Add one value. Raises [Invalid_argument] on negative values. *)
 
 val record_int : t -> int -> unit
@@ -27,14 +27,11 @@ val count : t -> int
 val is_empty : t -> bool
 
 val sum : t -> int64
-val min_value : t -> int64
+val min_value : t -> int64 [@@ufork.test_seam]
 (** Exact observed minimum; [0L] when empty. *)
 
 val max_value : t -> int64
 (** Exact observed maximum; [0L] when empty. *)
-
-val mean : t -> float
-(** [0.] when empty. *)
 
 val quantile : t -> float -> int64
 (** [quantile t p] for [0. <= p <= 1.]. Rank is [max 1 (ceil (p * n))]
@@ -48,12 +45,9 @@ val merge : t -> t -> t
 (** Lossless combination of two histograms (fresh result; arguments are
     not mutated). Associative and commutative. *)
 
-val bucket_bounds : int64 -> int64 * int64
+val bucket_bounds : int64 -> int64 * int64 [@@ufork.test_seam]
 (** [(lo, hi)] inclusive bounds of the bucket that would hold the given
     value. Raises [Invalid_argument] on negative values. *)
 
 val to_buckets : t -> (int64 * int64 * int) list
 (** Non-empty buckets, ascending: [(lo, hi, count)]. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line [n=... p50=... p90=... p99=... max=...] summary. *)

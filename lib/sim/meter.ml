@@ -48,7 +48,7 @@ let intern t name =
 let name t id = t.names.(id)
 let incr_id t id = t.counts.(id) <- t.counts.(id) + 1
 let add_id t id n = t.counts.(id) <- t.counts.(id) + n
-let get_id t id = t.counts.(id)
+
 let set_id t id v = t.counts.(id) <- v
 let incr t name = incr_id t (intern t name)
 let add t name n = add_id t (intern t name) n

@@ -22,18 +22,13 @@ val name : t -> int -> string
 
 val incr_id : t -> int -> unit
 val add_id : t -> int -> int -> unit
-val set_id : t -> int -> int -> unit
 
-val get_id : t -> int -> int
-(** By-id counterparts of {!incr}/{!add}/{!set}/{!get}; the id must come
-    from {!intern} on the same meter. *)
-
-val incr : t -> string -> unit
-val add : t -> string -> int -> unit
+val incr : t -> string -> unit [@@ufork.test_seam]
+val add : t -> string -> int -> unit [@@ufork.test_seam]
 val get : t -> string -> int
 (** 0 when never incremented. *)
 
-val reset : t -> unit
+val reset : t -> unit [@@ufork.test_seam]
 (** Zero every counter without discarding the key registry: keys touched
     before the reset (including gauges set via {!set}) remain in
     {!to_list} with value 0, so back-to-back experiments report identical

@@ -107,8 +107,6 @@ module Slots = struct
     s.names.(i) <- name;
     s.ids.(i) <- id;
     s.next <- (i + 1) land (n - 1)
-
-  let clear s = Array.fill s.ids 0 n (-1)
 end
 
 (* The accounting state is flat and int-indexed so the non-recording
@@ -245,8 +243,6 @@ let create ~engine ~costs ?(ring_capacity = default_ring_capacity) () =
     in_sampler = false;
   }
 
-let engine t = t.engine
-let costs t = t.costs
 let meter t = t.meter
 let total_charged t = Int64.of_int t.total_cycles
 let emits t = t.emits
@@ -266,7 +262,7 @@ let ensure_ring t =
 let set_recording t on =
   if on then ensure_ring t;
   t.recording <- on
-let recording t = t.recording
+
 let dropped t = t.dropped
 
 (* The meter key id for an event, interning the key string on the first
@@ -623,39 +619,6 @@ let records t =
         event = t.ring_event.(j);
         cycles = Int64.of_int t.ring_cycles.(j);
       })
-
-let reset t =
-  Meter.reset t.meter;
-  Array.iter
-    (fun e ->
-      e.units <- 0;
-      e.charged_units <- 0;
-      e.cycles <- 0;
-      e.rep <- None;
-      e.rep_unit <- -1;
-      e.fixed <- true)
-    t.entries;
-  t.total_cycles <- 0;
-  (* Release the refs the ring columns hold; the scalar columns can keep
-     stale values behind ring_len. *)
-  Array.fill t.ring_event 0 (Array.length t.ring_event) ring_dummy_event;
-  Array.fill t.ring_name 0 (Array.length t.ring_name) "";
-  t.ring_start <- 0;
-  t.ring_len <- 0;
-  t.dropped <- 0;
-  Hashtbl.reset t.roots;
-  Array.fill t.path_names 0 t.n_paths "";
-  Array.fill t.path_aggs 0 t.n_paths dummy_agg;
-  Array.fill t.path_children 0 t.n_paths dummy_children;
-  Array.fill t.path_hists 0 t.n_paths dummy_hist;
-  t.n_paths <- 0;
-  t.unattr_id <- -1;
-  Slots.clear t.path_slots;
-  Array.fill t.stacks 0 (Array.length t.stacks) no_frame;
-  Hashtbl.reset t.hists;
-  t.samples_rev <- [];
-  if t.sampler <> None then
-    t.next_sample <- Int64.add (Engine.now t.engine) t.sample_interval
 
 let record_to_json r =
   Printf.sprintf

@@ -28,9 +28,6 @@ val create :
     overflows, the oldest records are dropped and {!dropped} counts them.
     Recording starts disabled — counting and charging are always on. *)
 
-val engine : t -> Engine.t
-val costs : t -> Costs.t
-
 val meter : t -> Meter.t
 (** The derived counter view. Treat as read-only: all writes should come
     from {!emit} (or {!gauge}); poking it directly bypasses charging and
@@ -137,16 +134,14 @@ val last_fork_latency : t -> int64
 (** Typed read of that gauge (0 before the first fork). *)
 
 val total_charged : t -> int64
-(** Simulated cycles charged through this bus since creation/{!reset}. *)
+(** Simulated cycles charged through this bus since creation. *)
 
 val emits : t -> int
 (** Lifetime count of {!emit} calls — host-side work, not simulated
     units, so the bench harness can report simulated-events/s against
-    wall-clock. Monotone: unlike the counters, {b not} cleared by
-    {!reset}. *)
+    wall-clock. *)
 
 val set_recording : t -> bool -> unit
-val recording : t -> bool
 
 type record = {
   t : int64;  (** Simulated time at emission, cycles. *)
@@ -162,15 +157,9 @@ val records : t -> record list
 (** Buffered records, oldest first. *)
 
 val dropped : t -> int
-(** Records evicted by ring overflow since creation/{!reset}. *)
+(** Records evicted by ring overflow since creation. *)
 
-val reset : t -> unit
-(** Zero all counters and aggregates, clear the ring, drop span
-    aggregates/histograms/samples, and re-arm the sampler from the
-    current simulated time. The key registry of the derived view
-    survives (see {!Meter.reset}). Do not call with spans still open. *)
-
-val record_to_json : record -> string
+val record_to_json : record -> string [@@ufork.test_seam]
 (** One JSONL line (no trailing newline):
     [{"t":..,"core":..,"tid":..,"name":..,"pid":..,"event":{..},"cycles":..}]. *)
 

@@ -32,5 +32,3 @@ let with_out path f =
               | Sys_error msg ->
                   Error (Printf.sprintf "cannot write %s: %s" path msg)
               | e -> raise e)))
-
-let write path contents = with_out path (fun oc -> output_string oc contents)

@@ -6,15 +6,8 @@
     unwritable path surfaces as a clean [Error] message — one line, no
     exception backtrace — for the front end to print and exit on. *)
 
-val mkdirs : string -> (unit, string) result
-(** Create the directory (and any missing ancestors), succeeding if it
-    already exists. *)
-
 val with_out : string -> (out_channel -> unit) -> (unit, string) result
 (** [with_out path f] creates [path]'s missing parent directories, opens
     it for writing, runs [f], and closes the channel (also on exception).
     Filesystem failures — unwritable directory, path through a regular
     file — return [Error msg] with a one-line human-readable message. *)
-
-val write : string -> string -> (unit, string) result
-(** [write path contents]: {!with_out} writing one string. *)

@@ -13,8 +13,6 @@ let next64 t =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let split t = { state = next64 t }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound <= 0";
   let v = Int64.to_int (Int64.shift_right_logical (next64 t) 2) in
@@ -24,10 +22,6 @@ let int_in t ~lo ~hi =
   if hi < lo then invalid_arg "Prng.int_in: hi < lo";
   lo + int t (hi - lo + 1)
 
-let float t bound =
-  let v = Int64.to_float (Int64.shift_right_logical (next64 t) 11) in
-  bound *. v /. 9007199254740992. (* 2^53 *)
-
 let bool t = Int64.logand (next64 t) 1L = 1L
 
 let bytes t n =
@@ -36,15 +30,3 @@ let bytes t n =
     Bytes.set b i (Char.chr (int t 256))
   done;
   b
-
-let exponential t ~mean =
-  let u = Float.max 1e-12 (float t 1.0) in
-  -.mean *. log u
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

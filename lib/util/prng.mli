@@ -9,32 +9,19 @@ type t
 val create : seed:int64 -> t
 (** Fresh generator. Equal seeds yield equal streams. *)
 
-val copy : t -> t
+val copy : t -> t [@@ufork.test_seam]
 (** Independent copy continuing from the current state. *)
 
-val split : t -> t
-(** A new generator derived from (and decorrelated with) [t]'s stream. *)
-
-val next64 : t -> int64
+val next64 : t -> int64 [@@ufork.test_seam]
 (** Next raw 64-bit value. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). Raises [Invalid_argument] if
     [bound <= 0]. *)
 
-val int_in : t -> lo:int -> hi:int -> int
+val int_in : t -> lo:int -> hi:int -> int [@@ufork.test_seam]
 (** Uniform in [lo, hi] inclusive. Raises [Invalid_argument] if [hi < lo]. *)
 
-val float : t -> float -> float
-(** [float t bound] is uniform in [0, bound). *)
-
-val bool : t -> bool
+val bool : t -> bool [@@ufork.test_seam]
 val bytes : t -> int -> bytes
 (** [bytes t n] is [n] random bytes. *)
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed sample with the given mean (inter-arrival
-    times for open-loop request generators). *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

@@ -44,13 +44,3 @@ let print ?align ~header rows =
   print_newline ()
 
 let fmt_f ?(dec = 2) v = Printf.sprintf "%.*f" dec v
-
-let fmt_si v =
-  let abs = Float.abs v in
-  if abs >= 1e9 then Printf.sprintf "%.2f G" (v /. 1e9)
-  else if abs >= 1e6 then Printf.sprintf "%.2f M" (v /. 1e6)
-  else if abs >= 1e3 then Printf.sprintf "%.2f k" (v /. 1e3)
-  else if abs >= 1. || abs = 0. then Printf.sprintf "%.2f" v
-  else if abs >= 1e-3 then Printf.sprintf "%.2f m" (v *. 1e3)
-  else if abs >= 1e-6 then Printf.sprintf "%.2f u" (v *. 1e6)
-  else Printf.sprintf "%.2f n" (v *. 1e9)

@@ -10,7 +10,7 @@ val render :
   ?align:align list ->
   header:string list ->
   string list list ->
-  string
+  string [@@ufork.test_seam]
 (** [render ~header rows] lays the table out with a separator line under the
     header. Columns default to right-aligned except the first. Rows shorter
     than the header are padded with empty cells. *)
@@ -21,6 +21,3 @@ val print :
 
 val fmt_f : ?dec:int -> float -> string
 (** Fixed-point float formatting, default 2 decimals. *)
-
-val fmt_si : float -> string
-(** Engineering formatting: 1234.5 -> "1.23 k", 0.00012 -> "120.00 u". *)

@@ -1,24 +1,9 @@
 let clock_hz = 2.5e9
 
-let cycles_of_ns t = Int64.of_float (t *. clock_hz /. 1e9 +. 0.5)
-let cycles_of_us t = Int64.of_float (t *. clock_hz /. 1e6 +. 0.5)
-let cycles_of_ms t = Int64.of_float (t *. clock_hz /. 1e3 +. 0.5)
 let cycles_of_s t = Int64.of_float (t *. clock_hz +. 0.5)
 
-let ns_of_cycles c = Int64.to_float c /. clock_hz *. 1e9
 let us_of_cycles c = Int64.to_float c /. clock_hz *. 1e6
 let ms_of_cycles c = Int64.to_float c /. clock_hz *. 1e3
 let s_of_cycles c = Int64.to_float c /. clock_hz
-
-let kib n = n * 1024
-let mib n = n * 1024 * 1024
-
-let bytes_pp ppf n =
-  let f = float_of_int n in
-  if n < 1024 then Format.fprintf ppf "%d B" n
-  else if n < 1024 * 1024 then Format.fprintf ppf "%.1f KiB" (f /. 1024.)
-  else if n < 1024 * 1024 * 1024 then
-    Format.fprintf ppf "%.1f MiB" (f /. 1048576.)
-  else Format.fprintf ppf "%.2f GiB" (f /. 1073741824.)
 
 let mb_of_bytes n = float_of_int n /. 1e6

@@ -7,26 +7,11 @@
 val clock_hz : float
 (** Simulated core frequency, cycles per second (2.5e9). *)
 
-val cycles_of_ns : float -> int64
-(** [cycles_of_ns t] is the cycle count closest to [t] nanoseconds. *)
-
-val cycles_of_us : float -> int64
-val cycles_of_ms : float -> int64
 val cycles_of_s : float -> int64
 
-val ns_of_cycles : int64 -> float
 val us_of_cycles : int64 -> float
 val ms_of_cycles : int64 -> float
 val s_of_cycles : int64 -> float
-
-val kib : int -> int
-(** [kib n] is [n] kibibytes in bytes. *)
-
-val mib : int -> int
-(** [mib n] is [n] mebibytes in bytes. *)
-
-val bytes_pp : Format.formatter -> int -> unit
-(** Human-readable byte count ("512 B", "4.0 KiB", "1.5 MiB"). *)
 
 val mb_of_bytes : int -> float
 (** Bytes to MB (10^6, as used by the paper's memory figures). *)

@@ -531,109 +531,6 @@ let test_dump_matches () =
   Alcotest.(check bool) "bad checksum" false
     (Keyspace.dump_matches ~entries:3 ~value_len ~seed (Bytes.to_string dump))
 
-(* --- Aof --- *)
-
-module Aof = Ufork_apps.Aof
-
-let test_aof_roundtrip () =
-  let ok =
-    run_os (fun _os api ->
-        let kv = Kvstore.create api () in
-        let log = Aof.open_log api ~path:"/a.aof" in
-        Aof.log_set log ~key:"x" ~value:(Bytes.of_string "1");
-        Aof.log_set log ~key:"y" ~value:(Bytes.of_string "22");
-        Aof.log_set log ~key:"x" ~value:(Bytes.of_string "333");
-        Aof.log_delete log ~key:"y";
-        Aof.close log;
-        let applied, clean = Aof.replay api kv ~path:"/a.aof" in
-        applied = 4 && clean
-        && Kvstore.get kv ~key:"x" = Some (Bytes.of_string "333")
-        && Kvstore.get kv ~key:"y" = None
-        && Kvstore.count kv = 1)
-  in
-  Alcotest.(check bool) "log replay gives final state" true ok
-
-let test_aof_truncated_tail () =
-  let applied, clean =
-    run_os (fun os api ->
-        let kv = Kvstore.create api () in
-        let log = Aof.open_log api ~path:"/t.aof" in
-        Aof.log_set log ~key:"a" ~value:(Bytes.of_string "one");
-        Aof.log_set log ~key:"b" ~value:(Bytes.of_string "two");
-        Aof.close log;
-        (* Chop mid-record, as a crash during append would. *)
-        let vfs = Kernel.vfs (Os.kernel os) in
-        let full = Vfs.contents vfs "/t.aof" in
-        Vfs.put vfs "/t.aof" (String.sub full 0 (String.length full - 2));
-        Aof.replay api kv ~path:"/t.aof")
-  in
-  Alcotest.(check int) "first record applied" 1 applied;
-  Alcotest.(check bool) "flagged unclean" false clean
-
-let test_aof_bgrewrite_compacts () =
-  let ok =
-    run_os (fun os api ->
-        let kv = Kvstore.create api () in
-        let log = Aof.open_log api ~path:"/c.aof" in
-        (* Churn: many overwrites, so the live set is much smaller than
-           the log. *)
-        for i = 0 to 49 do
-          let key = Printf.sprintf "k%d" (i mod 5) in
-          let value = Bytes.of_string (string_of_int i) in
-          Kvstore.set kv ~key ~value;
-          Aof.log_set log ~key ~value
-        done;
-        Aof.close log;
-        let vfs = Kernel.vfs (Os.kernel os) in
-        let before = Vfs.size vfs "/c.aof" in
-        ignore (Aof.bgrewrite api kv ~path:"/c.aof");
-        let after = Vfs.size vfs "/c.aof" in
-        (* Rewritten log is much smaller and replays to the same state. *)
-        let kv2_ok =
-          let fresh = Kvstore.create api ~buckets:64 () in
-          (* note: fresh store steals the GOT slot; fine inside one test *)
-          let applied, clean = Aof.replay api fresh ~path:"/c.aof" in
-          applied = 5 && clean
-          && List.for_all
-               (fun i ->
-                 let key = Printf.sprintf "k%d" i in
-                 Kvstore.get fresh ~key = Kvstore.get kv ~key)
-               [ 0; 1; 2; 3; 4 ]
-        in
-        after < before / 3 && kv2_ok)
-  in
-  Alcotest.(check bool) "bgrewrite compacts and preserves" true ok
-
-let test_aof_rewrite_snapshot_isolated () =
-  (* Parent mutates while the rewrite child walks its snapshot: the
-     rewritten log reflects the fork instant. *)
-  let ok =
-    run_os ~cores:1 (fun os api ->
-        let kv = Kvstore.create api () in
-        Kvstore.set kv ~key:"k" ~value:(Bytes.of_string "old");
-        ignore
-          (api.Api.fork (fun capi ->
-               let kv' = Kvstore.open_ capi in
-               let log = Aof.open_log capi ~path:"/s.aof.rw" in
-               Kvstore.iter kv' (fun ~key ~value_len:_ ~read_value ->
-                   Aof.log_set log ~key ~value:(read_value ()));
-               Aof.close log;
-               capi.Api.rename ~src:"/s.aof.rw" ~dst:"/s.aof";
-               capi.Api.exit 0));
-        Kvstore.set kv ~key:"k" ~value:(Bytes.of_string "new");
-        ignore (api.Api.wait ());
-        let vfs = Kernel.vfs (Os.kernel os) in
-        let contents = Vfs.contents vfs "/s.aof" in
-        (* The log must carry the fork-instant value. *)
-        let has_old = ref false and has_new = ref false in
-        for i = 0 to String.length contents - 3 do
-          if String.sub contents i 3 = "old" then has_old := true;
-          if String.sub contents i 3 = "new" then has_new := true
-        done;
-        !has_old && not !has_new)
-  in
-  Alcotest.(check bool) "rewrite sees fork-instant state" true ok
-
 let test_pipe_throughput_positive () =
   let rate =
     run_os ~image:Image.hello (fun _os api ->
@@ -884,10 +781,6 @@ let suite =
     qt prop_checksum_matches_byte_loop;
     ("rdb checksum lane carry", `Quick, test_checksum_lane_carry);
     ("dump check rejects bad dumps", `Quick, test_dump_matches);
-    ("aof roundtrip", `Quick, test_aof_roundtrip);
-    ("aof truncated tail", `Quick, test_aof_truncated_tail);
-    ("aof bgrewrite compacts", `Quick, test_aof_bgrewrite_compacts);
-    ("aof rewrite snapshot", `Quick, test_aof_rewrite_snapshot_isolated);
     ("pipe throughput", `Quick, test_pipe_throughput_positive);
     ("mpy float_operation value", `Quick, test_mpy_float_operation_value);
     ("mpy charges cycles", `Quick, test_mpy_charges_cycles);

@@ -12,6 +12,7 @@ module Rules = Ufork_lint_core.Lint_rules
 module Lint = Ufork_lint_core.Lint_engine
 module Lockdep = Ufork_lint_core.Lockdep
 module Capflow = Ufork_lint_core.Capflow
+module Exports = Ufork_lint_core.Exports
 
 let fixture_dir =
   (* cwd is test/ under [dune runtest], the project root under
@@ -71,6 +72,41 @@ let capflow_seeded =
     ("fixture_stale_d13.ml", "D13");
   ]
 
+(* D14 reads several files at once, so its cases are small trees built
+   with [Lint.of_sources]: lib/workload/m.mli exports, m.ml defines, and
+   the other files reference. Each seeds exactly one finding, whose
+   message names the case; m.ml's own call of [M.other] never counts. *)
+let m_ml = "let other x = x + 1\nlet used x = M.other x\n"
+
+let d14_tree ?(intf = "val used : int -> int\nval other : int -> int\n")
+    callers =
+  Lint.of_sources
+    (("lib/workload/m.mli", intf) :: ("lib/workload/m.ml", m_ml) :: callers)
+
+let exports_seeded =
+  let bin_calls_used = ("bin/main.ml", "let () = ignore (M.used 1)") in
+  let seam_intf =
+    "val used : int -> int\nval other : int -> int [@@ufork.test_seam]\n"
+  in
+  [
+    ( "nothing outside its module",
+      d14_tree [ bin_calls_used; ("lib/workload/n.ml", "let f = M.used") ] );
+    ( "only test/ references it",
+      d14_tree
+        [
+          bin_calls_used;
+          ("test/test_m.ml", "let () = ignore (Ufork_workload.M.other 1)");
+        ] );
+    ( "examples/demo.ml references it: drop the mark",
+      d14_tree ~intf:seam_intf
+        [
+          bin_calls_used;
+          ("examples/demo.ml", "let () = ignore (M.other 1)");
+          ("test/test_m.ml", "let () = ignore (M.other 1)");
+        ] );
+    ("no test references it", d14_tree ~intf:seam_intf [ bin_calls_used ]);
+  ]
+
 let test_seeded () =
   List.iter
     (fun (file, expected) ->
@@ -93,6 +129,21 @@ let test_capflow_seeded () =
         (ids (capflow_lint file)))
     capflow_seeded
 
+let contains ~needle hay =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let test_exports_seeded () =
+  List.iter
+    (fun (why, prog) ->
+      match Exports.check prog with
+      | [ f ] ->
+          Alcotest.(check string) why "D14" f.Lint.rule.Rules.id;
+          Alcotest.(check bool) why true (contains ~needle:why f.Lint.message)
+      | fs -> Alcotest.failf "%s: %d findings" why (List.length fs))
+    exports_seeded
+
 let test_rule_coverage () =
   (* Every catalogue rule has a seeding fixture: the fixture suite is the
      linter's coverage map. *)
@@ -101,7 +152,8 @@ let test_rule_coverage () =
     (List.sort compare
        (List.map (fun (r : Rules.t) -> r.Rules.id) Rules.all))
     (List.sort_uniq compare
-       (List.map snd (seeded @ lockdep_seeded @ capflow_seeded))
+       (List.map snd (seeded @ lockdep_seeded @ capflow_seeded)
+       @ List.map (fun _ -> "D14") exports_seeded)
     |> List.filter (fun id -> id <> "E0"))
 
 let test_clean_controls () =
@@ -121,7 +173,29 @@ let test_clean_controls () =
      a discharge that really shields satisfy the escape analysis. *)
   Alcotest.(check (list string))
     "fixture_clean_d13.ml" []
-    (ids (capflow_lint "fixture_clean_d13.ml"))
+    (ids (capflow_lint "fixture_clean_d13.ml"));
+  (* Every export reached from outside its module — directly, through a
+     module alias, a local module alias or an open, from examples/ — and
+     a marked seam only test/ calls satisfy the unused-export rule. *)
+  Alcotest.(check (list string))
+    "D14 tree" []
+    (ids
+       (Exports.check
+          (d14_tree
+             ~intf:
+               "val used : int -> int\nval other : int -> int\n\
+                val third : int -> int\nval fourth : int -> int\n\
+                val seam : int -> int [@@ufork.test_seam]\n"
+             [
+               ( "bin/main.ml",
+                 "module W = Ufork_workload.M\n\
+                  let a = W.used 1\n\
+                  let b = let module L = Ufork_workload.M in L.other 1\n\
+                  open Ufork_workload.M\n\
+                  let c = third 1\n" );
+               ("examples/demo.ml", "let d = Ufork_workload.M.fourth 1");
+               ("test/test_m.ml", "let e = M.seam 1");
+             ])))
 
 let test_exemptions () =
   (* The same source is innocent in the module that owns the mechanism:
@@ -160,11 +234,6 @@ let test_finding_location () =
       Alcotest.(check string) "file" "lib/workload/fx.ml" f.Lint.file;
       Alcotest.(check int) "line" 4 f.Lint.line
   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
-
-let contains ~needle hay =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
 
 let test_json () =
   let fs = lint "fixture_d8.ml" in
@@ -259,6 +328,8 @@ let suite =
       test_lockdep_seeded;
     Alcotest.test_case "cap-escape fixtures seed exactly D13" `Quick
       test_capflow_seeded;
+    Alcotest.test_case "unused-export trees seed exactly D14" `Quick
+      test_exports_seeded;
     Alcotest.test_case "lock-order graph export" `Quick test_lock_graph;
     Alcotest.test_case "fixtures cover the catalogue" `Quick
       test_rule_coverage;

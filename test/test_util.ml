@@ -1,54 +1,10 @@
 (* Unit + property tests for Ufork_util. *)
 
-module Stats = Ufork_util.Stats
 module Prng = Ufork_util.Prng
-module Bitset = Ufork_util.Bitset
 module Units = Ufork_util.Units
 module Table = Ufork_util.Table
 
 let feq ?(eps = 1e-9) a b = Float.abs (a -. b) < eps
-
-(* --- Stats --- *)
-
-let test_mean () =
-  Alcotest.(check bool) "mean" true (feq (Stats.mean [ 1.; 2.; 3. ]) 2.);
-  Alcotest.check_raises "empty mean" (Invalid_argument "Stats.mean: empty")
-    (fun () -> ignore (Stats.mean []))
-
-let test_stddev () =
-  Alcotest.(check bool) "constant" true (feq (Stats.stddev [ 5.; 5.; 5. ]) 0.);
-  (* sample stddev of 2,4,4,4,5,5,7,9 = ~2.138 *)
-  let s = Stats.stddev [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ] in
-  Alcotest.(check bool) "known value" true (Float.abs (s -. 2.138) < 0.01)
-
-let test_percentile () =
-  let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
-  Alcotest.(check bool) "p50" true (feq (Stats.percentile 50. xs) 50.);
-  Alcotest.(check bool) "p100" true (feq (Stats.percentile 100. xs) 100.);
-  Alcotest.(check bool) "p1" true (feq (Stats.percentile 1. xs) 1.)
-
-let test_summary () =
-  let s = Stats.summary [ 3.; 1.; 2. ] in
-  Alcotest.(check int) "n" 3 s.Stats.n;
-  Alcotest.(check bool) "min" true (feq s.Stats.min 1.);
-  Alcotest.(check bool) "max" true (feq s.Stats.max 3.);
-  Alcotest.(check bool) "median" true (feq s.Stats.median 2.)
-
-let test_speedup () =
-  Alcotest.(check bool) "2x" true
-    (feq (Stats.speedup ~baseline:10. 5.) 2.);
-  Alcotest.(check bool) "rel" true
-    (feq (Stats.relative_change ~baseline:10. 15.) 0.5)
-
-let prop_percentile_bounds =
-  QCheck.Test.make ~name:"percentile within min/max" ~count:200
-    QCheck.(pair (list_of_size Gen.(1 -- 50) (float_bound_exclusive 1000.))
-              (float_bound_inclusive 100.))
-    (fun (xs, p) ->
-      QCheck.assume (xs <> []);
-      let v = Stats.percentile p xs in
-      v >= List.fold_left min infinity xs
-      && v <= List.fold_left max neg_infinity xs)
 
 (* --- Prng --- *)
 
@@ -85,69 +41,13 @@ let prop_prng_int_in =
       let v = Prng.int_in g ~lo ~hi:(lo + span) in
       v >= lo && v <= lo + span)
 
-let test_prng_exponential_positive () =
-  let g = Prng.create ~seed:3L in
-  for _ = 1 to 100 do
-    Alcotest.(check bool) "positive" true (Prng.exponential g ~mean:5. >= 0.)
-  done
-
-let test_prng_shuffle_permutation () =
-  let g = Prng.create ~seed:11L in
-  let a = Array.init 50 (fun i -> i) in
-  Prng.shuffle g a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 50 (fun i -> i)) sorted
-
-(* --- Bitset --- *)
-
-let test_bitset_basic () =
-  let b = Bitset.create 100 in
-  Alcotest.(check int) "empty" 0 (Bitset.count b);
-  Bitset.set b 0;
-  Bitset.set b 99;
-  Bitset.set b 42;
-  Alcotest.(check int) "count" 3 (Bitset.count b);
-  Alcotest.(check bool) "get" true (Bitset.get b 42);
-  Bitset.clear b 42;
-  Alcotest.(check bool) "cleared" false (Bitset.get b 42);
-  Alcotest.(check bool) "any" true (Bitset.any b);
-  Bitset.clear_all b;
-  Alcotest.(check bool) "none" false (Bitset.any b)
-
-let test_bitset_bounds () =
-  let b = Bitset.create 8 in
-  Alcotest.check_raises "oob" (Invalid_argument "Bitset: index out of bounds")
-    (fun () -> Bitset.set b 8)
-
-let prop_bitset_count_iter =
-  QCheck.Test.make ~name:"bitset count = |iter_set|" ~count:200
-    QCheck.(list_of_size Gen.(0 -- 64) (int_range 0 199))
-    (fun idxs ->
-      let b = Bitset.create 200 in
-      List.iter (Bitset.set b) idxs;
-      let seen = ref [] in
-      Bitset.iter_set b (fun i -> seen := i :: !seen);
-      List.length !seen = Bitset.count b
-      && List.sort_uniq compare idxs = List.sort compare !seen)
-
-let test_bitset_copy () =
-  let a = Bitset.create 64 and b = Bitset.create 64 in
-  Bitset.set a 3;
-  Bitset.set a 63;
-  Bitset.copy_into ~src:a ~dst:b;
-  Alcotest.(check bool) "copied" true (Bitset.get b 3 && Bitset.get b 63);
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Bitset.copy_into: length") (fun () ->
-      Bitset.copy_into ~src:a ~dst:(Bitset.create 32))
-
 (* --- Units --- *)
 
 let test_units_roundtrip () =
-  Alcotest.(check int64) "1 us at 2.5GHz" 2500L (Units.cycles_of_us 1.);
+  Alcotest.(check bool) "2500 cycles = 1 us at 2.5GHz" true
+    (feq (Units.us_of_cycles 2500L) 1.);
   Alcotest.(check bool) "roundtrip" true
-    (feq ~eps:1e-6 (Units.us_of_cycles (Units.cycles_of_us 54.)) 54.);
-  Alcotest.(check int) "kib" 4096 (Units.kib 4);
+    (feq ~eps:1e-9 (Units.s_of_cycles (Units.cycles_of_s 0.054)) 0.054);
   Alcotest.(check bool) "mb" true (feq (Units.mb_of_bytes 6_000_000) 6.)
 
 (* --- Table --- *)
@@ -166,32 +66,18 @@ let test_table_render () =
   | [] -> Alcotest.fail "no lines"
 
 let test_table_fmt () =
-  Alcotest.(check string) "f2" "3.14" (Table.fmt_f 3.14159);
-  Alcotest.(check string) "si k" "1.50 k" (Table.fmt_si 1500.);
-  Alcotest.(check string) "si u" "12.00 u" (Table.fmt_si 1.2e-5)
+  Alcotest.(check string) "f2" "3.14" (Table.fmt_f 3.14159)
 
 let qt = QCheck_alcotest.to_alcotest
 
 let suite =
   [
-    ("stats mean", `Quick, test_mean);
-    ("stats stddev", `Quick, test_stddev);
-    ("stats percentile", `Quick, test_percentile);
-    ("stats summary", `Quick, test_summary);
-    ("stats speedup", `Quick, test_speedup);
     ("prng determinism", `Quick, test_prng_determinism);
     ("prng seeds differ", `Quick, test_prng_seed_sensitivity);
     ("prng copy", `Quick, test_prng_copy);
-    ("prng exponential", `Quick, test_prng_exponential_positive);
-    ("prng shuffle", `Quick, test_prng_shuffle_permutation);
-    ("bitset basic", `Quick, test_bitset_basic);
-    ("bitset bounds", `Quick, test_bitset_bounds);
-    ("bitset copy", `Quick, test_bitset_copy);
     ("units", `Quick, test_units_roundtrip);
     ("table render", `Quick, test_table_render);
     ("table fmt", `Quick, test_table_fmt);
-    qt prop_percentile_bounds;
     qt prop_prng_int_bound;
     qt prop_prng_int_in;
-    qt prop_bitset_count_iter;
   ]

@@ -6,11 +6,13 @@
    strings are invisible by construction — the grep lint's false
    positives — and module aliases and opens are resolved, closing its
    false negatives: [module E = Engine; E.advance n] is a D1 finding,
-   [(* Engine.advance *)] is not. Interfaces carry no expressions, so
-   they are parsed only to report a file that does not parse (E0). The
-   per-file rules (D1-D9, D11, D12) below, the lock-order analysis
+   [(* Engine.advance *)] is not. Interfaces carry no expressions: their
+   top-level [val]s are kept for the unused-export rule (Exports, D14).
+   The per-file rules (D1-D9, D11, D12) below, the lock-order analysis
    (Lockdep, D10) and the capability-escape analysis (Capflow, D13) all
-   read the same parsed [source]s.
+   read the same parsed [source]s. The files under test/, perfbench/ and
+   examples/ are parsed too, but only as reference sources: D14 counts
+   their uses of lib/'s exports, and no rule lints them.
 
    Resolution model (deliberately syntactic — no typing pass):
    - module aliases are tracked file-globally and substituted at the
@@ -101,7 +103,8 @@ let open_of (od : open_declaration) =
   | _ -> None
 
 (* Aliases and opens are collected file-globally, so a [module E =
-   Engine] at the bottom still resolves uses above. *)
+   Engine] at the bottom still resolves uses above, and a local
+   [let module E = Engine in] resolves throughout the file. *)
 let scope_of (str : structure) =
   let aliases = ref [] and opens = ref [] in
   let open Ast_iterator in
@@ -112,6 +115,16 @@ let scope_of (str : structure) =
         (fun it mb ->
           Option.iter (fun a -> aliases := a :: !aliases) (alias_of mb);
           default_iterator.module_binding it mb);
+      expr =
+        (fun it e ->
+          (match e.pexp_desc with
+          | Pexp_letmodule
+              ( { txt = Some name; _ },
+                { pmod_desc = Pmod_ident { txt; _ }; _ },
+                _ ) ->
+              aliases := (name, Longident.flatten txt) :: !aliases
+          | _ -> ());
+          default_iterator.expr it e);
       open_declaration =
         (fun it od ->
           Option.iter (fun o -> opens := o :: !opens) (open_of od);
@@ -148,9 +161,14 @@ type source = {
   tops : Names.t;  (* the names its top-level value bindings define *)
 }
 
+(* A linted interface: its path and its top-level [val]s. *)
+type interface = { i_path : string; vals : value_description list }
+
 type program = {
   files : string list;  (* every file linted, .ml and .mli *)
   sources : source list;  (* the .ml files that parse, in [files] order *)
+  interfaces : interface list;  (* the .mli files that parse *)
+  refs : source list;  (* the reference-only .ml files that parse *)
   parse_errors : finding list;  (* E0, one per file that does not parse *)
   modules : (string, source list) Hashtbl.t;  (* module name -> files *)
 }
@@ -189,7 +207,16 @@ let parse_error path exn =
   in
   { rule = Lint_rules.parse_error; file = path; line = 1; col = 0; message }
 
-(* [files] pairs each repo-relative path with its text. *)
+type parsed = Impl of source | Intf of interface
+
+let top_vals sg =
+  List.filter_map
+    (fun item ->
+      match item.psig_desc with Psig_value vd -> Some vd | _ -> None)
+    sg
+
+(* [files] pairs each repo-relative path with its text; a path under a
+   reference root (Lint_rules.reference_only) is a reference source. *)
 let of_sources files =
   let parsed =
     List.map
@@ -197,18 +224,21 @@ let of_sources files =
         let lexbuf = Lexing.from_string text in
         Lexing.set_filename lexbuf path;
         match
-          if Filename.check_suffix path ".mli" then (
-            ignore (Parse.interface lexbuf);
-            None)
-          else Some (Parse.implementation lexbuf)
+          if Filename.check_suffix path ".mli" then
+            Intf { i_path = path; vals = top_vals (Parse.interface lexbuf) }
+          else Impl (source path (Parse.implementation lexbuf))
         with
-        | str -> Ok (Option.map (source path) str)
+        | p -> Ok p
         | exception exn -> Error (parse_error path exn))
       files
   in
-  let sources =
-    List.filter_map (function Ok s -> s | Error _ -> None) parsed
+  let linted path = not (Lint_rules.reference_only path) in
+  let impls ~linted:l =
+    List.filter_map
+      (function Ok (Impl s) when linted s.path = l -> Some s | _ -> None)
+      parsed
   in
+  let sources = impls ~linted:true in
   let modules = Hashtbl.create 64 in
   List.iter
     (fun s ->
@@ -216,8 +246,13 @@ let of_sources files =
         (s :: Option.value ~default:[] (Hashtbl.find_opt modules s.modname)))
     sources;
   {
-    files = List.map fst files;
+    files = List.filter linted (List.map fst files);
     sources;
+    interfaces =
+      List.filter_map
+        (function Ok (Intf i) when linted i.i_path -> Some i | _ -> None)
+        parsed;
+    refs = impls ~linted:false;
     parse_errors =
       List.filter_map (function Error f -> Some f | Ok _ -> None) parsed;
     modules;
@@ -230,22 +265,29 @@ let read_file fn =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Every .ml/.mli under root/{lib,bin,bench,tools}, repo-relative,
-   sorted — tools/ included so the linter self-hosts. *)
+   sorted — tools/ included so the linter self-hosts — then the
+   reference sources under root/{test,perfbench,examples}. The lint
+   fixtures are left out: they misuse the kernel on purpose, and one
+   does not parse. *)
 let tree_files root =
   let acc = ref [] in
   let rec walk rel =
     let abs = Filename.concat root rel in
-    if Sys.is_directory abs then
-      Array.iter
-        (fun entry -> walk (Filename.concat rel entry))
-        (Sys.readdir abs)
+    if Sys.is_directory abs then begin
+      if rel <> "test/lint_fixtures" then
+        Array.iter
+          (fun entry ->
+            if entry.[0] <> '_' && entry.[0] <> '.' then
+              walk (Filename.concat rel entry))
+          (Sys.readdir abs)
+    end
     else if
       Filename.check_suffix rel ".ml" || Filename.check_suffix rel ".mli"
     then acc := rel :: !acc
   in
   List.iter
     (fun d -> if Sys.file_exists (Filename.concat root d) then walk d)
-    [ "lib"; "bin"; "bench"; "tools" ];
+    (Lint_rules.linted_roots @ Lint_rules.reference_roots);
   List.sort compare !acc
 
 let load root =

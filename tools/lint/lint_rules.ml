@@ -8,7 +8,7 @@
    the mechanism", never a blanket opt-out. *)
 
 type t = {
-  id : string;  (* stable short id: "D1".."D13", "E0" *)
+  id : string;  (* stable short id: "D1".."D14", "E0" *)
   name : string;  (* kebab-case slug *)
   severity : string;  (* "critical" | "error" — mirrors Invariant.severity *)
   summary : string;  (* one line, shown next to findings *)
@@ -20,9 +20,18 @@ let under prefix path = String.length path >= String.length prefix
 
 (* tools/ is scanned too: the linter self-hosts, so the lint and
    capflow code obeys its own D-rules. *)
+let linted_roots = [ "lib"; "bin"; "bench"; "tools" ]
+
 let in_scanned path =
-  under "lib/" path || under "bin/" path || under "bench/" path
-  || under "tools/" path
+  List.exists (fun root -> under (root ^ "/") path) linted_roots
+
+(* Read only for their references to lib/'s exports (D14): the tests,
+   the host benchmark and the examples call the program, and no rule
+   lints them. *)
+let reference_roots = [ "test"; "perfbench"; "examples" ]
+
+let reference_only path =
+  List.exists (fun root -> under (root ^ "/") path) reference_roots
 
 (* {1 The catalogue} *)
 
@@ -219,6 +228,20 @@ let capflow =
     applies = (fun p -> in_scanned p && not (under "lib/cheri/" p));
   }
 
+let unused_export =
+  {
+    id = "D14";
+    name = "unused-export";
+    severity = "error";
+    summary =
+      "a top-level val of a lib/ interface must have a caller outside its \
+       own module in lib/, bin/, bench/, tools/, perfbench/ or examples/; \
+       an export only test/ calls carries [@@ufork.test_seam] — the mark \
+       is checked and must name a value that tests, and only tests, \
+       reference — so code nothing calls cannot grow back";
+    applies = (fun p -> under "lib/" p && Filename.check_suffix p ".mli");
+  }
+
 let parse_error =
   {
     id = "E0";
@@ -232,7 +255,7 @@ let all =
   [
     charging; page_copy; fork_dup; gauge_key; wall_clock; hashtbl_order;
     poly_compare; obj_magic; biglock; lockdep; string_keyed_emission;
-    hb_publish; capflow;
+    hb_publish; capflow; unused_export;
   ]
 
 (* {1 Catalogue rendering}
