@@ -17,7 +17,7 @@ let window_s = 0.5
 let run_ufork ~workers =
   let os = Os.boot ~cores:1 () in
   Httpd.populate_docroot (Kernel.vfs (Os.kernel os));
-  let net = Httpd.Net.create () in
+  let net = Httpd.Net.create (Os.engine os) in
   let window = Units.cycles_of_s window_s in
   let u =
     Os.start os ~image:Image.nginx (fun api ->
@@ -29,7 +29,7 @@ let run_ufork ~workers =
   let p = Httpd.Net.listen_pipe net in
   ignore (Fdesc.Fdtable.alloc u.Uproc.fds (Fdesc.Pipe_read p));
   ignore (Fdesc.Fdtable.alloc u.Uproc.fds (Fdesc.Pipe_write p));
-  Httpd.Net.spawn_clients (Os.engine os) net ~connections:16
+  Httpd.Net.spawn_clients net ~connections:16
     ~window_cycles:window;
   Os.run os;
   float_of_int (Httpd.Net.stats net).Httpd.Net.completed /. window_s

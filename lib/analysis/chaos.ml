@@ -379,7 +379,8 @@ let acquire_shards_descending k =
 let stall_shard k =
   match (Kernel.locks k).Kernel.pt_shards.(0) with
   | Some shard ->
-      Sync.Rlock.with_lock shard (fun () -> Engine.sleep 150_000L)
+      Sync.Rlock.with_lock shard (fun () ->
+          Engine.sleep (Kernel.engine k) 150_000L)
   | None -> ()
 
 let injections =
@@ -422,7 +423,7 @@ let injections =
              its GOT. *)
           rogue k "chaos-leak-root" (fun () ->
               let rec attempt budget =
-                Engine.sleep 500L;
+                Engine.sleep (Kernel.engine k) 500L;
                 if (not (Kernel.chaos_leak_root k)) && budget > 0 then
                   attempt (budget - 1)
               in
@@ -443,7 +444,7 @@ let injections =
              gauge every fork also writes, from a thread that takes no
              lock. With the big lock gone nothing orders it. *)
           rogue k "chaos-unlocked" (fun () ->
-              Engine.sleep 1_000L;
+              Engine.sleep (Kernel.engine k) 1_000L;
               Trace.gauge (Kernel.trace k) Trace.last_fork_latency_key 0));
     };
     {

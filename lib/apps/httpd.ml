@@ -27,15 +27,17 @@ module Net = struct
   type stats = { mutable completed : int; mutable sent : int }
 
   type t = {
+    engine : Engine.t;
     pipe : Pipe.t;
     waiting : (int, Engine.waker) Hashtbl.t;
     mutable next_id : int;
     stats : stats;
   }
 
-  let create () =
+  let create engine =
     {
-      pipe = Pipe.create ();
+      engine;
+      pipe = Pipe.create ~engine ();
       waiting = Hashtbl.create 64;
       next_id = 0;
       stats = { completed = 0; sent = 0 };
@@ -48,7 +50,7 @@ module Net = struct
     match Hashtbl.find_opt t.waiting id with
     | Some w ->
         Hashtbl.remove t.waiting id;
-        Engine.wake w
+        Engine.wake t.engine w
     | None -> ()
 
   (* Push a request descriptor into the accept queue from the NIC side
@@ -62,19 +64,20 @@ module Net = struct
         Sync.Cond.wait (Pipe.writable t.pipe);
         nic_push t b
 
-  let spawn_clients engine t ~connections ~window_cycles =
+  let spawn_clients t ~connections ~window_cycles =
     if connections <= 0 then invalid_arg "spawn_clients";
     let deadline = window_cycles in
     for c = 1 to connections do
       ignore
-        (Engine.spawn ~name:(Printf.sprintf "wrk-conn%d" c) engine (fun () ->
+        (Engine.spawn ~name:(Printf.sprintf "wrk-conn%d" c) t.engine (fun () ->
              let rec go () =
                if Engine.current_time () < deadline then begin
                  t.next_id <- t.next_id + 1;
                  let id = t.next_id in
                  t.stats.sent <- t.stats.sent + 1;
                  nic_push t (encode_request id);
-                 Engine.suspend (fun w -> Hashtbl.replace t.waiting id w);
+                 Hashtbl.replace t.waiting id (Engine.waker t.engine);
+                 Engine.park t.engine;
                  if Engine.current_time () <= deadline then
                    t.stats.completed <- t.stats.completed + 1;
                  go ()

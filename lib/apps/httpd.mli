@@ -22,7 +22,9 @@ module Net : sig
 
   type stats = { mutable completed : int; mutable sent : int }
 
-  val create : unit -> t
+  val create : Ufork_sim.Engine.t -> t
+  (** A network whose clients run as threads of the given machine. *)
+
   val listen_pipe : t -> Ufork_sas.Pipe.t
   (** The accept-queue pipe; the benchmark installs its ends as inherited
       file descriptors of the master process before it starts. *)
@@ -34,7 +36,6 @@ module Net : sig
       sent: wakes the owning connection. *)
 
   val spawn_clients :
-    Ufork_sim.Engine.t ->
     t ->
     connections:int ->
     window_cycles:int64 ->

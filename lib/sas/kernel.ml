@@ -410,7 +410,10 @@ let create_uproc t ?parent ?fds ~image () =
     else alloc_area t ~bytes_needed:(Image.area_bytes image)
   in
   let parent_pid = Option.map (fun (p : Uproc.t) -> p.Uproc.pid) parent in
-  let u = Uproc.create ~pid ?parent_pid ~image ~area_base ~pt ?fds () in
+  let u =
+    Uproc.create ~engine:t.engine ~pid ?parent_pid ~image ~area_base ~pt ?fds
+      ()
+  in
   account_private t u ~bytes:t.config.Config.kernel_overhead_bytes;
   (match parent with
   | Some p -> p.Uproc.children <- pid :: p.Uproc.children
@@ -518,9 +521,8 @@ let sys_kill t pid =
       target.Uproc.killed <- true;
       (* If the target sleeps inside a syscall (pipe, wait, ...), wake it
          so the kill is delivered promptly. *)
-      match target.Uproc.kernel_waker with
-      | Some w when Engine.waker_pending w -> Engine.wake w
-      | Some _ | None -> ())
+      let w = target.Uproc.kernel_waker in
+      if Engine.waker_pending t.engine w then Engine.wake t.engine w)
   | Some _ | None -> raise (Api.Sys_error "ESRCH")
 
 (* Checked at every kernel entry and blocking resume: a pending kill turns
@@ -617,32 +619,28 @@ let with_syscall t ?proc ?(bytes = 0) site f =
       Trace.close_span t.trace span;
       Printexc.raise_with_backtrace e bt
 
-let kernel_wait ?proc t cond =
+let kernel_wait t (u : Uproc.t) cond =
   (* Under the BKL, drop one recursion level across the sleep (the
      caller sits at depth 1 inside {!with_syscall}); the sharded kernel
      holds no global lock here, so there is nothing to drop. *)
   Option.iter Sync.Rlock.release t.locks.big;
-  (match proc with
-  | None -> Sync.Cond.wait cond
-  | Some (u : Uproc.t) ->
-      (* An interruptible sleep: the waker sits in the condition's queue
-         and is also reachable by signal delivery. *)
-      Engine.suspend (fun w ->
-          u.Uproc.kernel_waker <- Some w;
-          Sync.Cond.add_waiter cond w);
-      u.Uproc.kernel_waker <- None);
+  (* An interruptible sleep: the waker sits in the condition's queue and
+     in the process's kill slot, where signal delivery finds it. *)
+  let w = Engine.waker t.engine in
+  u.Uproc.kernel_waker <- w;
+  Sync.Cond.add_waiter cond w;
+  Engine.park t.engine;
+  u.Uproc.kernel_waker <- Engine.no_waker;
   (* Waking up is a context switch; on a multi-address-space kernel it also
      switches page tables and flushes the TLB. *)
-  emit ?proc t Event.Context_switch;
-  if t.multi_as then emit ?proc t Event.Address_space_switch;
+  let pid = u.Uproc.pid in
+  Trace.emit t.trace ~pid Event.Context_switch;
+  if t.multi_as then Trace.emit t.trace ~pid Event.Address_space_switch;
   Option.iter Sync.Rlock.acquire t.locks.big;
-  match proc with
-  | Some u ->
-      if u.Uproc.killed && u.Uproc.state = Uproc.Running then
-        (* Terminated while blocked: unwind out of the syscall. The
-           enclosing with_syscall releases the kernel lock on the way. *)
-        raise Killed_signal
-  | None -> ()
+  if u.Uproc.killed && u.Uproc.state = Uproc.Running then
+    (* Terminated while blocked: unwind out of the syscall. The enclosing
+       with_syscall releases the kernel lock on the way. *)
+    raise Killed_signal
 
 (* {1 Faults} *)
 
@@ -819,7 +817,7 @@ let sys_wait t (u : Uproc.t) =
         (child.Uproc.pid, status)
     | None ->
         if u.Uproc.children = [] then raise (Api.Sys_error "ECHILD");
-        kernel_wait ~proc:u t u.Uproc.exited_child;
+        kernel_wait t u u.Uproc.exited_child;
         zombie_child ()
   in
   zombie_child ()
@@ -839,7 +837,7 @@ let sys_close _t (u : Uproc.t) fd =
 
 let sys_pipe t (u : Uproc.t) =
   emit ~proc:u t Event.File_op;
-  let p = Pipe.create () in
+  let p = Pipe.create ~engine:t.engine () in
   let rfd = Fdesc.Fdtable.alloc u.Uproc.fds (Fdesc.Pipe_read p) in
   let wfd = Fdesc.Fdtable.alloc u.Uproc.fds (Fdesc.Pipe_write p) in
   (rfd, wfd)
@@ -850,7 +848,7 @@ let rec pipe_read t u p n =
   | Pipe.Data b -> b
   | Pipe.Eof -> Bytes.empty
   | Pipe.Empty ->
-      kernel_wait ~proc:u t (Pipe.readable p);
+      kernel_wait t u (Pipe.readable p);
       pipe_read t u p n
 
 let rec pipe_write t u p b ~off =
@@ -859,7 +857,7 @@ let rec pipe_write t u p b ~off =
     match Pipe.try_write p ~off b with
     | Pipe.Wrote n -> pipe_write t u p b ~off:(off + n)
     | Pipe.Would_block ->
-        kernel_wait ~proc:u t (Pipe.writable p);
+        kernel_wait t u (Pipe.writable p);
         pipe_write t u p b ~off
     | exception Pipe.Broken_pipe -> raise (Api.Sys_error "EPIPE")
 
@@ -1127,7 +1125,7 @@ and build_api t ?(reloc = fun c -> c) (u : Uproc.t) : Api.t =
     stats_heap_used = (fun () -> Tinyalloc.used_bytes u.Uproc.allocator);
     sleep =
       (fun cycles ->
-        Engine.sleep cycles;
+        Engine.sleep t.engine cycles;
         emit ~proc:u t Event.Context_switch;
         if t.multi_as then emit ~proc:u t Event.Address_space_switch);
     yield =

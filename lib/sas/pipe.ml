@@ -22,15 +22,15 @@ type t = {
 
 let initial_ring = 16
 
-let create ?(capacity = 64 * 1024) () =
+let create ~engine ?(capacity = 64 * 1024) () =
   if capacity <= 0 then invalid_arg "Pipe.create";
   {
     capacity;
     ring = Bytes.create (Int.min capacity initial_ring);
     head = 0;
     len = 0;
-    readable = Sync.Cond.create ();
-    writable = Sync.Cond.create ();
+    readable = Sync.Cond.create ~engine ();
+    writable = Sync.Cond.create ~engine ();
     read_open = true;
     write_open = true;
   }

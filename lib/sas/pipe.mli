@@ -8,8 +8,9 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Default capacity 64 KiB, as on most Unixes. *)
+val create : engine:Ufork_sim.Engine.t -> ?capacity:int -> unit -> t
+(** Default capacity 64 KiB, as on most Unixes. [engine] is the machine
+    whose threads wait on {!readable}/{!writable}. *)
 
 val available : t -> int [@@ufork.test_seam]
 (** Bytes currently buffered. *)

@@ -36,7 +36,7 @@ type t = {
   mutable first_alloc_done : bool;
   mutable forked : bool;
   mutable killed : bool;
-  mutable kernel_waker : Ufork_sim.Engine.waker option;
+  mutable kernel_waker : Ufork_sim.Engine.waker;
 }
 
 let guard = Addr.page_size
@@ -70,7 +70,7 @@ let layout_regions image ~area_base =
     heap_bytes;
   }
 
-let create ~pid ?parent_pid ~image ~area_base ~pt ?fds () =
+let create ~engine ~pid ?parent_pid ~image ~area_base ~pt ?fds () =
   if not (Addr.is_granule_aligned area_base) then
     invalid_arg "Uproc.create: unaligned area base";
   let regions = layout_regions image ~area_base in
@@ -91,12 +91,12 @@ let create ~pid ?parent_pid ~image ~area_base ~pt ?fds () =
     fds = (match fds with Some f -> f | None -> Fdesc.Fdtable.create ());
     state = Running;
     children = [];
-    exited_child = Sync.Cond.create ();
+    exited_child = Sync.Cond.create ~engine ();
     private_bytes = 0;
     first_alloc_done = false;
     forked = false;
     killed = false;
-    kernel_waker = None;
+    kernel_waker = Ufork_sim.Engine.no_waker;
   }
 
 let delta ~parent ~child = child.area_base - parent.area_base

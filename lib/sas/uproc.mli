@@ -49,9 +49,10 @@ type t = {
   mutable killed : bool;
       (** A pending SIGKILL: honoured at the next kernel entry or blocking
           resume (§4.5's per-μprocess signals, minimally). *)
-  mutable kernel_waker : Ufork_sim.Engine.waker option;
+  mutable kernel_waker : Ufork_sim.Engine.waker;
       (** While blocked inside a syscall, the waker that interrupts the
-          wait — how a kill reaches a process sleeping in the kernel. *)
+          wait — how a kill reaches a process sleeping in the kernel;
+          {!Ufork_sim.Engine.no_waker} otherwise. *)
 }
 
 val layout_regions : Image.t -> area_base:int -> regions [@@ufork.test_seam]
@@ -60,6 +61,7 @@ val layout_regions : Image.t -> area_base:int -> regions [@@ufork.test_seam]
     heap. The result fits within {!Image.area_bytes}. *)
 
 val create :
+  engine:Ufork_sim.Engine.t ->
   pid:int ->
   ?parent_pid:int ->
   image:Image.t ->
@@ -68,8 +70,9 @@ val create :
   ?fds:Fdesc.Fdtable.t ->
   unit ->
   t
-(** Builds the record (regions, allocator mirror, fd table); does not map
-    any pages — the kernel does that. *)
+(** Builds the record (regions, allocator mirror, fd table, the
+    child-exit condition on [engine]'s threads); does not map any pages
+    — the kernel does that. *)
 
 val delta : parent:t -> child:t -> int
 (** [child.area_base - parent.area_base]: the relocation displacement. *)

@@ -3,36 +3,35 @@ module Hb = Ufork_util.Hb
 type tid = int
 
 (* Min-heap of pending events keyed by (time, seq), in parallel arrays;
-   seq breaks ties FIFO so the schedule is deterministic. Native-int
-   keys and a preallocated action column keep push and pop
-   allocation-free. *)
+   seq breaks ties FIFO so the schedule is deterministic. The action
+   column says what an event does: a tid [>= 0] ends that thread's
+   advance and resumes it, and [lnot w] (negative) fires the sleep
+   timer of waker [w]. Every column holds native ints, so push, pop and
+   the sifts are plain stores: no closure and no write barrier. *)
 module Heap = struct
   type t = {
     mutable time : int array;
     mutable seq : int array;
-    mutable action : (unit -> unit) array;
+    mutable action : int array;
     mutable len : int;
   }
-
-  let nop () = ()
 
   (* Small at boot (a machine is created per experiment point and many
      never hold more than a few timers); [grow] doubles. *)
   let create () =
     { time = Array.make 16 0; seq = Array.make 16 0;
-      action = Array.make 16 nop; len = 0 }
+      action = Array.make 16 0; len = 0 }
 
   let grow h =
     let n = Array.length h.time in
-    let time = Array.make (2 * n) 0 in
-    Array.blit h.time 0 time 0 n;
-    h.time <- time;
-    let seq = Array.make (2 * n) 0 in
-    Array.blit h.seq 0 seq 0 n;
-    h.seq <- seq;
-    let action = Array.make (2 * n) nop in
-    Array.blit h.action 0 action 0 n;
-    h.action <- action
+    let double a =
+      let b = Array.make (2 * n) 0 in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    h.time <- double h.time;
+    h.seq <- double h.seq;
+    h.action <- double h.action
 
   let move h ~src ~dst =
     h.time.(dst) <- h.time.(src);
@@ -59,13 +58,13 @@ module Heap = struct
 
   (* No event at or before [target]? *)
   let min_time_exceeds h target = h.len = 0 || h.time.(0) > target
+  [@@inline]
 
   (* Drop the top entry; callers read [time.(0)]/[action.(0)] first. *)
   let pop h =
     let n = h.len - 1 in
     h.len <- n;
     let time = h.time.(n) and seq = h.seq.(n) and action = h.action.(n) in
-    h.action.(n) <- nop;
     if n > 0 then begin
       let i = ref 0 in
       let continue = ref true in
@@ -96,16 +95,50 @@ module Heap = struct
     end
 end
 
-(* What a ready thread resumes into: its initial body or a suspended
-   continuation. *)
-type resume =
-  | Start of (unit -> unit)
-  | Cont of (unit, unit) Effect.Deep.continuation
+(* A waker is the parked thread's tid in the low [tid_bits] bits and its
+   park count above them: unique over the engine's life, since tids are
+   never reused and a thread's count only grows, so a used or stale
+   waker can never match a later park — of its own thread or of any
+   other. *)
+type waker = int
+
+let tid_bits = 30
+let tid_mask = (1 lsl tid_bits) - 1
+let no_waker = -1
+
+type _ Effect.t +=
+  | Advance : unit Effect.t
+  | Yield : unit Effect.t
+  | Park : unit Effect.t
+  | Get_time : int64 Effect.t
+  | Get_tid : tid Effect.t
+  | Get_core : int Effect.t
+  | Never : unit Effect.t
+
+(* The [cont] of a thread that has not run yet: a continuation captured
+   once at module initialisation and never resumed, so a thread record
+   needs no option box around the continuation it resumes. *)
+let not_started : (unit, unit) Effect.Deep.continuation =
+  let k : (unit, unit) Effect.Deep.continuation option ref = ref None in
+  Effect.Deep.match_with Effect.perform Never
+    {
+      retc = ignore;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Never ->
+              Some
+                (fun (c : (a, unit) Effect.Deep.continuation) -> k := Some c)
+          | _ -> None);
+    };
+  Option.get !k
 
 type thread = {
   tid : tid;
   name : string;
   affinity : int; (* the pinned core, or -1 *)
+  body : unit -> unit; (* what the first dispatch runs *)
   mutable home : int;
       (* The core this thread was last dispatched to (initially tid mod
          cores): where an unpinned ready entry asks to run before the
@@ -113,12 +146,29 @@ type thread = {
   mutable cur_core : int;
       (* The core the thread occupies, or -1; threads migrate across
          yields, so handlers read this rather than close over a core. *)
-  mutable resume : resume;
-      (* Set whenever the thread leaves its core or starts an advance:
-         what the next dispatch or advance completion resumes. *)
+  mutable cont : (unit, unit) Effect.Deep.continuation;
+      (* What the next dispatch or advance completion resumes:
+         [not_started] until the first dispatch, then set whenever the
+         thread leaves its core or starts a scheduled advance. *)
   mutable stamp : int; (* ready-sequence stamp while queued *)
-  mutable advance_by : int; (* cycles of the advance being handled *)
+  mutable parks : int; (* parks so far: the high half of its wakers *)
+  mutable waker : waker; (* the waker it is parked on, or [no_waker] *)
 }
+
+(* The filler of every free slot of a thread table. *)
+let no_thread =
+  {
+    tid = -1;
+    name = "";
+    affinity = -1;
+    body = ignore;
+    home = 0;
+    cur_core = -1;
+    cont = not_started;
+    stamp = 0;
+    parks = 0;
+    waker = no_waker;
+  }
 
 type t = {
   busy : bool array; (* per core *)
@@ -130,11 +180,15 @@ type t = {
          cycles is decades of simulated time); the API converts to
          int64 at the edges. *)
   mutable seq : int;
-  unpinned : thread Queue.t;
-      (* Unpinned ready threads in stamp order; each runs on its home
-         core when idle, else on the first idle core above it. *)
-  pinned : thread Queue.t array;
-      (* Per core: ready threads pinned to it, in stamp order. *)
+  mutable threads : thread array;
+      (* Live threads by tid; a finished thread's slot goes back to
+         [no_thread], so the table keeps no body or continuation alive.
+         The heap, the ready FIFOs and the wakers name threads by tid. *)
+  unpinned : Intq.t;
+      (* Unpinned ready tids in stamp order; each runs on its home core
+         when idle, else on the first idle core above it. *)
+  pinned : Intq.t array;
+      (* Per core: ready tids pinned to it, in stamp order. *)
   mutable pinned_count : int;
   mutable ready_seq : int;
   mutable ready_count : int;
@@ -163,60 +217,30 @@ type t = {
          passing time inline over it would shift where it resumes. *)
   mutable running_tid : tid;
   mutable running_core : int;
-  mutable running_name : string;
       (* The thread currently executing host code on this engine, or
-         (-1, -1, "") between threads. Plain fields mirroring
-         Get_tid/Get_core and the thread's name, so the per-event
-         accounting path can read them without an effect dispatch.
-         Saved and restored around every resume: a running thread that
-         calls [wake] can dispatch a nested [exec] on an idle core, so
-         plain reset to -1 would clobber the outer thread's identity. *)
+         (-1, -1) between threads. Plain fields mirroring Get_tid and
+         Get_core, so the per-event accounting path can read them
+         without an effect dispatch; the effect handlers read the
+         performing thread from them too. Saved and restored around
+         every resume: a running thread that calls [wake] can dispatch
+         a nested [exec] on an idle core, so plain reset to -1 would
+         clobber the outer thread's identity. *)
+  mutable advance_by : int;
+      (* The cycles of the advance being performed: [advance] sets it
+         just before performing the constant [Advance] effect. *)
+  mutable handler : (unit, unit) Effect.Deep.handler;
+      (* One handler for every thread of the engine, built once. *)
 }
-
-type waker = { engine : t; thread : thread; mutable pending : bool }
 
 (* Cap on nested inline-advance resumes (see [inline_depth]): deep
    enough that single-threaded stretches almost never fall back, shallow
    enough that the native stack stays bounded. *)
 let max_inline_depth = 1024
-
-type _ Effect.t +=
-  | Advance : int64 -> unit Effect.t
-  | Yield : unit Effect.t
-  | Suspend : (waker -> unit) -> unit Effect.t
-  | Get_time : int64 Effect.t
-  | Get_tid : tid Effect.t
-  | Get_core : int Effect.t
-
 let max_cores = 1024
 
-let create ?(cores = 4) () =
-  if cores <= 0 then invalid_arg "Engine.create: cores <= 0";
-  if cores > max_cores then invalid_arg "Engine.create: cores > 1024";
-  {
-    busy = Array.make cores false;
-    idle = cores;
-    events = Heap.create ();
-    now = 0;
-    advanced = 0;
-    seq = 0;
-    unpinned = Queue.create ();
-    pinned = Array.init cores (fun _ -> Queue.create ());
-    pinned_count = 0;
-    ready_seq = 0;
-    ready_count = 0;
-    steals = 0;
-    live = 0;
-    blocked = 0;
-    next_tid = 0;
-    in_event = false;
-    until_limit = max_int;
-    inline_depth = 0;
-    active_resumes = 0;
-    running_tid = -1;
-    running_core = -1;
-    running_name = "";
-  }
+(* The placeholder until [create] installs the engine's own handler. *)
+let no_handler : (unit, unit) Effect.Deep.handler =
+  { retc = ignore; exnc = raise; effc = (fun _ -> None) }
 
 let cores t = Array.length t.busy
 let now t = Int64.of_int t.now
@@ -226,20 +250,28 @@ let blocked_threads t = t.blocked
 let steals t = t.steals
 let running_tid t = t.running_tid
 let running_core t = t.running_core
-let running_name t = t.running_name
 
-(* Enqueue a ready thread (its [resume] already set): on its core's
-   pinned FIFO when pinned, on the unpinned FIFO otherwise. The global
-   ready-seq stamp orders entries across the FIFOs: dispatch runs them
-   in stamp order. *)
+let running_name t =
+  if t.running_tid < 0 then "" else t.threads.(t.running_tid).name
+
+(* The thread running on this engine, for the operations only a thread
+   may perform. *)
+let running t what =
+  if t.running_tid < 0 then invalid_arg (what ^ ": no running thread");
+  t.threads.(t.running_tid)
+
+(* Enqueue a ready thread (its [cont] already set, or not started): on
+   its core's pinned FIFO when pinned, on the unpinned FIFO otherwise.
+   The global ready-seq stamp orders entries across the FIFOs: dispatch
+   runs them in stamp order. *)
 let make_ready t thread =
   t.ready_seq <- t.ready_seq + 1;
   thread.stamp <- t.ready_seq;
   if thread.affinity >= 0 then begin
-    Queue.push thread t.pinned.(thread.affinity);
+    Intq.push t.pinned.(thread.affinity) thread.tid;
     t.pinned_count <- t.pinned_count + 1
   end
-  else Queue.push thread t.unpinned;
+  else Intq.push t.unpinned thread.tid;
   t.ready_count <- t.ready_count + 1
 
 let schedule t time action =
@@ -253,9 +285,17 @@ let release_core t thread =
   t.idle <- t.idle + 1;
   thread.cur_core <- -1
 
+(* A thread's last step, returning or raising: a crashing thread must
+   not leave its core marked busy either. *)
+let finish t =
+  let thread = t.threads.(t.running_tid) in
+  t.live <- t.live - 1;
+  release_core t thread;
+  t.threads.(thread.tid) <- no_thread
+
 (* The core stays busy until the advance completes. *)
-let handle_advance t thread on_done k =
-  let n = thread.advance_by in
+let handle_advance t k =
+  let n = t.advance_by in
   t.advanced <- t.advanced + n;
   let target = t.now + n in
   if
@@ -289,99 +329,116 @@ let handle_advance t thread on_done k =
         raise e
   end
   else begin
-    thread.resume <- Cont k;
-    schedule t target on_done
+    let thread = t.threads.(t.running_tid) in
+    thread.cont <- k;
+    schedule t target thread.tid
   end
 
-(* Run the thread's [resume] — on dispatch and at advance completion —
-   bracketed by a save/set/restore of the running_* mirror fields, on
-   the exception path too: a crashing thread must not leave a stale
-   identity behind for host-side emissions to pick up. *)
-let rec resume t thread =
-  let prev_tid = t.running_tid
-  and prev_core = t.running_core
-  and prev_name = t.running_name in
+(* The engine's one effect handler. The performing thread is the running
+   one, so the per-effect closures are built here once per engine, not
+   once per thread or per effect. *)
+let make_handler t : (unit, unit) Effect.Deep.handler =
+  let on_advance = Some (fun k -> handle_advance t k) in
+  let on_yield =
+    Some
+      (fun k ->
+        let thread = t.threads.(t.running_tid) in
+        release_core t thread;
+        thread.cont <- k;
+        make_ready t thread)
+  in
+  let on_park =
+    Some
+      (fun k ->
+        let thread = t.threads.(t.running_tid) in
+        if Hb.on () then Hb.emit (Hb.Block { tid = thread.tid });
+        release_core t thread;
+        thread.cont <- k;
+        t.blocked <- t.blocked + 1)
+  in
+  let on_time = Some (fun k -> Effect.Deep.continue k (Int64.of_int t.now)) in
+  let on_tid = Some (fun k -> Effect.Deep.continue k t.running_tid) in
+  let on_core = Some (fun k -> Effect.Deep.continue k t.running_core) in
+  {
+    retc = (fun () -> finish t);
+    exnc =
+      (fun e ->
+        finish t;
+        raise e);
+    effc =
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with
+        | Advance -> on_advance
+        | Yield -> on_yield
+        | Park -> on_park
+        | Get_time -> on_time
+        | Get_tid -> on_tid
+        | Get_core -> on_core
+        | _ -> None);
+  }
+
+let create ?(cores = 4) () =
+  if cores <= 0 then invalid_arg "Engine.create: cores <= 0";
+  if cores > max_cores then invalid_arg "Engine.create: cores > 1024";
+  let t =
+    {
+      busy = Array.make cores false;
+      idle = cores;
+      events = Heap.create ();
+      now = 0;
+      advanced = 0;
+      seq = 0;
+      threads = [||];
+      unpinned = Intq.create ();
+      pinned = Array.init cores (fun _ -> Intq.create ());
+      pinned_count = 0;
+      ready_seq = 0;
+      ready_count = 0;
+      steals = 0;
+      live = 0;
+      blocked = 0;
+      next_tid = 0;
+      in_event = false;
+      until_limit = max_int;
+      inline_depth = 0;
+      active_resumes = 0;
+      running_tid = -1;
+      running_core = -1;
+      advance_by = 0;
+      handler = no_handler;
+    }
+  in
+  t.handler <- make_handler t;
+  t
+
+(* Run the thread — its body on the first dispatch, its continuation
+   after — on dispatch and at advance completion, bracketed by a
+   save/set/restore of the running_* mirror fields, on the exception
+   path too: a crashing thread must not leave a stale identity behind
+   for host-side emissions to pick up. *)
+let resume t thread =
+  let prev_tid = t.running_tid and prev_core = t.running_core in
   t.running_tid <- thread.tid;
   t.running_core <- thread.cur_core;
-  t.running_name <- thread.name;
   t.active_resumes <- t.active_resumes + 1;
   match
-    match thread.resume with
-    | Cont k ->
-        (* The deep handler installed at Start travels with the
-           continuation. *)
-        Effect.Deep.continue k ()
-    | Start body -> start t thread body
+    if thread.cont == not_started then
+      Effect.Deep.match_with thread.body () t.handler
+    else
+      (* The handler installed at the first dispatch travels with the
+         continuation. *)
+      Effect.Deep.continue thread.cont ()
   with
   | () ->
       t.active_resumes <- t.active_resumes - 1;
       t.running_tid <- prev_tid;
-      t.running_core <- prev_core;
-      t.running_name <- prev_name
+      t.running_core <- prev_core
   | exception e ->
       t.active_resumes <- t.active_resumes - 1;
       t.running_tid <- prev_tid;
       t.running_core <- prev_core;
-      t.running_name <- prev_name;
       raise e
-
-(* A thread's first dispatch: install its deep handler. The handlers
-   for the per-event effects (Advance, Yield, Get_tid, Get_core) are
-   allocated here once per thread, not once per effect. *)
-and start t thread body =
-  let on_done () = resume t thread in
-  let on_advance = Some (fun k -> handle_advance t thread on_done k) in
-  let on_yield =
-    Some
-      (fun k ->
-        release_core t thread;
-        thread.resume <- Cont k;
-        make_ready t thread)
-  in
-  let on_tid = Some (fun k -> Effect.Deep.continue k thread.tid) in
-  let on_core = Some (fun k -> Effect.Deep.continue k thread.cur_core) in
-  Effect.Deep.match_with body ()
-    {
-      retc =
-        (fun () ->
-          t.live <- t.live - 1;
-          release_core t thread);
-      exnc =
-        (fun e ->
-          (* A crashing thread must not leave its core marked busy. *)
-          t.live <- t.live - 1;
-          release_core t thread;
-          raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) :
-             ((a, unit) Effect.Deep.continuation -> unit) option ->
-          match eff with
-          | Advance n ->
-              if n < 0L then
-                (* Deliver the error at the perform site. *)
-                Some
-                  (fun k ->
-                    Effect.Deep.discontinue k
-                      (Invalid_argument "Engine.advance: negative"))
-              else begin
-                thread.advance_by <- Int64.to_int n;
-                on_advance
-              end
-          | Yield -> on_yield
-          | Suspend register ->
-              Some
-                (fun k ->
-                  if Hb.on () then Hb.emit (Hb.Block { tid = thread.tid });
-                  release_core t thread;
-                  thread.resume <- Cont k;
-                  t.blocked <- t.blocked + 1;
-                  register { engine = t; thread; pending = true })
-          | Get_time ->
-              Some (fun k -> Effect.Deep.continue k (Int64.of_int t.now))
-          | Get_tid -> on_tid
-          | Get_core -> on_core
-          | _ -> None);
-    }
 
 (* Run a thread fragment on a core until it suspends or finishes.
    Simulated time does not move while the OCaml code runs; it passes
@@ -393,14 +450,16 @@ let exec t core thread =
   thread.home <- core;
   resume t thread
 
+let head_stamp t q = t.threads.(Intq.peek q).stamp
+
 (* The idle core whose pinned FIFO has the oldest head, or -1. Only
    scanned while some pinned entry is ready. *)
 let oldest_pinned t =
   let best = ref (-1) and best_stamp = ref max_int in
   for c = 0 to Array.length t.busy - 1 do
     let q = t.pinned.(c) in
-    if (not t.busy.(c)) && not (Queue.is_empty q) then begin
-      let s = (Queue.peek q).stamp in
+    if (not t.busy.(c)) && not (Intq.is_empty q) then begin
+      let s = head_stamp t q in
       if s < !best_stamp then begin
         best := c;
         best_stamp := s
@@ -425,10 +484,10 @@ let dispatch t =
     let pc = if t.pinned_count = 0 then -1 else oldest_pinned t in
     let u = t.unpinned in
     if
-      (not (Queue.is_empty u))
-      && (pc < 0 || (Queue.peek u).stamp < (Queue.peek t.pinned.(pc)).stamp)
+      (not (Intq.is_empty u))
+      && (pc < 0 || head_stamp t u < head_stamp t t.pinned.(pc))
     then begin
-      let thread = Queue.pop u in
+      let thread = t.threads.(Intq.pop u) in
       t.ready_count <- t.ready_count - 1;
       let home = thread.home in
       let core =
@@ -447,7 +506,7 @@ let dispatch t =
       exec t core thread
     end
     else if pc >= 0 then begin
-      let thread = Queue.pop t.pinned.(pc) in
+      let thread = t.threads.(Intq.pop t.pinned.(pc)) in
       t.pinned_count <- t.pinned_count - 1;
       t.ready_count <- t.ready_count - 1;
       exec t pc thread
@@ -455,33 +514,73 @@ let dispatch t =
     else continue := false
   done
 
-let enqueue_new t ?name ?affinity body =
+(* Grown by doubling; every new slot starts as the long-lived
+   [no_thread], so a growth past the young-allocation limit allocates
+   directly in the major heap without first emptying the minor one. *)
+let ensure_slot t tid =
+  let n = Array.length t.threads in
+  if tid >= n then begin
+    let size = ref (Int.max 16 (2 * n)) in
+    while !size <= tid do
+      size := 2 * !size
+    done;
+    let threads = Array.make !size no_thread in
+    Array.blit t.threads 0 threads 0 n;
+    t.threads <- threads
+  end
+
+let spawn ?name ?affinity t body =
+  (match affinity with
+  | Some a when a < 0 || a >= cores t -> invalid_arg "Engine.spawn: affinity"
+  | Some _ | None -> ());
   t.next_tid <- t.next_tid + 1;
+  let tid = t.next_tid in
+  if tid > tid_mask then failwith "Engine.spawn: thread ids exhausted";
   let name =
-    match name with Some n -> n | None -> Printf.sprintf "t%d" t.next_tid
+    match name with Some n -> n | None -> Printf.sprintf "t%d" tid
   in
   let affinity = match affinity with Some a -> a | None -> -1 in
   let home =
     (* Fresh unpinned threads spread across cores by tid so independent
        workloads (one forker per core) land on distinct cores without
        explicit affinity. *)
-    if affinity >= 0 then affinity else t.next_tid mod Array.length t.busy
+    if affinity >= 0 then affinity else tid mod Array.length t.busy
   in
   let thread =
-    { tid = t.next_tid; name; affinity; home; cur_core = -1;
-      resume = Start body; stamp = 0; advance_by = 0 }
+    { tid; name; affinity; body; home; cur_core = -1; cont = not_started;
+      stamp = 0; parks = 0; waker = no_waker }
   in
+  ensure_slot t tid;
+  t.threads.(tid) <- thread;
   t.live <- t.live + 1;
   make_ready t thread;
-  if Hb.on () then
-    Hb.emit (Hb.Spawn { parent = Hb.tid (); child = thread.tid });
-  thread.tid
+  if Hb.on () then Hb.emit (Hb.Spawn { parent = Hb.tid (); child = tid });
+  tid
 
-let spawn ?name ?affinity t body =
-  (match affinity with
-  | Some a when a < 0 || a >= cores t -> invalid_arg "Engine.spawn: affinity"
-  | Some _ | None -> ());
-  enqueue_new t ?name ?affinity body
+(* {2 Waking} *)
+
+(* The thread parked on [w], or [no_thread] once [w] is used or stale. *)
+let parked t w =
+  let tid = w land tid_mask in
+  if w < 0 || tid >= Array.length t.threads then no_thread
+  else
+    let thread = t.threads.(tid) in
+    if thread.waker = w then thread else no_thread
+
+let waker_pending t w = parked t w != no_thread
+let waker_tid t w = if waker_pending t w then w land tid_mask else -1
+
+let wake t w =
+  let thread = parked t w in
+  if thread == no_thread then invalid_arg "Engine.wake: waker already used";
+  thread.waker <- no_waker;
+  t.blocked <- t.blocked - 1;
+  if Hb.on () then Hb.emit (Hb.Wake { by = Hb.tid (); target = thread.tid });
+  make_ready t thread;
+  (* A waker fired outside event processing (e.g. between runs) must
+     kick the dispatcher itself; inside, the main loop dispatches after
+     the current event completes. *)
+  if not t.in_event then dispatch t
 
 let run ?until t =
   let limit =
@@ -505,31 +604,32 @@ let run ?until t =
       Heap.pop h;
       t.now <- time;
       t.in_event <- true;
-      action ();
+      if action >= 0 then resume t t.threads.(action)
+      else wake t (lnot action);
       t.in_event <- false;
       dispatch t
     end
   done
 
-(* In-thread operations. *)
-let advance n = Effect.perform (Advance n)
+(* {2 In-thread operations} *)
 
-(* The charging hot path ({!Trace.emit}) calls this before performing the
-   {!advance} effect: under exactly the conditions where the effect
-   handler's inline fast path would pass time without suspending (sole
-   live resume, nothing ready, no heap event at or before the target, no
-   [~until] deadline in between), passing time is pure field mutation —
-   so skip the continuation capture entirely. [in_event] must already be
-   set (it is, for any thread resumed by the run loop or by the inline
-   fast path itself), or a [wake] later in the same stretch would
-   dispatch immediately where the slow path — which always resumes inside
-   an event action — would defer; the boot-time nested-exec case where it
-   is not set falls back to the effect. Unlike the handler's inline path
-   this consumes no native stack, so no depth cap applies. *)
-let advance_direct t n =
+(* Passing time inline, without the effect, is pure field mutation under
+   exactly the conditions where the effect handler's inline path would
+   pass it without suspending: sole live resume, nothing ready, no heap
+   event at or before the target, no [~until] deadline in between.
+   [in_event] must already be set (it is, for any thread resumed by the
+   run loop or by the inline path itself), or a [wake] later in the same
+   stretch would dispatch immediately where the slow path — which
+   always resumes inside an event action — would defer; the boot-time
+   nested-exec case where it is not set takes the effect. Unlike the
+   handler's inline path this consumes no native stack, so no depth cap
+   applies. Otherwise the cycles go through [advance_by] and the
+   constant effect, so an advance boxes nothing. *)
+let advance t n =
+  if n < 0 then invalid_arg "Engine.advance: negative";
   let target = t.now + n in
   if
-    n >= 0 && t.in_event
+    t.in_event
     && t.ready_count = 0
     && t.active_resumes = 1
     && t.running_tid >= 0
@@ -537,31 +637,27 @@ let advance_direct t n =
     && Heap.min_time_exceeds t.events target
   then begin
     t.advanced <- t.advanced + n;
-    t.now <- target;
-    true
+    t.now <- target
   end
-  else false
+  else begin
+    t.advance_by <- n;
+    Effect.perform Advance
+  end
 
 let yield () = Effect.perform Yield
-let suspend register = Effect.perform (Suspend register)
 let current_time () = Effect.perform Get_time
 let current_tid () = Effect.perform Get_tid
 let current_core () = Effect.perform Get_core
 
-let waker_pending w = w.pending
-let waker_tid w = if w.pending then w.thread.tid else -1
+let waker t =
+  let thread = running t "Engine.waker" in
+  ((thread.parks + 1) lsl tid_bits) lor thread.tid
 
-let wake w =
-  if not w.pending then invalid_arg "Engine.wake: waker already used";
-  w.pending <- false;
-  let t = w.engine in
-  t.blocked <- t.blocked - 1;
-  if Hb.on () then Hb.emit (Hb.Wake { by = Hb.tid (); target = w.thread.tid });
-  make_ready t w.thread;
-  (* A waker fired outside event processing (e.g. between runs) must
-     kick the dispatcher itself; inside, the main loop dispatches after
-     the current event completes. *)
-  if not t.in_event then dispatch t
+let park t =
+  let thread = running t "Engine.park" in
+  thread.parks <- thread.parks + 1;
+  thread.waker <- (thread.parks lsl tid_bits) lor thread.tid;
+  Effect.perform Park
 
 (* The happens-before bus needs the current simulated thread wherever a
    publisher sits (the frame pool in lib/mem cannot perform effects
@@ -572,8 +668,8 @@ let () =
       | tid -> tid
       | exception Effect.Unhandled _ -> -1)
 
-let sleep n =
+let sleep t n =
   if n < 0L then invalid_arg "Engine.sleep: negative";
-  let t0 = current_time () in
-  suspend (fun w ->
-      schedule w.engine (Int64.to_int (Int64.add t0 n)) (fun () -> wake w))
+  let w = waker t in
+  schedule t (t.now + Int64.to_int n) (lnot w);
+  park t

@@ -52,7 +52,8 @@ val running_core : t -> int
     {!current_core} the same way. *)
 
 val running_name : t -> string
-(** Name of the running thread, or [""]. *)
+(** Name of the running thread, or [""]: read from the thread table by
+    {!running_tid}. *)
 
 val now : t -> int64
 (** Current simulated time in cycles. *)
@@ -82,49 +83,62 @@ val blocked_threads : t -> int [@@ufork.test_seam]
 
 (** {1 Operations available inside a thread}
 
-    These perform effects and must be called from code running under
-    {!spawn}; calling them elsewhere raises [Stdlib.Effect.Unhandled]. *)
+    These must be called from code running under {!spawn}: the effects
+    raise [Stdlib.Effect.Unhandled] elsewhere, and the engine-taking
+    operations [Invalid_argument]. *)
 
-val advance : int64 -> unit
-(** Consume CPU: occupy the current core for the given number of cycles. *)
-
-val advance_direct : t -> int -> bool
-(** Try to consume [n] cycles for the running thread without performing
-    the {!advance} effect: succeeds (returns [true], time passed, core
-    still held) exactly when nothing — no ready thread, no heap event at
-    or before the target, no [run ~until] deadline, no concurrently
-    resumed thread — could observe the difference from the scheduled
-    path. Returns [false] without side effects otherwise; the caller
-    must then perform {!advance}. This is {!Trace.emit}'s charging fast
-    path: on single-runnable-thread stretches it reduces charging to a
-    few field writes. *)
+val advance : t -> int -> unit
+(** Consume CPU: occupy the current core for the given number of
+    cycles. When nothing — no ready thread, no heap event at or before
+    the target, no [run ~until] deadline, no concurrently resumed thread
+    — could observe the difference, time passes by field writes alone,
+    without performing an effect: {!Trace.emit}'s charging path, which
+    on single-runnable-thread stretches reduces charging to a few field
+    writes. Otherwise the thread suspends until the advance completes.
+    Raises [Invalid_argument] on a negative count. *)
 
 val yield : unit -> unit
 (** Go to the back of the ready queue (models sched_yield / cooperative
     scheduling points). *)
 
-val sleep : int64 -> unit
+val sleep : t -> int64 -> unit
 (** Release the core and become runnable again after the given delay. *)
 
 val current_time : unit -> int64
 val current_tid : unit -> tid [@@ufork.test_seam]
 val current_core : unit -> int [@@ufork.test_seam]
 
-type waker
-(** One-shot handle that makes a suspended thread runnable again. *)
+(** {1 Parking}
 
-val suspend : (waker -> unit) -> unit
-(** Suspend the current thread, releasing its core. The callback receives
-    the waker and typically stores it in a wait queue. Invoking the waker
-    twice raises [Invalid_argument]. *)
+    A thread blocks in two steps: it takes the {!waker} its next park
+    will wait on, registers it wherever a waking party will look (a
+    wait queue, a kill slot), then {!park}s. Nothing may wake it in
+    between. Wakers are plain ints, so storing one allocates nothing. *)
 
-val wake : waker -> unit
-(** Make the suspended thread runnable at the current simulated time. *)
+type waker = int
+(** One-shot handle that makes a parked thread runnable again: the
+    thread's tid and its park count, so a used or stale waker never
+    matches a later park, of its own thread or of a later one. *)
 
-val waker_pending : waker -> bool
-(** True until the waker has been used. Lets wait queues skip entries that
-    were woken out of band (e.g. by signal delivery). *)
+val no_waker : waker
+(** Never pending: the empty value of a waker slot. *)
 
-val waker_tid : waker -> tid
+val waker : t -> waker
+(** The waker of the running thread's next {!park}. *)
+
+val park : t -> unit
+(** Suspend the running thread, releasing its core, until its waker is
+    woken. *)
+
+val wake : t -> waker -> unit
+(** Make the parked thread runnable at the current simulated time.
+    Raises [Invalid_argument] if the waker was already used (or is
+    stale). *)
+
+val waker_pending : t -> waker -> bool
+(** True while the waker's thread is parked on it. Lets wait queues skip
+    entries that were woken out of band (e.g. by signal delivery). *)
+
+val waker_tid : t -> waker -> tid
 (** Tid of the thread a pending waker would resume, or [-1] once used.
     Lets lock release publish the handoff target on the Hb bus. *)

@@ -41,56 +41,6 @@ type t =
   | Arena_pretouch of int
   | Compute of int64
 
-(* Dense stable constructor code, declaration order, starting at 0.
-   [Trace]'s flat accounting arrays index by it, so the numbering is an
-   accounting-format contract: append-only, pinned by tests. [Syscall]
-   maps to one code regardless of name — per-name counters are a key
-   (string) concern, resolved by interning, not an id concern. *)
-let id = function
-  | Syscall _ -> 0
-  | Entry_validation _ -> 1
-  | Toctou_setup -> 2
-  | Copy_bytes _ -> 3
-  | Toctou_bytes _ -> 4
-  | Context_switch -> 5
-  | Address_space_switch -> 6
-  | Page_fault -> 7
-  | Soft_fault -> 8
-  | Demand_zero -> 9
-  | Cow_write_fault -> 10
-  | Copa_write_fault -> 11
-  | Copa_cap_load_fault -> 12
-  | Coa_access_fault -> 13
-  | Fork_fixed -> 14
-  | Spawn -> 15
-  | Thread_create -> 16
-  | Exit -> 17
-  | Kill -> 18
-  | Domain_create -> 19
-  | Pte_copy _ -> 20
-  | Pte_protect -> 21
-  | Tlb_shootdown _ -> 22
-  | Page_alloc _ -> 23
-  | Page_copy_eager _ -> 24
-  | Page_copy_child -> 25
-  | Page_copy_cow -> 26
-  | Claim_in_place -> 27
-  | Cow_claim_in_place -> 28
-  | Shm_share -> 29
-  | Granule_scan _ -> 30
-  | Cap_relocate _ -> 31
-  | Toctou_revalidate _ -> 32
-  | Malloc -> 33
-  | Free -> 34
-  | File_op -> 35
-  | Pipe_op -> 36
-  | Shm_open -> 37
-  | Map_library -> 38
-  | Arena_pretouch _ -> 39
-  | Compute _ -> 40
-
-let id_count = 41
-
 let to_key = function
   | Syscall { name; _ } -> "syscall." ^ name
   | Entry_validation _ -> "entry_validation"
@@ -134,25 +84,6 @@ let to_key = function
   | Arena_pretouch _ -> "arena_pretouch_pages"
   | Compute _ -> "compute"
 
-let count = function
-  | Copy_bytes n | Toctou_bytes n | Page_alloc n | Granule_scan n
-  | Cap_relocate n | Toctou_revalidate n | Arena_pretouch n | Pte_copy n
-  | Page_copy_eager n ->
-      n
-  (* One shootdown batch counts as one flush protocol step even on a
-     single core ([n = 0] remote IPIs): the linter's L4 window closes
-     either way. *)
-  | Tlb_shootdown _ -> 1
-  | Syscall _ | Entry_validation _ | Toctou_setup | Context_switch
-  | Address_space_switch | Page_fault | Soft_fault | Demand_zero
-  | Cow_write_fault | Copa_write_fault | Copa_cap_load_fault
-  | Coa_access_fault | Fork_fixed | Spawn | Thread_create | Exit | Kill
-  | Domain_create | Pte_protect
-  | Page_copy_child | Page_copy_cow | Claim_in_place | Cow_claim_in_place
-  | Shm_share | Malloc | Free | File_op | Pipe_op | Shm_open | Map_library
-  | Compute _ ->
-      1
-
 (* Raw constants that are mechanism properties rather than machine
    parameters: they do not vary across the cost presets. *)
 let trap_floor = 800
@@ -160,74 +91,111 @@ let toctou_setup_cycles = 600
 let kill_cycles = 300
 let malloc_bookkeeping_cycles = 120
 let free_cycles = 80
+let no_unit = -1
 
-(* Native ints throughout: the preset's int64 fields unbox for free, and
-   an [int64] result would be boxed on every computed cost. *)
-let cost ~(costs : Costs.t) event =
+type charge = { mutable id : int; mutable units : int; mutable unit : int }
+
+let charge () = { id = 0; units = 0; unit = no_unit }
+
+(* [n] units at [u] cycles each, [u] derived from the preset (and, for
+   [Syscall]/[Entry_validation], the payload). *)
+let linear c id n u =
+  c.id <- id;
+  c.units <- n;
+  c.unit <- u;
+  n * u
+
+(* [n] units whose [cost] no per-key unit derives. *)
+let irregular c id n cost =
+  c.id <- id;
+  c.units <- n;
+  c.unit <- no_unit;
+  cost
+
+(* Each constructor's whole accounting on one line: its dense code (the
+   flat accounting arrays in [Trace] index by it, so the numbering is an
+   accounting-format contract: declaration order, append-only, pinned
+   by tests; [Syscall] maps to one code regardless of name), its units
+   per emission and its cycles. Native ints throughout: the preset's
+   int64 fields unbox for free, and an [int64] result would be boxed on
+   every computed cost. *)
+let measure ~(costs : Costs.t) c event =
   match event with
   | Syscall { trap; _ } ->
-      if trap then Int.max (Int64.to_int costs.Costs.syscall) trap_floor
-      else Int64.to_int costs.Costs.syscall
-  | Entry_validation cycles -> cycles
-  | Toctou_setup -> toctou_setup_cycles
-  | Copy_bytes n -> Costs.bytes_cost costs.Costs.copy_per_byte n
-  | Toctou_bytes n -> Costs.bytes_cost costs.Costs.toctou_per_byte n
-  | Context_switch -> Int64.to_int costs.Costs.context_switch
-  | Address_space_switch -> Int64.to_int costs.Costs.address_space_switch
-  | Page_fault | Demand_zero -> Int64.to_int costs.Costs.page_fault
-  | Soft_fault -> Int64.to_int costs.Costs.soft_fault
-  | Cow_write_fault | Copa_write_fault | Copa_cap_load_fault
-  | Coa_access_fault ->
-      0
-  | Fork_fixed -> Int64.to_int costs.Costs.fork_fixed
-  | Spawn -> Int64.to_int costs.Costs.fork_fixed / 4
-  | Thread_create -> Int64.to_int costs.Costs.thread_create
-  | Exit -> Int64.to_int costs.Costs.exit_fixed
-  | Kill -> kill_cycles
-  | Domain_create -> Int64.to_int costs.Costs.domain_create
-  | Pte_copy n -> Int64.to_int costs.Costs.pte_copy * n
-  | Pte_protect -> Int64.to_int costs.Costs.pte_protect
+      let s = Int64.to_int costs.Costs.syscall in
+      linear c 0 1 (if trap then Int.max s trap_floor else s)
+  | Entry_validation cycles -> linear c 1 1 cycles
+  | Toctou_setup -> linear c 2 1 toctou_setup_cycles
+  (* Byte-scaled costs round per emission (sum of roundings is not the
+     rounding of the sum), so no per-key unit exists. *)
+  | Copy_bytes n ->
+      irregular c 3 n (Costs.bytes_cost costs.Costs.copy_per_byte n)
+  | Toctou_bytes n ->
+      irregular c 4 n (Costs.bytes_cost costs.Costs.toctou_per_byte n)
+  | Context_switch -> linear c 5 1 (Int64.to_int costs.Costs.context_switch)
+  | Address_space_switch ->
+      linear c 6 1 (Int64.to_int costs.Costs.address_space_switch)
+  | Page_fault -> linear c 7 1 (Int64.to_int costs.Costs.page_fault)
+  | Soft_fault -> linear c 8 1 (Int64.to_int costs.Costs.soft_fault)
+  | Demand_zero -> linear c 9 1 (Int64.to_int costs.Costs.page_fault)
+  (* Fault classification sub-counters: the cycles are on the enclosing
+     [Page_fault]. *)
+  | Cow_write_fault -> linear c 10 1 0
+  | Copa_write_fault -> linear c 11 1 0
+  | Copa_cap_load_fault -> linear c 12 1 0
+  | Coa_access_fault -> linear c 13 1 0
+  | Fork_fixed -> linear c 14 1 (Int64.to_int costs.Costs.fork_fixed)
+  | Spawn -> linear c 15 1 (Int64.to_int costs.Costs.fork_fixed / 4)
+  | Thread_create -> linear c 16 1 (Int64.to_int costs.Costs.thread_create)
+  | Exit -> linear c 17 1 (Int64.to_int costs.Costs.exit_fixed)
+  | Kill -> linear c 18 1 kill_cycles
+  | Domain_create -> linear c 19 1 (Int64.to_int costs.Costs.domain_create)
+  | Pte_copy n -> linear c 20 n (Int64.to_int costs.Costs.pte_copy)
+  | Pte_protect -> linear c 21 1 (Int64.to_int costs.Costs.pte_protect)
   (* The flush batch closing a downgrade sequence: one IPI round-trip
      per remote core that may cache a stale entry. On one core ([n=0])
      the local invalidate is folded into the Pte_protect cost, as
      before; past that the window grows linearly with the machine —
-     the term that eventually caps fork scaling. *)
-  | Tlb_shootdown n -> Int64.to_int costs.Costs.tlb_ipi * Int.max 0 n
-  | Page_alloc n -> Int64.to_int costs.Costs.page_alloc * n
-  | Page_copy_eager n -> Int64.to_int costs.Costs.page_copy * n
-  | Page_copy_child | Page_copy_cow -> Int64.to_int costs.Costs.page_copy
-  | Claim_in_place | Cow_claim_in_place | Shm_share -> 0
-  | Granule_scan n -> Int64.to_int costs.Costs.granule_scan * n
-  | Cap_relocate n -> Int64.to_int costs.Costs.cap_relocate * n
-  | Toctou_revalidate n -> n / 2
-  | Malloc -> malloc_bookkeeping_cycles
-  | Free -> free_cycles
-  | File_op -> Int64.to_int costs.Costs.file_op
-  | Pipe_op -> Int64.to_int costs.Costs.pipe_op
-  | Shm_open | Map_library | Arena_pretouch _ -> 0
-  | Compute cycles -> Int64.to_int cycles
-
-let no_unit = -1
-
-let linear_unit ~(costs : Costs.t) event =
-  match event with
-  (* Byte-scaled costs round per emission (sum of roundings is not the
-     rounding of the sum), so no per-key unit exists. *)
-  | Copy_bytes _ | Toctou_bytes _ -> no_unit
-  (* The payload is the cost itself; different emissions under the same key
-     legitimately differ. *)
-  | Compute _ -> no_unit
+     the term that eventually caps fork scaling. One batch counts as
+     one flush protocol step even on a single core (the linter's L4
+     window closes either way), and the payload scales with remote
+     cores, not with the batch count, so no per-key unit exists. *)
+  | Tlb_shootdown n ->
+      irregular c 22 1 (Int64.to_int costs.Costs.tlb_ipi * Int.max 0 n)
+  | Page_alloc n -> linear c 23 n (Int64.to_int costs.Costs.page_alloc)
+  | Page_copy_eager n -> linear c 24 n (Int64.to_int costs.Costs.page_copy)
+  | Page_copy_child -> linear c 25 1 (Int64.to_int costs.Costs.page_copy)
+  | Page_copy_cow -> linear c 26 1 (Int64.to_int costs.Costs.page_copy)
+  | Claim_in_place -> linear c 27 1 0
+  | Cow_claim_in_place -> linear c 28 1 0
+  | Shm_share -> linear c 29 1 0
+  | Granule_scan n -> linear c 30 n (Int64.to_int costs.Costs.granule_scan)
+  | Cap_relocate n -> linear c 31 n (Int64.to_int costs.Costs.cap_relocate)
   (* Integer halving rounds per emission. *)
-  | Toctou_revalidate _ -> no_unit
-  (* The payload scales with remote cores, not with the batch count. *)
-  | Tlb_shootdown _ -> no_unit
-  | Page_alloc _ -> Int64.to_int costs.Costs.page_alloc
-  | Granule_scan _ -> Int64.to_int costs.Costs.granule_scan
-  | Cap_relocate _ -> Int64.to_int costs.Costs.cap_relocate
-  | Pte_copy _ -> Int64.to_int costs.Costs.pte_copy
-  | Page_copy_eager _ -> Int64.to_int costs.Costs.page_copy
-  | Arena_pretouch _ -> 0
-  | e -> cost ~costs e
+  | Toctou_revalidate n -> irregular c 32 n (n / 2)
+  | Malloc -> linear c 33 1 malloc_bookkeeping_cycles
+  | Free -> linear c 34 1 free_cycles
+  | File_op -> linear c 35 1 (Int64.to_int costs.Costs.file_op)
+  | Pipe_op -> linear c 36 1 (Int64.to_int costs.Costs.pipe_op)
+  | Shm_open -> linear c 37 1 0
+  | Map_library -> linear c 38 1 0
+  | Arena_pretouch n -> linear c 39 n 0
+  (* The payload is the cost itself; different emissions under the same
+     key legitimately differ. *)
+  | Compute cycles -> irregular c 40 1 (Int64.to_int cycles)
+
+let id_count = 41
+
+(* The derived views, for the callers off the charging path. The code
+   and the units do not depend on the preset. *)
+let measured ~costs event =
+  let c = charge () in
+  ignore (measure ~costs c event);
+  c
+
+let id event = (measured ~costs:Costs.ufork event).id
+let count event = (measured ~costs:Costs.ufork event).units
+let linear_unit ~costs event = (measured ~costs event).unit
 
 (* Counter keys callers read back by name. Deriving them from [to_key]
    keeps the string in exactly one place. *)

@@ -6,7 +6,7 @@
     {!Meter} view accumulates it), how many units one emission represents
     ({!count} — pages for [Page_alloc], bytes for [Copy_bytes], 1 for
     everything else), and its cycle cost under a given {!Costs.t} preset
-    ({!cost}). Emission happens through {!Trace.emit}, which charges,
+    ({!measure}). Emission happens through {!Trace.emit}, which charges,
     counts and (optionally) records the event atomically — there is no
     way to bump a counter without paying the cycles, or vice versa. *)
 
@@ -95,7 +95,7 @@ type t =
   (* Application work. *)
   | Compute of int64  (** Pure CPU burn requested via [Api.compute]. *)
 
-val id : t -> int
+val id : t -> int [@@ufork.test_seam]
 (** Dense stable constructor code in declaration order,
     [0 .. id_count - 1]. Injective across constructors ([Syscall] maps to
     one code regardless of name; the per-name counter split is a key
@@ -117,18 +117,33 @@ val count : t -> int
     [Toctou_revalidate], [Arena_pretouch], [Pte_copy] and
     [Page_copy_eager]; 1 otherwise. *)
 
-val cost : costs:Costs.t -> t -> int
-(** Simulated cycles one emission charges under the preset. A native
-    int: {!Trace.emit} is the only caller, and it converts to [int64]
-    only at the audit and engine edges. *)
-
 val linear_unit : costs:Costs.t -> t -> int
-(** [u >= 0] when [cost] is exactly [count * u] with [u] derivable from
-    the preset (and, for [Syscall]/[Entry_validation], the payload) — the
-    per-key invariant {!Trace.audit} re-checks. [-1] (no unit) for
-    byte-scaled costs (per-call rounding), [Tlb_shootdown],
-    [Toctou_revalidate] and [Compute]. Preset costs are non-negative, so
-    the sentinel never collides with a unit. *)
+(** [u >= 0] when an emission's cycles are exactly [count * u] with [u]
+    derivable from the preset (and, for [Syscall]/[Entry_validation],
+    the payload) — the per-key invariant {!Trace.audit} re-checks. [-1]
+    (no unit) for byte-scaled costs (per-call rounding),
+    [Tlb_shootdown], [Toctou_revalidate] and [Compute]. Preset costs are
+    non-negative, so the sentinel never collides with a unit. *)
+
+(** {1 Charging in one dispatch} *)
+
+type charge = {
+  mutable id : int;  (** {!id} *)
+  mutable units : int;  (** {!count} *)
+  mutable unit : int;  (** {!linear_unit} *)
+}
+(** What {!measure} learns about one emission besides its cycles. *)
+
+val charge : unit -> charge
+(** A scratch record for {!measure}: the caller owns one and reuses it
+    for every emission. *)
+
+val measure : costs:Costs.t -> charge -> t -> int
+(** The cycles one emission charges under the preset, in one match on
+    the event that also stores its {!id}, {!count} and {!linear_unit}
+    in the scratch record — {!Trace.emit}'s one call per event. A
+    native int: it is converted to [int64] only at the audit and engine
+    edges. *)
 
 val fault_key : string
 (** [to_key Page_fault] — for callers that read the fault counter back

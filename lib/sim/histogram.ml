@@ -61,8 +61,16 @@ let record t v = add t (index_of v) v
    int, so the per-record cost is branch-and-shift with no boxing. *)
 let record_int t v =
   if v < 0 then invalid_arg "Histogram: negative value";
-  let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
-  add t (bits 0 v) (Int64.of_int v)
+  (* The bucket is the bit length of [v], found by halving the range
+     six times. *)
+  let n = ref 0 and v' = ref v in
+  if !v' lsr 32 <> 0 then begin n := 32; v' := !v' lsr 32 end;
+  if !v' lsr 16 <> 0 then begin n := !n + 16; v' := !v' lsr 16 end;
+  if !v' lsr 8 <> 0 then begin n := !n + 8; v' := !v' lsr 8 end;
+  if !v' lsr 4 <> 0 then begin n := !n + 4; v' := !v' lsr 4 end;
+  if !v' lsr 2 <> 0 then begin n := !n + 2; v' := !v' lsr 2 end;
+  if !v' lsr 1 <> 0 then begin n := !n + 1; v' := !v' lsr 1 end;
+  add t (!n + !v') (Int64.of_int v)
 
 let count t = t.n
 let is_empty t = t.n = 0

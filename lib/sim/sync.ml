@@ -19,7 +19,7 @@ module Lock = struct
         (** the machine whose threads take the lock: who is running is
             read from its identity fields, not asked by effect *)
     mutable held : bool;
-    queue : Engine.waker Queue.t;
+    queue : Intq.t;  (** the waiters' wakers, oldest first *)
     mutable holder : int;  (** tid of the current holder while [held] *)
     counters : counters;
   }
@@ -63,7 +63,7 @@ module Lock = struct
       id;
       engine;
       held = false;
-      queue = Queue.create ();
+      queue = Intq.create ();
       holder = min_int;
       counters;
     }
@@ -96,7 +96,8 @@ module Lock = struct
        count_wait c blocking_holder;
        if Hb.on () then
          Hb.emit (Hb.Contend { tid; lock = t.id; holder = blocking_holder });
-       Engine.suspend (fun w -> Queue.push w t.queue)
+       Intq.push t.queue (Engine.waker t.engine);
+       Engine.park t.engine
      end);
     t.holder <- tid;
     (* Emitted after the lock is really held (a contended acquire
@@ -108,15 +109,20 @@ module Lock = struct
   let release t =
     if not t.held then invalid_arg "Lock.release: not held";
     if Hb.on () then Hb.emit (Hb.Release { tid = current_tid t; lock = t.id });
-    match Queue.take_opt t.queue with
-    | Some w ->
-        (* Ownership transfers directly to the woken thread. *)
-        if Hb.on () then
-          Hb.emit
-            (Hb.Handoff
-               { from_ = current_tid t; to_ = Engine.waker_tid w; lock = t.id });
-        Engine.wake w
-    | None -> t.held <- false
+    if Intq.is_empty t.queue then t.held <- false
+    else begin
+      (* Ownership transfers directly to the woken thread. *)
+      let w = Intq.pop t.queue in
+      if Hb.on () then
+        Hb.emit
+          (Hb.Handoff
+             {
+               from_ = current_tid t;
+               to_ = Engine.waker_tid t.engine w;
+               lock = t.id;
+             });
+      Engine.wake t.engine w
+    end
 
   let with_lock t f =
     acquire t;
@@ -260,24 +266,28 @@ module Rlock = struct
 end
 
 module Cond = struct
-  type t = { queue : Engine.waker Queue.t }
+  type t = { engine : Engine.t; queue : Intq.t }
 
-  let create () = { queue = Queue.create () }
-  let wait t = Engine.suspend (fun w -> Queue.push w t.queue)
-  let add_waiter t w = Queue.push w t.queue
+  let create ~engine () = { engine; queue = Intq.create () }
+  let add_waiter t w = Intq.push t.queue w
+
+  let wait t =
+    add_waiter t (Engine.waker t.engine);
+    Engine.park t.engine
 
   (* Entries woken out of band (e.g. signal delivery) are skipped so their
      stale wakers never consume a real wakeup. *)
   let rec signal t =
-    if not (Queue.is_empty t.queue) then
-      let w = Queue.take t.queue in
-      if Engine.waker_pending w then Engine.wake w else signal t
+    if not (Intq.is_empty t.queue) then
+      let w = Intq.pop t.queue in
+      if Engine.waker_pending t.engine w then Engine.wake t.engine w
+      else signal t
 
   let broadcast t =
-    let n = Queue.length t.queue in
+    let n = Intq.length t.queue in
     for _ = 1 to n do
       signal t
     done
 
-  let waiters t = Queue.length t.queue
+  let waiters t = Intq.length t.queue
 end

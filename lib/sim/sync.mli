@@ -87,13 +87,19 @@ end
 module Cond : sig
   type t
 
-  val create : unit -> t
+  val create : engine:Engine.t -> unit -> t
+  (** [engine] is the machine whose threads wait: its wakers are what
+      the queue holds, and what {!signal} wakes. *)
+
   val wait : t -> unit
-  (** Suspend until signalled. No lock is associated: callers re-check
-      their predicate on wakeup (spurious-wakeup-safe style). *)
+  (** Park the running thread until signalled. No lock is associated:
+      callers re-check their predicate on wakeup (spurious-wakeup-safe
+      style). *)
 
   val add_waiter : t -> Engine.waker -> unit
-  (** Register an externally created waker (signal-interruptible waits). *)
+  (** Register a waker the caller also keeps (signal-interruptible
+      waits): take it with {!Engine.waker}, register it, then
+      {!Engine.park}. *)
 
   val signal : t -> unit
   (** Wake the longest-waiting thread (no-op when none; entries already

@@ -12,9 +12,9 @@ type record = {
    an arbitrary preset at audit time. [rep] is one representative event;
    [fixed] stays true only while every emission under the key has agreed
    with [rep]'s linear unit, so [cycles = unit rep * charged_units].
-   [rep_unit] caches [Event.linear_unit rep] under the trace's own preset
-   (-1 until [rep] is set) so the agreement check on the hot path is an
-   int compare, not a recomputation. *)
+   [rep_unit] holds [rep]'s unit under the trace's own preset (-1 until
+   [rep] is set), so the agreement check on the hot path is an int
+   compare against the unit [Event.measure] already computed. *)
 (* Cycle accumulators here are native [int], not [int64]: a mutable
    boxed-int64 record field allocates a fresh box on every store, and
    these fields are written once or more per emitted event. 62 bits of
@@ -38,29 +38,6 @@ let fresh_entry () =
     rep_unit = -1;
     fixed = true;
   }
-
-(* Per-path span aggregate. [self_cycles] accumulates at emission time
-   (so the audit invariant holds even while instances are still open);
-   [span_total]/[closed] only count completed instances. *)
-type span_agg = {
-  mutable self_cycles : int;
-  mutable span_total : int;
-  mutable closed : int;
-}
-
-(* One open span instance on some thread's stack. [path_id] is the
-   interned id of the outermost-first stack path ending in this span's
-   own name; [agg] caches the per-path aggregate so charging on the hot
-   emit path is one mutable add, not a hash lookup. The bottom of every
-   stack is the shared sentinel [no_frame], so neither a frame's parent
-   nor a stack slot needs an option box. *)
-type frame = {
-  path_id : int;
-  agg : span_agg;
-  parent : frame;
-  mutable self : int;
-  mutable child_total : int;
-}
 
 type span_total = {
   span_path : string list;
@@ -112,6 +89,8 @@ end
 (* The accounting state is flat and int-indexed so the non-recording
    emit path is array stores plus one [Engine.advance]:
 
+   - one [Event.measure] call gives an event's code, units, linear unit
+     and cycles together, into the trace's own scratch [charge];
    - counter keys are interned into the meter once (first touch) and
      cached per [Event.id] in [key_ids] (per syscall name in
      [syscall_kids], behind [sys_slots]) — no string building or
@@ -123,19 +102,56 @@ end
      an option box per event;
    - span stack paths are interned: [paths] maps (parent path id, name)
      to a dense id with [path_names]/[path_parents] reconstructing the
-     [string list] for exports, and [path_aggs.(id)] holding the
-     aggregate. *)
+     [string list] for exports, and [path_self]/[path_total]/
+     [path_closed] holding the aggregates;
+   - open spans are rows of int columns ([frame_*]): a thread's stack is
+     the chain from its innermost frame through [frame_parent], and the
+     rows of closed frames are reused through a free list linked
+     through the same column. Opening, charging and closing a span are
+     int stores, with no frame allocated and no write barrier. *)
 type t = {
+  (* What every emission and span touches comes first, so the hot path
+     reads few cache lines of this record. *)
   engine : Engine.t;
   costs : Costs.t;
   meter : Meter.t;
+  charge : Event.charge; (* [Event.measure]'s scratch, reused per emit *)
+  mutable sampler : (unit -> (string * int) list) option;
+  mutable recording : bool;
+  mutable emits : int;
+  mutable total_cycles : int;
   key_ids : int array; (* Event.id -> meter key id, -1 until first touch *)
-  syscall_kids : (string, int) Hashtbl.t; (* syscall name -> meter key id *)
   sys_slots : Slots.t; (* syscall name -> meter key id, key unused *)
   mutable syscall_agg_kid : int; (* the aggregate "syscall" key id, or -1 *)
   mutable entries : entry array; (* meter key id -> audit entry *)
-  mutable total_cycles : int;
-  mutable emits : int;
+  (* Innermost open frame per thread, at [tops.(tid + 1)], or -1; slot 0
+     is code outside any thread (tid -1). Engine tids are dense from 1,
+     so the column grows by doubling up to the highest tid that opened a
+     span, and reading a thread's top is one bounds check. *)
+  mutable tops : int array;
+  (* Open span frames, one row each. *)
+  mutable frame_path : int array;
+  mutable frame_parent : int array; (* enclosing frame, -1; or next free *)
+  mutable frame_self : int array;
+  mutable frame_child : int array; (* closed children's totals *)
+  mutable frames_used : int; (* rows ever handed out *)
+  mutable free_frame : int; (* head of the free list, or -1 *)
+  path_slots : Slots.t; (* (parent path id, name) -> path id *)
+  mutable path_self : int array; (* charged while innermost, open or not *)
+  mutable path_total : int array; (* self + descendants, closed only *)
+  mutable path_closed : int array;
+  mutable path_hists : Histogram.t array; (* id -> name's histogram, lazy *)
+  mutable unattr_id : int; (* "(unattributed)" path id, or -1 *)
+  (* Spans: interned stack paths. Children are per-parent string tables
+     (plus [roots] for top-level spans) rather than one (parent, name)
+     table, so a lookup hashes a short string instead of allocating a
+     tuple key per [with_span]. *)
+  roots : (string, int) Hashtbl.t; (* top-level name -> id *)
+  mutable path_names : string array;
+  mutable path_parents : int array;
+  mutable path_children : (string, int) Hashtbl.t array; (* id -> children *)
+  mutable n_paths : int;
+  syscall_kids : (string, int) Hashtbl.t; (* syscall name -> meter key id *)
   (* Record ring, columnar. Columns are empty until recording is first
      enabled: machines are booted by the hundred on the non-recorded
      bench path, and eagerly allocating seven capacity-sized columns per
@@ -151,27 +167,7 @@ type t = {
   mutable ring_start : int;
   mutable ring_len : int;
   mutable dropped : int;
-  mutable recording : bool;
-  (* Spans: interned stack paths. Children are per-parent string tables
-     (plus [roots] for top-level spans) rather than one (parent, name)
-     table, so a lookup hashes a short string instead of allocating a
-     tuple key per [with_span]. *)
-  roots : (string, int) Hashtbl.t; (* top-level name -> id *)
-  mutable path_names : string array;
-  mutable path_parents : int array;
-  mutable path_aggs : span_agg array;
-  mutable path_children : (string, int) Hashtbl.t array; (* id -> children *)
-  mutable path_hists : Histogram.t array; (* id -> name's histogram, lazy *)
-  mutable n_paths : int;
-  mutable unattr_id : int; (* "(unattributed)" path id, or -1 *)
-  path_slots : Slots.t; (* (parent path id, name) -> path id *)
-  (* Innermost open frame per thread, at [stacks.(tid + 1)]; slot 0 is
-     code outside any thread (tid -1). Engine tids are dense from 1, so
-     the array grows by doubling up to the highest tid that opened a
-     span, and reading a thread's top is one bounds check. *)
-  mutable stacks : frame array;
   hists : (string, Histogram.t) Hashtbl.t;
-  mutable sampler : (unit -> (string * int) list) option;
   mutable sample_interval : int64;
   mutable next_sample : int64;
   mutable samples_rev : (int64 * (string * int) list) list;
@@ -180,18 +176,6 @@ type t = {
 
 let default_ring_capacity = 65536
 let ring_dummy_event = Event.Context_switch
-let dummy_agg = { self_cycles = 0; span_total = 0; closed = 0 }
-
-(* Never written through: every writer checks for it first, so sharing
-   it across traces (hence domains) is safe. *)
-let rec no_frame =
-  {
-    path_id = -1;
-    agg = dummy_agg;
-    parent = no_frame;
-    self = 0;
-    child_total = 0;
-  }
 
 (* Slot fillers for the per-path arrays. Never written through: a slot is
    only read once its id has been interned, and interning installs fresh
@@ -206,6 +190,7 @@ let create ~engine ~costs ?(ring_capacity = default_ring_capacity) () =
     engine;
     costs;
     meter = Meter.create ();
+    charge = Event.charge ();
     key_ids = Array.make Event.id_count (-1);
     syscall_kids = Hashtbl.create 16;
     sys_slots = Slots.create ();
@@ -228,13 +213,21 @@ let create ~engine ~costs ?(ring_capacity = default_ring_capacity) () =
     roots = Hashtbl.create 16;
     path_names = [||];
     path_parents = [||];
-    path_aggs = [||];
+    path_self = [||];
+    path_total = [||];
+    path_closed = [||];
     path_children = [||];
     path_hists = [||];
     n_paths = 0;
     unattr_id = -1;
     path_slots = Slots.create ();
-    stacks = [||];
+    frame_path = [||];
+    frame_parent = [||];
+    frame_self = [||];
+    frame_child = [||];
+    frames_used = 0;
+    free_frame = -1;
+    tops = [||];
     hists = Hashtbl.create 16;
     sampler = None;
     sample_interval = 0L;
@@ -268,78 +261,80 @@ let dropped t = t.dropped
 (* The meter key id for an event, interning the key string on the first
    touch of each constructor (each syscall name) only — the golden
    scenarios pin that untouched keys stay out of {!Meter.to_list}. *)
-let kid_of t event =
-  match event with
-  | Event.Syscall { name; _ } ->
-      let k = Slots.find t.sys_slots ~key:0 name in
-      if k >= 0 then k
-      else begin
-        let k =
-          match Hashtbl.find_opt t.syscall_kids name with
-          | Some k -> k
-          | None ->
-              let k = Meter.intern t.meter ("syscall." ^ name) in
-              Hashtbl.replace t.syscall_kids name k;
-              k
-        in
-        Slots.add t.sys_slots ~key:0 name k;
-        k
-      end
-  | _ ->
-      let eid = Event.id event in
-      let k = t.key_ids.(eid) in
-      if k >= 0 then k
-      else begin
-        let k = Meter.intern t.meter (Event.to_key event) in
-        t.key_ids.(eid) <- k;
-        k
-      end
-
-let syscall_agg_kid t =
-  if t.syscall_agg_kid >= 0 then t.syscall_agg_kid
+let syscall_kid t name =
+  let k = Slots.find t.sys_slots ~key:0 name in
+  if k >= 0 then k
   else begin
-    let k = Meter.intern t.meter "syscall" in
-    t.syscall_agg_kid <- k;
+    let k =
+      match Hashtbl.find_opt t.syscall_kids name with
+      | Some k -> k
+      | None ->
+          let k = Meter.intern t.meter ("syscall." ^ name) in
+          Hashtbl.replace t.syscall_kids name k;
+          k
+    in
+    Slots.add t.sys_slots ~key:0 name k;
     k
   end
+
+(* The fast paths of the per-emit lookups are [@inline]: a direct call
+   in closure-mode ocamlopt costs more than the two loads they are; the
+   first-touch paths stay out of line. *)
+let intern_event_key t eid event =
+  let k = Meter.intern t.meter (Event.to_key event) in
+  t.key_ids.(eid) <- k;
+  k
+
+let event_kid t eid event =
+  let k = t.key_ids.(eid) in
+  if k >= 0 then k else intern_event_key t eid event
+[@@inline]
+
+let intern_syscall_agg t =
+  let k = Meter.intern t.meter "syscall" in
+  t.syscall_agg_kid <- k;
+  k
+
+let syscall_agg_kid t =
+  if t.syscall_agg_kid >= 0 then t.syscall_agg_kid else intern_syscall_agg t
+[@@inline]
 
 (* The audit and span tables start empty and grow on first use to
    [table_min] slots, about what one hello machine touches (some twenty
    keys and paths): a machine pays for the keys and paths it uses. *)
 let table_min = 32
 
+let grow_entries t kid =
+  let old = t.entries in
+  let n = Array.length old in
+  let cap = max table_min (max (2 * n) (kid + 1)) in
+  t.entries <-
+    Array.init cap (fun i -> if i < n then old.(i) else fresh_entry ())
+
 let acc_entry t kid =
-  if kid >= Array.length t.entries then begin
-    let old = t.entries in
-    let n = Array.length old in
-    let cap = max table_min (max (2 * n) (kid + 1)) in
-    t.entries <-
-      Array.init cap (fun i -> if i < n then old.(i) else fresh_entry ())
-  end;
+  if kid >= Array.length t.entries then grow_entries t kid;
   t.entries.(kid)
+[@@inline]
 
 (* {2 Spans} *)
 
 let unattributed_name = "(unattributed)"
 
+(* A copy of [a] at [cap] slots, the new ones [fill]. *)
+let widen a cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let grow_paths t =
-  let n = Array.length t.path_names in
-  let cap = max table_min (2 * n) in
-  let names = Array.make cap "" in
-  Array.blit t.path_names 0 names 0 n;
-  t.path_names <- names;
-  let parents = Array.make cap (-1) in
-  Array.blit t.path_parents 0 parents 0 n;
-  t.path_parents <- parents;
-  let aggs = Array.make cap dummy_agg in
-  Array.blit t.path_aggs 0 aggs 0 n;
-  t.path_aggs <- aggs;
-  let children = Array.make cap dummy_children in
-  Array.blit t.path_children 0 children 0 n;
-  t.path_children <- children;
-  let hists = Array.make cap dummy_hist in
-  Array.blit t.path_hists 0 hists 0 n;
-  t.path_hists <- hists
+  let cap = max table_min (2 * Array.length t.path_names) in
+  t.path_names <- widen t.path_names cap "";
+  t.path_parents <- widen t.path_parents cap (-1);
+  t.path_self <- widen t.path_self cap 0;
+  t.path_total <- widen t.path_total cap 0;
+  t.path_closed <- widen t.path_closed cap 0;
+  t.path_children <- widen t.path_children cap dummy_children;
+  t.path_hists <- widen t.path_hists cap dummy_hist
 
 let intern_path t ~parent name =
   let tbl = if parent < 0 then t.roots else t.path_children.(parent) in
@@ -350,9 +345,7 @@ let intern_path t ~parent name =
       if id = Array.length t.path_names then grow_paths t;
       t.path_names.(id) <- name;
       t.path_parents.(id) <- parent;
-      t.path_aggs.(id) <- { self_cycles = 0; span_total = 0; closed = 0 };
       t.path_children.(id) <- Hashtbl.create 4;
-      t.path_hists.(id) <- dummy_hist;
       Hashtbl.replace tbl name id;
       t.n_paths <- id + 1;
       id
@@ -372,52 +365,48 @@ let hist_for t name =
       Hashtbl.add t.hists name h;
       h
 
-let stack_top t tid =
+let top t tid =
   let i = tid + 1 in
-  if i < Array.length t.stacks then t.stacks.(i) else no_frame
+  if i < Array.length t.tops then t.tops.(i) else -1
+[@@inline]
 
-let set_stack_top t tid top =
+let set_top t tid frame =
   let i = tid + 1 in
-  if i >= Array.length t.stacks then begin
-    let n = ref (max 16 (Array.length t.stacks)) in
+  if i >= Array.length t.tops then begin
+    let n = ref (max 16 (Array.length t.tops)) in
     while !n <= i do
       n := 2 * !n
     done;
-    let stacks = Array.make !n no_frame in
-    Array.blit t.stacks 0 stacks 0 (Array.length t.stacks);
-    t.stacks <- stacks
+    t.tops <- widen t.tops !n (-1)
   end;
-  t.stacks.(i) <- top
+  t.tops.(i) <- frame
 
-(* Closing pops [frame] off [tid]'s stack and folds its totals into the
-   parent and the per-path aggregate. The name's histogram is resolved
-   lazily on the first close of each path (not at interning: a path can
-   be interned by a span that never closes — or by the unattributed
-   bucket — and must not surface an empty histogram in exports). *)
-let close_frame t tid frame =
-  set_stack_top t tid frame.parent;
-  let total = frame.self + frame.child_total in
-  let p = frame.parent in
-  if p != no_frame then p.child_total <- p.child_total + total;
-  frame.agg.span_total <- frame.agg.span_total + total;
-  frame.agg.closed <- frame.agg.closed + 1;
-  let h = t.path_hists.(frame.path_id) in
-  let h =
-    if h == dummy_hist then begin
-      let h = hist_for t t.path_names.(frame.path_id) in
-      t.path_hists.(frame.path_id) <- h;
-      h
-    end
-    else h
-  in
-  Histogram.record_int h total
+(* A free frame row: a recycled one, else the next unused row. *)
+let take_frame t =
+  let f = t.free_frame in
+  if f >= 0 then begin
+    t.free_frame <- t.frame_parent.(f);
+    f
+  end
+  else begin
+    let f = t.frames_used in
+    if f = Array.length t.frame_path then begin
+      let cap = max 16 (2 * f) in
+      t.frame_path <- widen t.frame_path cap 0;
+      t.frame_parent <- widen t.frame_parent cap (-1);
+      t.frame_self <- widen t.frame_self cap 0;
+      t.frame_child <- widen t.frame_child cap 0
+    end;
+    t.frames_used <- f + 1;
+    f
+  end
 
-type span = frame
+type span = int
 
 let open_span t ~name =
   let tid = Engine.running_tid t.engine in
-  let parent = stack_top t tid in
-  let parent_id = parent.path_id in
+  let parent = top t tid in
+  let parent_id = if parent < 0 then -1 else t.frame_path.(parent) in
   let path_id =
     let id = Slots.find t.path_slots ~key:parent_id name in
     if id >= 0 then id
@@ -427,24 +416,49 @@ let open_span t ~name =
       id
     end
   in
-  let frame =
-    { path_id; agg = t.path_aggs.(path_id); parent; self = 0; child_total = 0 }
-  in
-  set_stack_top t tid frame;
+  let f = take_frame t in
+  t.frame_path.(f) <- path_id;
+  t.frame_parent.(f) <- parent;
+  t.frame_self.(f) <- 0;
+  t.frame_child.(f) <- 0;
+  set_top t tid f;
   (* Span boundaries feed the causal analyzer's per-thread span-path
      timeline. Free when the bus is disarmed: one bool read. *)
   let module Hb = Ufork_util.Hb in
   if Hb.on () then Hb.emit (Hb.Span_open { tid; name });
-  frame
+  f
 
-(* The closing thread is the opening one: a span stays open across a
-   fiber suspension and closes when its own thread resumes. *)
-let close_span t frame =
+(* Closing pops the frame off the thread's stack, folds its total into
+   the parent and the path's aggregate, and frees its row. The closing
+   thread is the opening one: a span stays open across a fiber
+   suspension and closes when its own thread resumes. The name's
+   histogram is resolved lazily on the first close of each path (not at
+   interning: a path can be interned by a span that never closes — or
+   by the unattributed bucket — and must not surface an empty histogram
+   in exports). *)
+let close_span t f =
   let tid = Engine.running_tid t.engine in
-  close_frame t tid frame;
+  let parent = t.frame_parent.(f) in
+  set_top t tid parent;
+  let total = t.frame_self.(f) + t.frame_child.(f) in
+  if parent >= 0 then t.frame_child.(parent) <- t.frame_child.(parent) + total;
+  let id = t.frame_path.(f) in
+  t.path_total.(id) <- t.path_total.(id) + total;
+  t.path_closed.(id) <- t.path_closed.(id) + 1;
+  t.frame_parent.(f) <- t.free_frame;
+  t.free_frame <- f;
+  let h = t.path_hists.(id) in
+  let h =
+    if h == dummy_hist then begin
+      let h = hist_for t t.path_names.(id) in
+      t.path_hists.(id) <- h;
+      h
+    end
+    else h
+  in
+  Histogram.record_int h total;
   let module Hb = Ufork_util.Hb in
-  if Hb.on () then
-    Hb.emit (Hb.Span_close { tid; name = t.path_names.(frame.path_id) })
+  if Hb.on () then Hb.emit (Hb.Span_close { tid; name = t.path_names.(id) })
 
 let with_span t ~name f =
   let span = open_span t ~name in
@@ -461,22 +475,20 @@ let with_span t ~name f =
    cycles charged with no span open land in the "(unattributed)" bucket
    so the audit identity (sum of self = total charged) is total. *)
 let attribute t tid cost =
-  let f = stack_top t tid in
-  if f != no_frame then begin
-    f.self <- f.self + cost;
-    f.agg.self_cycles <- f.agg.self_cycles + cost
-  end
-  else
-    let id =
-      if t.unattr_id >= 0 then t.unattr_id
-      else begin
-        let id = intern_path t ~parent:(-1) unattributed_name in
-        t.unattr_id <- id;
-        id
-      end
-    in
-    let a = t.path_aggs.(id) in
-    a.self_cycles <- a.self_cycles + cost
+  let f = top t tid in
+  let id =
+    if f >= 0 then begin
+      t.frame_self.(f) <- t.frame_self.(f) + cost;
+      t.frame_path.(f)
+    end
+    else if t.unattr_id >= 0 then t.unattr_id
+    else begin
+      let id = intern_path t ~parent:(-1) unattributed_name in
+      t.unattr_id <- id;
+      id
+    end
+  in
+  t.path_self.(id) <- t.path_self.(id) + cost
 
 (* {2 Virtual-time sampling}
 
@@ -541,13 +553,18 @@ let record_slow t pid event tid cost charged =
 let emit t ~pid event =
   if t.sampler != None then maybe_sample t;
   t.emits <- t.emits + 1;
-  let kid = kid_of t event in
-  let n = Event.count event in
-  let cost = Event.cost ~costs:t.costs event in
+  let c = t.charge in
+  let cost = Event.measure ~costs:t.costs c event in
+  let n = c.Event.units in
+  let kid =
+    match event with
+    | Event.Syscall { name; _ } ->
+        let k = syscall_kid t name in
+        Meter.incr_id t.meter (syscall_agg_kid t);
+        k
+    | _ -> event_kid t c.Event.id event
+  in
   Meter.add_id t.meter kid n;
-  (match event with
-  | Event.Syscall _ -> Meter.incr_id t.meter (syscall_agg_kid t)
-  | _ -> ());
   (* Outside an engine thread (boot, direct kernel poking in unit tests)
      there is no schedulable context to charge, mirroring the old
      boot-time charge path: count the event, skip the cycles. *)
@@ -563,9 +580,9 @@ let emit t ~pid event =
   let e = acc_entry t kid in
   e.units <- e.units + n;
   (* A key that lost its fixed unit never regains it (the audit skips
-     it), so only fixed keys pay for the unit. *)
+     it), so only fixed keys look at the unit. *)
   if e.fixed then begin
-    let lu = Event.linear_unit ~costs:t.costs event in
+    let lu = c.Event.unit in
     if lu < 0 then e.fixed <- false
     else if e.rep_unit < 0 then begin
       e.rep <- Some event;
@@ -581,13 +598,10 @@ let emit t ~pid event =
   end;
   if t.recording then record_slow t pid event tid cost charged;
   (* Last, so the record and the aggregates describe the state at emission
-     time even if a [~until] deadline truncates the advance. The direct
-     call passes time without performing the effect when the thread is
-     alone and nothing can intervene — the common case on the
-     non-recorded hot path. *)
-  if charged then
-    if not (Engine.advance_direct t.engine cost) then
-      Engine.advance (Int64.of_int cost)
+     time even if a [~until] deadline truncates the advance. On the
+     common non-recorded path with the thread alone and nothing able to
+     intervene, the engine passes time without performing the effect. *)
+  if charged then Engine.advance t.engine cost
 
 let gauge t key v =
   (* Gauges are shared scalar state (e.g. last-fork latency read by the
@@ -682,12 +696,11 @@ let span_totals t =
   List.sort
     (fun a b -> compare a.span_path b.span_path)
     (List.init t.n_paths (fun id ->
-         let a = t.path_aggs.(id) in
          {
            span_path = path_list t id;
-           span_self = Int64.of_int a.self_cycles;
-           span_cycles = Int64.of_int a.span_total;
-           span_count = a.closed;
+           span_self = Int64.of_int t.path_self.(id);
+           span_cycles = Int64.of_int t.path_total.(id);
+           span_count = t.path_closed.(id);
          }))
 
 let folded_stacks t =
@@ -811,7 +824,7 @@ let audit t ~costs ~elapsed =
      "(unattributed)" bucket), so the sums must agree exactly. *)
   let span_self_sum = ref 0 in
   for id = 0 to t.n_paths - 1 do
-    span_self_sum := !span_self_sum + t.path_aggs.(id).self_cycles
+    span_self_sum := !span_self_sum + t.path_self.(id)
   done;
   let span_self_sum = Int64.of_int !span_self_sum in
   if span_self_sum <> total_cycles then

@@ -504,7 +504,7 @@ type nginx_row = {
 let nginx_run system ~cores ~workers ?(window_s = 1.0) ?(connections = 16) () =
   let b = boot ~cores system in
   Httpd.populate_docroot (Kernel.vfs b.kernel);
-  let net = Httpd.Net.create () in
+  let net = Httpd.Net.create b.engine in
   let window_cycles = Units.cycles_of_s window_s in
   let u =
     b.start ~image:Image.nginx (fun api ->
@@ -517,7 +517,7 @@ let nginx_run system ~cores ~workers ?(window_s = 1.0) ?(connections = 16) () =
   let rfd = Fdesc.Fdtable.alloc u.Uproc.fds (Fdesc.Pipe_read p) in
   let wfd = Fdesc.Fdtable.alloc u.Uproc.fds (Fdesc.Pipe_write p) in
   assert (rfd = 3 && wfd = 4);
-  Httpd.Net.spawn_clients b.engine net ~connections ~window_cycles;
+  Httpd.Net.spawn_clients net ~connections ~window_cycles;
   b.run ();
   finish_run b;
   let stats = Httpd.Net.stats net in

@@ -700,7 +700,7 @@ let test_faas_counts () =
 let test_httpd_end_to_end () =
   let os = Os.boot ~cores:1 () in
   Httpd.populate_docroot (Kernel.vfs (Os.kernel os));
-  let net = Httpd.Net.create () in
+  let net = Httpd.Net.create (Os.engine os) in
   let window = Units.cycles_of_s 0.02 in
   let u =
     Os.start os ~image:Image.nginx (fun api ->
@@ -711,7 +711,7 @@ let test_httpd_end_to_end () =
   let rfd = Fdesc.Fdtable.alloc u.Uproc.fds (Fdesc.Pipe_read p) in
   let wfd = Fdesc.Fdtable.alloc u.Uproc.fds (Fdesc.Pipe_write p) in
   Alcotest.(check (pair int int)) "fds" (3, 4) (rfd, wfd);
-  Httpd.Net.spawn_clients (Os.engine os) net ~connections:4
+  Httpd.Net.spawn_clients net ~connections:4
     ~window_cycles:window;
   Os.run os;
   let stats = Httpd.Net.stats net in
@@ -742,6 +742,30 @@ let test_context1_correct () =
   Alcotest.(check bool) "per switch in 1-10us" true
     (r.Unixbench.per_switch_cycles > 2500.
     && r.Unixbench.per_switch_cycles < 25000.)
+
+(* The blocking round trip's allocation: Context1's two μprocesses on a
+   4-core μFork machine ping-pong a token through two pipes — four pipe
+   syscalls, two parks and two wakes per round trip. Minor words are
+   read inside the engine, by the parent's thread, around two runs that
+   differ only in their round-trip count, so boot, fork and reap cancel.
+   What stays per round trip is the app's token buffers and the
+   syscall layer's per-call closures, copy events and continuations:
+   84 words. *)
+let context1_round_trip_budget = 88.
+
+let context1_words ~iterations =
+  run_os ~image:Image.hello (fun _os api ->
+      let w0 = Gc.minor_words () in
+      ignore (Unixbench.context1 api ~iterations);
+      Gc.minor_words () -. w0)
+
+let test_context1_round_trip_allocation () =
+  let short = context1_words ~iterations:200
+  and long = context1_words ~iterations:2200 in
+  let per = (long -. short) /. 2000. in
+  if per > context1_round_trip_budget then
+    Alcotest.failf "a Context1 round trip allocates %.1f words (budget %.0f)"
+      per context1_round_trip_budget
 
 (* --- Hello --- *)
 
@@ -797,6 +821,8 @@ let suite =
     ("httpd end to end", `Quick, test_httpd_end_to_end);
     ("spawn runs", `Quick, test_spawn_runs);
     ("context1 correct", `Quick, test_context1_correct);
+    ("context1 round trip allocation budget", `Quick,
+     test_context1_round_trip_allocation);
     ("hello fork once", `Quick, test_hello_fork_once);
     ("hello main", `Quick, test_hello_main);
     qt prop_kv_model;

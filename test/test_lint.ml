@@ -144,6 +144,39 @@ let test_exports_seeded () =
       | fs -> Alcotest.failf "%s: %d findings" why (List.length fs))
     exports_seeded
 
+(* Two libraries each with a [Lockdep] module, as lib/analysis and
+   tools/lint have: a reference resolves by the library's wrapper
+   module, read from each directory's dune file. lib's [check] is
+   referenced only as the tools module's [check] — qualified from bin/
+   and test/, bare from inside tools/lint — so it is still unused;
+   lib's [used] is referenced only from tools/lint, qualified. *)
+let same_named_modules =
+  Lint.of_sources
+    [
+      ("lib/analysis/dune", "(library\n (name ufork_analysis)) ; lib\n");
+      ("lib/analysis/lockdep.mli", "val check : int -> int\nval used : int -> int\n");
+      ("lib/analysis/lockdep.ml", "let check x = x\nlet used x = x\n");
+      ("tools/lint/dune", "(library (name ufork_lint_core) (modules lockdep user))");
+      ("tools/lint/lockdep.ml", "let check x = x + 1\n");
+      ( "tools/lint/user.ml",
+        "let a = Lockdep.check 1\nlet b = Ufork_analysis.Lockdep.used 2\n" );
+      ("bin/main.ml", "let () = ignore (Ufork_lint_core.Lockdep.check 3)");
+      ( "test/test_l.ml",
+        "module L = Ufork_lint_core.Lockdep\nlet () = ignore (L.check 4)" );
+    ]
+
+let test_exports_by_library () =
+  match Exports.check same_named_modules with
+  | [ f ] ->
+      Alcotest.(check string) "file" "lib/analysis/lockdep.mli" f.Lint.file;
+      Alcotest.(check bool)
+        "lib's check, unused" true
+        (contains ~needle:"Lockdep.check is exported, but nothing outside"
+           f.Lint.message)
+  | fs ->
+      Alcotest.failf "expected one finding, got %d: %s" (List.length fs)
+        (String.concat "; " (List.map (fun (f : Lint.finding) -> f.Lint.message) fs))
+
 let test_rule_coverage () =
   (* Every catalogue rule has a seeding fixture: the fixture suite is the
      linter's coverage map. *)
@@ -330,6 +363,8 @@ let suite =
       test_capflow_seeded;
     Alcotest.test_case "unused-export trees seed exactly D14" `Quick
       test_exports_seeded;
+    Alcotest.test_case "unused export behind a same-named library module"
+      `Quick test_exports_by_library;
     Alcotest.test_case "lock-order graph export" `Quick test_lock_graph;
     Alcotest.test_case "fixtures cover the catalogue" `Quick
       test_rule_coverage;

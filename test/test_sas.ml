@@ -17,6 +17,10 @@ module Os = Ufork_core.Os
 module Engine = Ufork_sim.Engine
 module Sync = Ufork_sim.Sync
 
+(* The machine of the structures tested without threads: nothing ever
+   waits on their conditions. *)
+let idle = Engine.create ~cores:1 ()
+
 (* Run a single-process scenario on a freshly booted μFork OS and return
    its result. *)
 let in_proc ?(image = Image.hello) ?config f =
@@ -71,7 +75,7 @@ let test_region_of_addr () =
   let r = Uproc.layout_regions img ~area_base in
   let phys = Ufork_mem.Phys.create () in
   let pt = Ufork_mem.Page_table.create phys in
-  let u = Uproc.create ~pid:1 ~image:img ~area_base ~pt () in
+  let u = Uproc.create ~engine:idle ~pid:1 ~image:img ~area_base ~pt () in
   Alcotest.(check (option string)) "got" (Some "got")
     (Uproc.region_of_addr u r.Uproc.got_base);
   Alcotest.(check (option string)) "heap" (Some "heap")
@@ -196,7 +200,7 @@ let prop_alloc_free_all_restores =
 (* --- Pipe --- *)
 
 let test_pipe_fifo () =
-  let p = Pipe.create ~capacity:8 () in
+  let p = Pipe.create ~engine:idle ~capacity:8 () in
   (match Pipe.try_write p (Bytes.of_string "abcde") with
   | Pipe.Wrote 5 -> ()
   | _ -> Alcotest.fail "write");
@@ -208,7 +212,7 @@ let test_pipe_fifo () =
   | _ -> Alcotest.fail "read rest"
 
 let test_pipe_capacity () =
-  let p = Pipe.create ~capacity:4 () in
+  let p = Pipe.create ~engine:idle ~capacity:4 () in
   (match Pipe.try_write p (Bytes.of_string "abcdef") with
   | Pipe.Wrote 4 -> ()
   | _ -> Alcotest.fail "partial write");
@@ -217,7 +221,7 @@ let test_pipe_capacity () =
   | _ -> Alcotest.fail "should block"
 
 let test_pipe_eof_and_epipe () =
-  let p = Pipe.create () in
+  let p = Pipe.create ~engine:idle () in
   ignore (Pipe.try_write p (Bytes.of_string "z"));
   Pipe.close_write p;
   (match Pipe.try_read p 10 with
@@ -226,13 +230,13 @@ let test_pipe_eof_and_epipe () =
   (match Pipe.try_read p 10 with
   | Pipe.Eof -> ()
   | _ -> Alcotest.fail "eof");
-  let q = Pipe.create () in
+  let q = Pipe.create ~engine:idle () in
   Pipe.close_read q;
   Alcotest.check_raises "epipe" Pipe.Broken_pipe (fun () ->
       ignore (Pipe.try_write q (Bytes.of_string "x")))
 
 let test_pipe_empty () =
-  let p = Pipe.create () in
+  let p = Pipe.create ~engine:idle () in
   match Pipe.try_read p 1 with
   | Pipe.Empty -> ()
   | _ -> Alcotest.fail "empty"
@@ -272,7 +276,7 @@ let prop_pipe_model =
           1 -- 64 >>= fun cap ->
           map (fun ops -> (cap, ops)) (list_size (0 -- 60) (pipe_op_gen cap))))
     (fun (cap, ops) ->
-      let p = Pipe.create ~capacity:cap () in
+      let p = Pipe.create ~engine:idle ~capacity:cap () in
       let q = Buffer.create 64 in
       let next = ref 0 in
       let read_open = ref true and write_open = ref true in
@@ -461,7 +465,7 @@ let test_fdtable_alloc_order () =
 
 let test_fdtable_dup_shares_pipe () =
   let t = Fdesc.Fdtable.create () in
-  let p = Pipe.create () in
+  let p = Pipe.create ~engine:idle () in
   let rfd = Fdesc.Fdtable.alloc t (Fdesc.Pipe_read p) in
   let t' = Fdesc.Fdtable.dup_all t in
   (* Closing one copy does not close the pipe end... *)
@@ -473,7 +477,7 @@ let test_fdtable_dup_shares_pipe () =
 
 let test_fdtable_close_all () =
   let t = Fdesc.Fdtable.create () in
-  let p = Pipe.create () in
+  let p = Pipe.create ~engine:idle () in
   ignore (Fdesc.Fdtable.alloc t (Fdesc.Pipe_write p));
   Fdesc.Fdtable.close_all t;
   Alcotest.(check int) "empty" 0 (Fdesc.Fdtable.open_count t);
@@ -483,7 +487,8 @@ let test_fdtable_close_all () =
      allocation order. Fds 3..6 end up holding pipes 2, 0, 3, 1, with fds
      3 and 4 freed and refilled after fd 5 was taken. *)
   let t = Fdesc.Fdtable.create () in
-  let pipes = Array.init 4 (fun _ -> Pipe.create ()) in
+  let e = Engine.create ~cores:1 () in
+  let pipes = Array.init 4 (fun _ -> Pipe.create ~engine:e ()) in
   List.iter
     (fun i -> ignore (Fdesc.Fdtable.alloc t (Fdesc.Pipe_write pipes.(i))))
     [ 2; 1; 3 ];
@@ -492,7 +497,6 @@ let test_fdtable_close_all () =
   List.iter
     (fun i -> ignore (Fdesc.Fdtable.alloc t (Fdesc.Pipe_write pipes.(i))))
     [ 2; 0; 1 ];
-  let e = Engine.create ~cores:1 () in
   let woke = ref [] in
   Array.iteri
     (fun i p ->
@@ -556,6 +560,9 @@ let prop_fdtable_model =
         ref (Int_map.of_seq (List.to_seq [ (0, -1); (1, -1); (2, -1) ]))
       in
       let pipes = ref [] in
+      (* The readers [F_close_all] blocks all finish within its step, so
+         one machine serves every step. *)
+      let e = Engine.create ~cores:1 () in
       let holds m i = Int_map.exists (fun _ j -> j = i) m in
       let held i = holds !model i || holds !other_model i in
       let lowest_free m =
@@ -571,7 +578,7 @@ let prop_fdtable_model =
       let step = function
         | F_alloc ->
             let i = List.length !pipes in
-            let p = Pipe.create () in
+            let p = Pipe.create ~engine:e () in
             pipes := (i, p) :: !pipes;
             let fd = Fdesc.Fdtable.alloc t (Fdesc.Pipe_write p) in
             let expected = lowest_free !model in
@@ -606,7 +613,6 @@ let prop_fdtable_model =
                   else acc)
                 !model []
             in
-            let e = Engine.create ~cores:1 () in
             let woke = ref [] in
             List.iter
               (fun i ->
@@ -795,7 +801,8 @@ let test_pipe_through_api () =
 (* One non-blocking pipe write and read through the API: syscall entry,
    span, fd lookup and the ring copy, measured inside the process's
    engine thread. The budget covers the returned bytes, the result
-   constructors, the span frames and the per-call body closures. *)
+   constructors, the copy events and the per-call body closures: 26
+   words. *)
 let test_pipe_pair_allocation () =
   let words =
     in_proc (fun api ->
@@ -813,8 +820,8 @@ let test_pipe_pair_allocation () =
         done;
         (Gc.minor_words () -. w0) /. float_of_int rounds)
   in
-  if words > 40. then
-    Alcotest.failf "a pipe write+read pair allocates %.1f words (budget 40)"
+  if words > 26. then
+    Alcotest.failf "a pipe write+read pair allocates %.1f words (budget 26)"
       words
 
 let test_wait_echild () =

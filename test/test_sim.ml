@@ -14,8 +14,8 @@ let test_single_thread_time () =
   let finish = ref (-1L) in
   let _ =
     Engine.spawn e (fun () ->
-        Engine.advance 100L;
-        Engine.advance 50L;
+        Engine.advance e 100;
+        Engine.advance e 50;
         finish := Engine.current_time ())
   in
   Engine.run e;
@@ -26,8 +26,8 @@ let test_single_thread_time () =
 let test_two_cores_parallel () =
   let e = Engine.create ~cores:2 () in
   let t1 = ref 0L and t2 = ref 0L in
-  let _ = Engine.spawn e (fun () -> Engine.advance 100L; t1 := Engine.current_time ()) in
-  let _ = Engine.spawn e (fun () -> Engine.advance 100L; t2 := Engine.current_time ()) in
+  let _ = Engine.spawn e (fun () -> Engine.advance e 100; t1 := Engine.current_time ()) in
+  let _ = Engine.spawn e (fun () -> Engine.advance e 100; t2 := Engine.current_time ()) in
   Engine.run e;
   Alcotest.(check int64) "parallel t1" 100L !t1;
   Alcotest.(check int64) "parallel t2" 100L !t2;
@@ -36,18 +36,18 @@ let test_two_cores_parallel () =
 let test_one_core_serializes () =
   let e = Engine.create ~cores:1 () in
   let t2 = ref 0L in
-  let _ = Engine.spawn e (fun () -> Engine.advance 100L) in
-  let _ = Engine.spawn e (fun () -> Engine.advance 100L; t2 := Engine.current_time ()) in
+  let _ = Engine.spawn e (fun () -> Engine.advance e 100) in
+  let _ = Engine.spawn e (fun () -> Engine.advance e 100; t2 := Engine.current_time ()) in
   Engine.run e;
   Alcotest.(check int64) "second waits for core" 200L !t2
 
 let test_affinity () =
   let e = Engine.create ~cores:2 () in
   let t2 = ref 0L and core2 = ref (-1) in
-  let _ = Engine.spawn ~affinity:1 e (fun () -> Engine.advance 100L) in
+  let _ = Engine.spawn ~affinity:1 e (fun () -> Engine.advance e 100) in
   let _ =
     Engine.spawn ~affinity:1 e (fun () ->
-        Engine.advance 10L;
+        Engine.advance e 10;
         core2 := Engine.current_core ();
         t2 := Engine.current_time ())
   in
@@ -63,14 +63,14 @@ let test_yield_migration () =
   let log = ref [] in
   let _ =
     Engine.spawn e (fun () ->
-        Engine.advance 10L;
+        Engine.advance e 10;
         Engine.yield ();
-        Engine.advance 10L;
+        Engine.advance e 10;
         log := ("a", Engine.current_time ()) :: !log)
   in
   let _ =
     Engine.spawn e (fun () ->
-        Engine.advance 100L;
+        Engine.advance e 100;
         log := ("b", Engine.current_time ()) :: !log)
   in
   Engine.run e;
@@ -82,12 +82,12 @@ let test_sleep () =
   let woke = ref 0L and other = ref 0L in
   let _ =
     Engine.spawn e (fun () ->
-        Engine.sleep 1000L;
+        Engine.sleep e 1000L;
         woke := Engine.current_time ())
   in
   let _ =
     Engine.spawn e (fun () ->
-        Engine.advance 200L;
+        Engine.advance e 200;
         other := Engine.current_time ())
   in
   Engine.run e;
@@ -99,10 +99,10 @@ let test_spawn_from_thread () =
   let child_done = ref 0L in
   let _ =
     Engine.spawn e (fun () ->
-        Engine.advance 10L;
+        Engine.advance e 10;
         ignore
           (Engine.spawn e (fun () ->
-               Engine.advance 5L;
+               Engine.advance e 5;
                child_done := Engine.current_time ())))
   in
   Engine.run e;
@@ -114,7 +114,7 @@ let test_run_until () =
   let _ =
     Engine.spawn e (fun () ->
         for _ = 1 to 100 do
-          Engine.advance 10L;
+          Engine.advance e 10;
           incr steps
         done)
   in
@@ -123,12 +123,12 @@ let test_run_until () =
   Alcotest.(check bool) "stopped early" true (!steps < 100);
   (* A deadline already behind the clock leaves the clock where it is. *)
   let e = Engine.create ~cores:1 () in
-  let _ = Engine.spawn e (fun () -> Engine.advance 100L) in
+  let _ = Engine.spawn e (fun () -> Engine.advance e 100) in
   Engine.run e;
   let resumed = ref (-1L) in
   let _ =
     Engine.spawn e (fun () ->
-        Engine.advance 50L;
+        Engine.advance e 50;
         resumed := Engine.current_time ())
   in
   Engine.run ~until:20L e;
@@ -139,7 +139,7 @@ let test_run_until () =
 
 let test_blocked_thread_reported () =
   let e = Engine.create ~cores:1 () in
-  let c = Sync.Cond.create () in
+  let c = Sync.Cond.create ~engine:e () in
   let _ = Engine.spawn e (fun () -> Sync.Cond.wait c) in
   Engine.run e;
   Alcotest.(check int) "blocked" 1 (Engine.blocked_threads e);
@@ -152,9 +152,9 @@ let test_determinism () =
     for i = 1 to 10 do
       ignore
         (Engine.spawn e (fun () ->
-             Engine.advance (Int64.of_int (i * 7));
+             Engine.advance e (i * 7);
              Engine.yield ();
-             Engine.advance (Int64.of_int (i * 3));
+             Engine.advance e (i * 3);
              log := (i, Engine.current_time ()) :: !log))
     done;
     Engine.run e;
@@ -167,7 +167,7 @@ let test_zero_advance () =
   let ran = ref false in
   let _ =
     Engine.spawn e (fun () ->
-        Engine.advance 0L;
+        Engine.advance e 0;
         ran := true)
   in
   Engine.run e;
@@ -178,7 +178,7 @@ let test_negative_advance_rejected () =
   let e = Engine.create ~cores:1 () in
   let _ =
     Engine.spawn e (fun () ->
-        match Engine.advance (-1L) with
+        match Engine.advance e (-1) with
         | () -> Alcotest.fail "negative advance accepted"
         | exception Invalid_argument _ -> ())
   in
@@ -192,7 +192,7 @@ let test_spawn_storm () =
   for _ = 1 to 500 do
     ignore
       (Engine.spawn e (fun () ->
-           Engine.advance 30L;
+           Engine.advance e 30;
            incr completed))
   done;
   Engine.run e;
@@ -220,7 +220,7 @@ let test_ready_fifo_across_queues () =
     ignore
       (Engine.spawn e (fun () ->
            order := i :: !order;
-           Engine.advance 10L))
+           Engine.advance e 10))
   done;
   Engine.run e;
   Alcotest.(check (list int)) "global fifo" [ 1; 2; 3; 4 ] (List.rev !order)
@@ -230,13 +230,13 @@ let test_steal_rehomes () =
      homed on core 1) is stolen onto it rather than waiting. *)
   let e = Engine.create ~cores:2 () in
   let t3_core = ref (-1) and t3_time = ref (-1L) in
-  let _ = Engine.spawn e (fun () -> Engine.advance 100L) in
-  let _ = Engine.spawn e (fun () -> Engine.advance 10L) in
+  let _ = Engine.spawn e (fun () -> Engine.advance e 100) in
+  let _ = Engine.spawn e (fun () -> Engine.advance e 10) in
   let _ =
     Engine.spawn e (fun () ->
         t3_core := Engine.current_core ();
         t3_time := Engine.current_time ();
-        Engine.advance 10L)
+        Engine.advance e 10)
   in
   Engine.run e;
   Alcotest.(check int) "stolen onto core 0" 0 !t3_core;
@@ -249,7 +249,7 @@ let test_pinned_blocked_does_not_shadow () =
      stolen past it. *)
   let e = Engine.create ~cores:2 () in
   let b_time = ref (-1L) and c_time = ref (-1L) and c_core = ref (-1) in
-  let _ = Engine.spawn ~affinity:1 e (fun () -> Engine.advance 100L) in
+  let _ = Engine.spawn ~affinity:1 e (fun () -> Engine.advance e 100) in
   let _ =
     Engine.spawn ~affinity:1 e (fun () -> b_time := Engine.current_time ())
   in
@@ -271,7 +271,7 @@ let test_many_cores_parallel () =
   for _ = 1 to 128 do
     ignore
       (Engine.spawn e (fun () ->
-           Engine.advance 100L;
+           Engine.advance e 100;
            incr completed))
   done;
   Engine.run e;
@@ -281,19 +281,21 @@ let test_many_cores_parallel () =
 
 let test_waker_pending () =
   let e = Engine.create ~cores:1 () in
-  let stash = ref None in
-  let _ = Engine.spawn e (fun () -> Engine.suspend (fun w -> stash := Some w)) in
+  let stash = ref Engine.no_waker in
+  let _ =
+    Engine.spawn e (fun () ->
+        stash := Engine.waker e;
+        Engine.park e)
+  in
   Engine.run e;
-  match !stash with
-  | None -> Alcotest.fail "no waker"
-  | Some w ->
-      Alcotest.(check bool) "pending before" true (Engine.waker_pending w);
-      Engine.wake w;
-      Engine.run e;
-      Alcotest.(check bool) "used after" false (Engine.waker_pending w);
-      Alcotest.check_raises "double wake"
-        (Invalid_argument "Engine.wake: waker already used") (fun () ->
-          Engine.wake w)
+  let w = !stash in
+  Alcotest.(check bool) "pending before" true (Engine.waker_pending e w);
+  Engine.wake e w;
+  Engine.run e;
+  Alcotest.(check bool) "used after" false (Engine.waker_pending e w);
+  Alcotest.check_raises "double wake"
+    (Invalid_argument "Engine.wake: waker already used") (fun () ->
+      Engine.wake e w)
 
 (* --- Locks --- *)
 
@@ -307,7 +309,7 @@ let test_lock_mutual_exclusion () =
            Sync.Lock.with_lock l (fun () ->
                incr inside;
                max_inside := max !max_inside !inside;
-               Engine.advance 10L;
+               Engine.advance e 10;
                decr inside)))
   done;
   Engine.run e;
@@ -323,7 +325,7 @@ let test_lock_fifo () =
       (Engine.spawn e (fun () ->
            Sync.Lock.with_lock l (fun () ->
                order := i :: !order;
-               Engine.advance 5L)))
+               Engine.advance e 5)))
   done;
   Engine.run e;
   Alcotest.(check (list int)) "fifo" [ 1; 2; 3; 4 ] (List.rev !order)
@@ -340,7 +342,7 @@ let test_lock_engine_identity () =
     Sync.Rlock.with_lock l (fun () ->
         if !holder < 0 then holder := Engine.current_tid ();
         seen := Sync.Rlock.held_by_self l :: !seen;
-        Engine.advance 10L)
+        Engine.advance e 10)
   in
   ignore (Engine.spawn e worker);
   ignore (Engine.spawn e worker);
@@ -392,7 +394,7 @@ let test_lock_released_on_exception () =
 
 let test_cond_signal_order () =
   let e = Engine.create ~cores:2 () in
-  let c = Sync.Cond.create () in
+  let c = Sync.Cond.create ~engine:e () in
   let woken = ref [] in
   for i = 1 to 3 do
     ignore
@@ -402,9 +404,9 @@ let test_cond_signal_order () =
   done;
   let _ =
     Engine.spawn e (fun () ->
-        Engine.advance 10L;
+        Engine.advance e 10;
         Sync.Cond.signal c;
-        Engine.advance 10L;
+        Engine.advance e 10;
         Sync.Cond.broadcast c)
   in
   Engine.run e;
@@ -412,7 +414,7 @@ let test_cond_signal_order () =
   Alcotest.(check int) "first is 1" 1 (List.nth (List.rev !woken) 0)
 
 let test_cond_signal_empty () =
-  let c = Sync.Cond.create () in
+  let c = Sync.Cond.create ~engine:(Engine.create ~cores:1 ()) () in
   Sync.Cond.signal c;
   Alcotest.(check int) "no waiters" 0 (Sync.Cond.waiters c)
 
@@ -528,7 +530,7 @@ let test_audit_catches_uncharged_advance () =
   let _ =
     Engine.spawn e (fun () ->
         Trace.emit tr ~pid:(-1) Event.Context_switch;
-        Engine.advance 123L)
+        Engine.advance e 123)
   in
   Engine.run e;
   match Trace.audit tr ~costs:Costs.ufork ~elapsed:(Engine.advanced e) with
@@ -628,9 +630,9 @@ let prop_random_workload =
           (fun w ->
             ignore
               (Engine.spawn e (fun () ->
-                   Engine.advance (Int64.of_int w);
+                   Engine.advance e w;
                    Engine.yield ();
-                   Engine.advance (Int64.of_int w);
+                   Engine.advance e w;
                    total := Int64.add !total (Int64.of_int w))))
           works;
         Engine.run e;
@@ -711,19 +713,19 @@ let schedule_log ~cores ~seed =
   let e = Engine.create ~cores () in
   let tr = Trace.create ~engine:e ~costs:Costs.ufork () in
   let locks = Array.init sched_locks (fun _ -> Sync.Lock.create ~engine:e ()) in
-  let conds = Array.init sched_conds (fun _ -> Sync.Cond.create ()) in
+  let conds = Array.init sched_conds (fun _ -> Sync.Cond.create ~engine:e ()) in
   let b = Buffer.create 4096 in
   let rec body ops () =
     List.iter
       (fun op ->
         (match op with
-        | S_advance n -> Engine.advance (Int64.of_int n)
+        | S_advance n -> Engine.advance e n
         | S_emit n -> Trace.emit tr ~pid:(-1) (Event.Compute (Int64.of_int n))
         | S_yield -> Engine.yield ()
-        | S_sleep n -> Engine.sleep (Int64.of_int n)
+        | S_sleep n -> Engine.sleep e (Int64.of_int n)
         | S_locked (l, n) ->
             Sync.Lock.with_lock locks.(l) (fun () ->
-                Engine.advance (Int64.of_int n))
+                Engine.advance e n)
         | S_wait c -> Sync.Cond.wait conds.(c)
         | S_signal c -> Sync.Cond.signal conds.(c)
         | S_broadcast c -> Sync.Cond.broadcast conds.(c)
@@ -770,6 +772,297 @@ let test_schedule_fingerprints () =
     "schedules match the fixture" expected
     (List.map schedule_line schedule_programs)
 
+(* --- The engine against a reference model ---
+
+   Random programs of advances, yields, sleeps, parks, wakes and spawns
+   run on the engine and on a list-based reference: pending events in a
+   list kept sorted by (time, seq), ready threads in one FIFO in stamp
+   order, every advance through the event list (the engine's inline
+   paths must be indistinguishable from it), a wake outside event
+   processing dispatching at once. Threads are unpinned, so a dispatch
+   runs the FIFO head on its home core when idle, else on the first idle
+   core above it. Both sides log (tid, core, now) after every step; the
+   logs, the steal count and the final clock must agree. *)
+
+type m_op =
+  | M_advance of int
+  | M_yield
+  | M_sleep of int
+  | M_park
+  | M_wake
+  | M_spawn of m_op list
+
+let rec pp_m_op = function
+  | M_advance n -> Printf.sprintf "advance %d" n
+  | M_yield -> "yield"
+  | M_sleep n -> Printf.sprintf "sleep %d" n
+  | M_park -> "park"
+  | M_wake -> "wake"
+  | M_spawn ops -> "spawn [" ^ String.concat "; " (List.map pp_m_op ops) ^ "]"
+
+let m_op_gen =
+  QCheck.Gen.(
+    (* Small durations, so events often tie on time and seq decides. *)
+    let leaf =
+      frequency
+        [
+          (4, map (fun n -> M_advance n) (0 -- 6));
+          (2, return M_yield);
+          (2, map (fun n -> M_sleep n) (0 -- 6));
+          (2, return M_park);
+          (2, return M_wake);
+        ]
+    in
+    let ops g = list_size (1 -- 6) g in
+    frequency
+      [ (12, leaf); (1, map (fun o -> M_spawn o) (ops leaf)) ])
+
+(* The engine side: one log line per completed step. *)
+let engine_log ~cores programs =
+  let e = Engine.create ~cores () in
+  let parked = Queue.create () in
+  let b = Buffer.create 256 in
+  let rec body ops () =
+    List.iter
+      (fun op ->
+        (match op with
+        | M_advance n -> Engine.advance e n
+        | M_yield -> Engine.yield ()
+        | M_sleep n -> Engine.sleep e (Int64.of_int n)
+        | M_park ->
+            Queue.push (Engine.waker e) parked;
+            Engine.park e
+        | M_wake ->
+            if not (Queue.is_empty parked) then Engine.wake e (Queue.pop parked)
+        | M_spawn ops -> ignore (Engine.spawn e (body ops)));
+        Printf.bprintf b "%d@%d:%Ld " (Engine.running_tid e)
+          (Engine.running_core e) (Engine.now e))
+      ops
+  in
+  List.iter (fun ops -> ignore (Engine.spawn e (body ops))) programs;
+  Engine.run e;
+  Printf.bprintf b "| steals %d now %Ld blocked %d" (Engine.steals e)
+    (Engine.now e) (Engine.blocked_threads e);
+  Buffer.contents b
+
+(* The reference: an interpreter over the same programs. *)
+type m_action = Resume of int | Timer of int
+
+let model_log ~cores programs =
+  let b = Buffer.create 256 in
+  let now = ref 0 and seq = ref 0 and steals = ref 0 in
+  let in_event = ref false in
+  let events = ref [] (* (time, seq, action), sorted *) in
+  let ready = Queue.create () and parked = Queue.create () in
+  let busy = Array.make cores false in
+  let next_tid = ref 0 in
+  let home = Hashtbl.create 16 and core = Hashtbl.create 16 in
+  let rest = Hashtbl.create 16 and started = Hashtbl.create 16 in
+  let blocked = ref 0 in
+  let schedule time action =
+    incr seq;
+    events := List.merge compare !events [ (time, !seq, action) ]
+  in
+  let spawn ops =
+    incr next_tid;
+    Hashtbl.replace home !next_tid (!next_tid mod cores);
+    Hashtbl.replace rest !next_tid ops;
+    Queue.push !next_tid ready
+  in
+  let log tid =
+    Printf.bprintf b "%d@%d:%d " tid (Hashtbl.find core tid) !now
+  in
+  let release tid = busy.(Hashtbl.find core tid) <- false in
+  (* Run [tid] (on its core) until it gives up the core or finishes. *)
+  let rec run tid =
+    match Hashtbl.find rest tid with
+    | [] -> release tid
+    | op :: ops -> (
+        Hashtbl.replace rest tid ops;
+        match op with
+        | M_advance n -> schedule (!now + n) (Resume tid)
+        | M_yield ->
+            release tid;
+            Queue.push tid ready
+        | M_sleep n ->
+            release tid;
+            incr blocked;
+            schedule (!now + n) (Timer tid)
+        | M_park ->
+            release tid;
+            incr blocked;
+            Queue.push tid parked
+        | M_wake ->
+            if not (Queue.is_empty parked) then begin
+              decr blocked;
+              Queue.push (Queue.pop parked) ready;
+              if not !in_event then dispatch ()
+            end;
+            log tid;
+            run tid
+        | M_spawn ops ->
+            spawn ops;
+            log tid;
+            run tid)
+  and dispatch () =
+    let idle () = Array.exists not busy in
+    while (not (Queue.is_empty ready)) && idle () do
+      let tid = Queue.pop ready in
+      let h = Hashtbl.find home tid in
+      let c =
+        if not busy.(h) then h
+        else begin
+          incr steals;
+          let rec up k =
+            let c = (h + k) mod cores in
+            if busy.(c) then up (k + 1) else c
+          in
+          up 1
+        end
+      in
+      busy.(c) <- true;
+      Hashtbl.replace home tid c;
+      Hashtbl.replace core tid c;
+      (* Dispatched: a yield, a sleep or a park has returned, unless this
+         is the thread's first dispatch. *)
+      if Hashtbl.mem started tid then log tid
+      else Hashtbl.replace started tid ();
+      run tid
+    done
+  in
+  List.iter spawn programs;
+  dispatch ();
+  while !events <> [] do
+    match !events with
+    | (time, _, action) :: later ->
+        events := later;
+        now := time;
+        in_event := true;
+        (match action with
+        | Resume tid ->
+            log tid;
+            run tid
+        | Timer tid ->
+            decr blocked;
+            Queue.push tid ready);
+        in_event := false;
+        dispatch ()
+    | [] -> ()
+  done;
+  Printf.bprintf b "| steals %d now %d blocked %d" !steals !now !blocked;
+  Buffer.contents b
+
+let prop_engine_matches_model =
+  QCheck.Test.make ~name:"engine = (time, seq) event list + stamp-order FIFO"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun (cores, programs) ->
+          Printf.sprintf "cores %d: %s" cores
+            (String.concat " || "
+               (List.map
+                  (fun ops -> String.concat "; " (List.map pp_m_op ops))
+                  programs)))
+        Gen.(
+          pair (1 -- 4)
+            (list_size (1 -- 5) (list_size (1 -- 8) m_op_gen))))
+    (fun (cores, programs) ->
+      let got = engine_log ~cores programs
+      and want = model_log ~cores programs in
+      if got <> want then
+        QCheck.Test.fail_reportf "engine %s\nmodel  %s" got want
+      else true)
+
+(* --- The waker's one-shot contract --- *)
+
+let test_waker_second_wake_raises () =
+  let e = Engine.create ~cores:1 () in
+  let w = ref Engine.no_waker and resumed = ref 0 in
+  let _ =
+    Engine.spawn e (fun () ->
+        w := Engine.waker e;
+        Engine.park e;
+        incr resumed;
+        (* Parked again: the first waker must not end this park. *)
+        Engine.park e)
+  in
+  Engine.run e;
+  let first = !w in
+  Engine.wake e first;
+  Engine.run e;
+  Alcotest.(check int) "woken once" 1 !resumed;
+  Alcotest.check_raises "second wake"
+    (Invalid_argument "Engine.wake: waker already used") (fun () ->
+      Engine.wake e first);
+  Alcotest.(check bool) "not pending" false (Engine.waker_pending e first);
+  Alcotest.(check int) "still parked" 1 (Engine.blocked_threads e)
+
+(* A kill wakes a process parked in the kernel through the waker in its
+   kill slot, leaving that waker in the condition's queue. A later
+   signal must skip it and wake the thread that is really waiting. *)
+let test_waker_stale_in_cond_skipped () =
+  let e = Engine.create ~cores:2 () in
+  let c = Sync.Cond.create ~engine:e () in
+  let kill_slot = ref Engine.no_waker and log = ref [] in
+  let _ =
+    Engine.spawn e (fun () ->
+        let w = Engine.waker e in
+        kill_slot := w;
+        Sync.Cond.add_waiter c w;
+        Engine.park e;
+        log := "victim woken" :: !log)
+  in
+  let _ =
+    Engine.spawn e (fun () ->
+        Engine.advance e 10;
+        Sync.Cond.wait c;
+        log := "waiter woken" :: !log)
+  in
+  Engine.run e;
+  Alcotest.(check int) "two waiters" 2 (Sync.Cond.waiters c);
+  Engine.wake e !kill_slot;
+  Engine.run e;
+  Sync.Cond.signal c;
+  Engine.run e;
+  Alcotest.(check (list string)) "kill, then the real waiter"
+    [ "victim woken"; "waiter woken" ] (List.rev !log);
+  Alcotest.(check int) "queue drained" 0 (Sync.Cond.waiters c);
+  Alcotest.(check int) "nobody blocked" 0 (Engine.blocked_threads e)
+
+(* A waker outlives its thread: once that thread has finished, the
+   waker must not reach a later thread, whatever table slot it takes. *)
+let test_waker_never_reaches_later_thread () =
+  let e = Engine.create ~cores:1 () in
+  let old = ref Engine.no_waker in
+  let _ =
+    Engine.spawn e (fun () ->
+        old := Engine.waker e;
+        Engine.park e)
+  in
+  Engine.run e;
+  let stale = !old in
+  Engine.wake e stale;
+  Engine.run e;
+  Alcotest.(check int) "first thread finished" 0 (Engine.live_threads e);
+  let later = ref Engine.no_waker in
+  let _ =
+    Engine.spawn e (fun () ->
+        later := Engine.waker e;
+        Engine.park e)
+  in
+  Engine.run e;
+  Alcotest.(check bool) "stale not pending" false
+    (Engine.waker_pending e stale);
+  Alcotest.check_raises "stale wake refused"
+    (Invalid_argument "Engine.wake: waker already used") (fun () ->
+      Engine.wake e stale);
+  Alcotest.(check int) "later thread still parked" 1 (Engine.blocked_threads e);
+  Alcotest.(check bool) "its own waker pending" true
+    (Engine.waker_pending e !later);
+  Engine.wake e !later;
+  Engine.run e;
+  Alcotest.(check int) "then it finishes" 0 (Engine.live_threads e)
+
 let qt = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -814,4 +1107,10 @@ let suite =
     qt prop_event_key_injective;
     qt prop_trace_ring_bounded_and_monotonic;
     qt prop_random_workload;
+    qt prop_engine_matches_model;
+    ("waker: a second wake raises", `Quick, test_waker_second_wake_raises);
+    ("waker: a stale one in a cond queue is skipped", `Quick,
+     test_waker_stale_in_cond_skipped);
+    ("waker: never reaches a later thread", `Quick,
+     test_waker_never_reaches_later_thread);
   ]

@@ -14,11 +14,13 @@
    file references, or that no test references, is itself a finding,
    so stale marks cannot accumulate.
 
-   Resolution errs toward counting a reference: a qualified name that
-   two modules could own counts for both, and a bare name counts for
-   every module its file opens. Nested module signatures are out of
-   scope: [Sync.Lock.create] is no reference to a top-level [val] of
-   [Sync]. *)
+   A path qualified by a library's wrapper module names that library's
+   file ([Ufork_analysis.Lockdep.f] is never tools/lint/lockdep.ml's
+   [f]). Beyond that, resolution errs toward counting a reference: a
+   name that two modules could still own counts for both, and a bare
+   name counts for every module its file opens. Nested module
+   signatures are out of scope: [Sync.Lock.create] is no reference to a
+   top-level [val] of [Sync]. *)
 
 open Parsetree
 
@@ -29,9 +31,6 @@ type use = { mutable in_tests : bool; mutable caller : string option }
 
 let uses prog =
   let table : (Lint_engine.key, use) Hashtbl.t = Hashtbl.create 1024 in
-  let candidates m =
-    Option.value ~default:[] (Hashtbl.find_opt prog.Lint_engine.modules m)
-  in
   let scan (src : Lint_engine.source) =
     let in_test = Lint_rules.under "test/" src.path in
     let add ((file, _) as key) =
@@ -48,11 +47,10 @@ let uses prog =
         else if u.caller = None then u.caller <- Some src.path
       end
     in
-    let add_all m name =
-      List.iter
-        (fun (s : Lint_engine.source) -> add (s.path, name))
-        (candidates m)
+    let add_all files name =
+      List.iter (fun (s : Lint_engine.source) -> add (s.path, name)) files
     in
+    let candidates ~outer m = Lint_engine.module_files prog ~outer m in
     let opened =
       List.filter_map
         (fun o -> match List.rev o with m :: _ -> Some m | [] -> None)
@@ -61,11 +59,12 @@ let uses prog =
     let see path =
       let resolved = Lint_engine.resolve src.scope path in
       match List.rev resolved with
-      | [ name ] -> List.iter (fun m -> add_all m name) opened
-      | name :: m :: _ -> (
+      | [ name ] ->
+          List.iter (fun m -> add_all (candidates ~outer:[] m) name) opened
+      | name :: m :: outer -> (
           match Lint_engine.callee prog src resolved with
           | Some key -> add key
-          | None -> add_all m name)
+          | None -> add_all (candidates ~outer m) name)
       | [] -> ()
     in
     let open Ast_iterator in

@@ -171,6 +171,10 @@ type program = {
   refs : source list;  (* the reference-only .ml files that parse *)
   parse_errors : finding list;  (* E0, one per file that does not parse *)
   modules : (string, source list) Hashtbl.t;  (* module name -> files *)
+  wrappers : (string * string) list;
+      (* directory -> the wrapper module of the dune library built there
+         ([Ufork_sim] for lib/sim), from the dune files read with the
+         sources *)
 }
 
 let top_bindings str =
@@ -215,9 +219,80 @@ let top_vals sg =
       match item.psig_desc with Psig_value vd -> Some vd | _ -> None)
     sg
 
+(* {2 Library wrappers}
+
+   Dune wraps each library's modules in one module named after the
+   library, so [Ufork_analysis.Lockdep] and [Ufork_lint_core.Lockdep]
+   are different files even though both are [Lockdep]. The wrapper of
+   each directory comes from the [name] of the [library] stanza in its
+   dune file, read with a small S-expression reader (atoms, quoted
+   strings, [;] comments). *)
+
+type sexp = Atom of string | List of sexp list
+
+let sexps text =
+  let n = String.length text in
+  let rec items i acc =
+    if i >= n then (List.rev acc, i)
+    else
+      match text.[i] with
+      | ' ' | '\t' | '\n' | '\r' -> items (i + 1) acc
+      | ';' -> (
+          match String.index_from_opt text i '\n' with
+          | Some j -> items (j + 1) acc
+          | None -> (List.rev acc, n))
+      | '(' ->
+          let inner, j = items (i + 1) [] in
+          items (j + 1) (List inner :: acc)
+      | ')' -> (List.rev acc, i)
+      | '"' ->
+          let rec close j =
+            if j >= n then n
+            else if text.[j] = '\\' then close (j + 2)
+            else if text.[j] = '"' then j
+            else close (j + 1)
+          in
+          let j = close (i + 1) in
+          items (j + 1) (Atom (String.sub text (i + 1) (j - i - 1)) :: acc)
+      | _ ->
+          let rec stop j =
+            if j >= n then n
+            else
+              match text.[j] with
+              | ' ' | '\t' | '\n' | '\r' | '(' | ')' | ';' | '"' -> j
+              | _ -> stop (j + 1)
+          in
+          let j = stop i in
+          items j (Atom (String.sub text i (j - i)) :: acc)
+  in
+  fst (items 0 [])
+
+let library_names text =
+  List.filter_map
+    (function
+      | List (Atom "library" :: fields) ->
+          List.find_map
+            (function List [ Atom "name"; Atom n ] -> Some n | _ -> None)
+            fields
+      | _ -> None)
+    (sexps text)
+
+let is_dune_file path = Filename.basename path = "dune"
+
 (* [files] pairs each repo-relative path with its text; a path under a
-   reference root (Lint_rules.reference_only) is a reference source. *)
+   reference root (Lint_rules.reference_only) is a reference source, and
+   a dune file names the library its directory builds. *)
 let of_sources files =
+  let dunes, files = List.partition (fun (p, _) -> is_dune_file p) files in
+  let wrappers =
+    List.filter_map
+      (fun (path, text) ->
+        match library_names text with
+        | name :: _ ->
+            Some (Filename.dirname path, String.capitalize_ascii name)
+        | [] -> None)
+      dunes
+  in
   let parsed =
     List.map
       (fun (path, text) ->
@@ -256,6 +331,7 @@ let of_sources files =
     parse_errors =
       List.filter_map (function Error f -> Some f | Ok _ -> None) parsed;
     modules;
+    wrappers;
   }
 
 let read_file fn =
@@ -264,9 +340,9 @@ let read_file fn =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Every .ml/.mli under root/{lib,bin,bench,tools}, repo-relative,
-   sorted — tools/ included so the linter self-hosts — then the
-   reference sources under root/{test,perfbench,examples}. The lint
+(* Every .ml/.mli and dune file under root/{lib,bin,bench,tools},
+   repo-relative, sorted — tools/ included so the linter self-hosts —
+   then the reference sources under root/{test,perfbench,examples}. The lint
    fixtures are left out: they misuse the kernel on purpose, and one
    does not parse. *)
 let tree_files root =
@@ -282,7 +358,9 @@ let tree_files root =
           (Sys.readdir abs)
     end
     else if
-      Filename.check_suffix rel ".ml" || Filename.check_suffix rel ".mli"
+      Filename.check_suffix rel ".ml"
+      || Filename.check_suffix rel ".mli"
+      || is_dune_file rel
     then acc := rel :: !acc
   in
   List.iter
@@ -364,15 +442,29 @@ let subexpressions e =
 (* A top-level binding of the program: its file and name. *)
 type key = string * string
 
+(* The files a module path [.. W; M] can name: [M]'s files, narrowed
+   to library [W]'s directories when [W] is a known library wrapper
+   ([Ufork_analysis.Lockdep] is lib/analysis/lockdep.ml, never
+   tools/lint/lockdep.ml). *)
+let module_files prog ~outer m =
+  let files = Option.value ~default:[] (Hashtbl.find_opt prog.modules m) in
+  match outer with
+  | w :: _ when List.exists (fun (_, w') -> w' = w) prog.wrappers ->
+      List.filter
+        (fun s ->
+          List.assoc_opt (Filename.dirname s.path) prog.wrappers = Some w)
+        files
+  | _ -> files
+
 (* The one call resolution: the top-level binding a (resolved) call
-   path names, by file. *)
+   path names, by file. A wrapper-qualified path names its library's
+   file; an unqualified one prefers the caller's own directory, where
+   a library's modules call each other. *)
 let callee prog src resolved : key option =
   match List.rev resolved with
   | [ name ] -> if Names.mem name src.tops then Some (src.path, name) else None
-  | name :: m :: _ when m <> "" && m.[0] >= 'A' && m.[0] <= 'Z' -> (
-      let files =
-        Option.value ~default:[] (Hashtbl.find_opt prog.modules m)
-      in
+  | name :: m :: outer when m <> "" && m.[0] >= 'A' && m.[0] <= 'Z' -> (
+      let files = module_files prog ~outer m in
       let here =
         List.filter
           (fun s -> Filename.dirname s.path = Filename.dirname src.path)
@@ -428,7 +520,6 @@ let fixpoint ~bottom ~equal ~step keys =
 let charging_targets =
   [
     [ "Engine"; "advance" ];
-    [ "Engine"; "advance_direct" ];
     [ "Meter"; "incr_id" ];
     [ "Meter"; "add_id" ];
     [ "Meter"; "set_id" ];
@@ -559,8 +650,8 @@ let check_ident ctx loc path =
   banned Lint_rules.wall_clock wall_clock_targets
     "use Engine.current_time / the seeded Ufork_util.Prng";
   banned Lint_rules.biglock biglock_targets
-    "take the sharded lock for the resource instead (Kernel.with_uproc_table \
-     / with_fd_tables / with_pt_shard / with_frame_pool / with_stats)";
+    "take the sharded lock for the resource instead (Kernel.with_fd_tables \
+     / with_stats / with_pt_shard_pair / with_fresh_frames)";
   if List.length path >= 2 && List.nth path (List.length path - 2) = "Obj" then
     report ctx Lint_rules.obj_magic loc
       (Printf.sprintf "%s: Obj is banned outright" (name_of_target path));
